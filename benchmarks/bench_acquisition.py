@@ -36,12 +36,6 @@ N_TRACES = 256
 WORKERS = 4
 KEY = 0x2B
 
-#: Acquirer lockstep block sizes timed for the ``batch`` section.  The
-#: per-trace event simulation dominates this path, so batching buys
-#: little here — the section's job is regression proof (byte-identical
-#: matrices at every size), with the wall-clock recorded for context.
-BATCH_SIZES = (1, 8, 32)
-
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RESULT_PATH = os.path.join(_REPO_ROOT, "BENCH_acquisition.json")
 
@@ -94,16 +88,6 @@ def run_comparison():
     observed_result, observed_s = _timed_campaign(
         AttackCampaign(library, KEY, telemetry=telemetry), workers=1)
 
-    # Batched acquirer blocks: same campaign at each lockstep size.
-    batch_section = {"batch_sizes": list(BATCH_SIZES),
-                     "batch_seconds": {}, "byte_identical": {}}
-    for batch in BATCH_SIZES:
-        batch_result, batch_s = _timed_campaign(
-            AttackCampaign(library, KEY), workers=1, batch=batch)
-        batch_section["batch_seconds"][str(batch)] = round(batch_s, 4)
-        batch_section["byte_identical"][str(batch)] = bool(
-            np.array_equal(serial_result.traces, batch_result.traces))
-
     report = {
         "experiment": "fig6-style CPA acquisition, cmos target",
         "n_traces": N_TRACES,
@@ -119,7 +103,6 @@ def run_comparison():
                                               parallel_result.traces)),
         "cpa_rank_serial": serial_result.rank,
         "cpa_rank_parallel": parallel_result.rank,
-        "batch": batch_section,
         "telemetry": {
             "enabled_serial_seconds": round(observed_s, 4),
             "enabled_serial_traces_per_sec": round(
@@ -149,7 +132,6 @@ def test_acquisition_parallel_equivalence_and_throughput(benchmark):
                           parallel_result.cpa.peak_per_guess)
     assert report["cpa_rank_serial"] == report["cpa_rank_parallel"]
     assert report["telemetry"]["byte_identical_with_telemetry"]
-    assert all(report["batch"]["byte_identical"].values()), report["batch"]
     assert report["telemetry"]["registry"].get("sca.acquisition.traces", {}
                                                ).get("value") == N_TRACES
     assert report["telemetry"]["disabled_overhead_pct"] <= 2.0, report

@@ -107,10 +107,6 @@ def main(argv=None) -> int:
                         help="reuse DC operating points across "
                              "content-identical solves "
                              "(sets REPRO_OP_CACHE=1)")
-    parser.add_argument("--spice-batch", metavar="N",
-                        help="lockstep batch size for transient solves "
-                             "and trace acquisition; 1 = serial engine "
-                             "(sets REPRO_SPICE_BATCH)")
     from .spice.backend import available_backends
     parser.add_argument("--backend", choices=available_backends(),
                         help="simulator backend for DC/transient runs "
@@ -134,10 +130,6 @@ def main(argv=None) -> int:
     if args.op_cache:
         from .spice import OP_CACHE_ENV
         os.environ[OP_CACHE_ENV] = "1"
-    if args.spice_batch:
-        from .spice import BATCH_ENV, batch_size_from_env
-        os.environ[BATCH_ENV] = args.spice_batch
-        batch_size_from_env()  # fail fast on an unparsable size
     if args.backend:
         from .spice.backend import dispatch
         os.environ[dispatch.BACKEND_ENV] = args.backend

@@ -301,7 +301,8 @@ class AcquisitionError(AttackError):
 
 
 class CheckpointError(ReproError):
-    """A checkpointed experiment run could not be saved or resumed."""
+    """A checkpointed experiment run was misconfigured or got a malformed
+    chunk result."""
 
     default_error_code = "E_CHECKPOINT"
 

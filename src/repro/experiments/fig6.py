@@ -14,7 +14,6 @@ residuals become visible.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
@@ -66,10 +65,11 @@ def run(key: int = DEFAULT_KEY,
         telemetry=None) -> Fig6Result:
     """Run the three-style CPA campaign.
 
-    ``checkpoint_dir`` makes each per-style acquisition resumable: traces
-    are snapshotted to ``<dir>/fig6_<style>.npz`` every ``chunk_size``
-    plaintexts, and a killed run restarted with the same directory
-    resumes mid-campaign with byte-identical final correlations.
+    ``checkpoint_dir`` makes each per-style acquisition resumable: every
+    ``chunk_size`` plaintexts of traces become one entry of the result
+    store in that directory, and a killed run restarted with the same
+    directory acquires only the missing chunks, with byte-identical
+    final correlations.
 
     ``workers`` spreads each style's acquisition over a worker pool
     (``repro.sca.acquisition``); trace noise is keyed by trace index,
@@ -86,9 +86,8 @@ def run(key: int = DEFAULT_KEY,
             results[lib.style] = campaign.run(plaintexts, workers=workers,
                                               backend=backend)
         else:
-            runner = CheckpointedRun(
-                os.path.join(checkpoint_dir, f"fig6_{lib.style}.npz"),
-                chunk_size=chunk_size, telemetry=telemetry)
+            runner = CheckpointedRun(checkpoint_dir, chunk_size=chunk_size,
+                                     telemetry=telemetry)
             results[lib.style] = campaign.run_checkpointed(
                 runner, plaintexts, workers=workers, backend=backend)
     return Fig6Result(results=results, key=key)

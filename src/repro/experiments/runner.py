@@ -4,36 +4,13 @@ and checkpointed (resumable) campaign execution."""
 from __future__ import annotations
 
 import hashlib
-import json
-import os
-import tempfile
-import time
-import zipfile
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from ..errors import CheckpointError, ReproError
 from ..obs import NULL_TELEMETRY
-
-
-def _fsync_directory(directory: str) -> None:
-    """Flush a rename to the directory's metadata, where supported.
-
-    Some filesystems (and all of Windows) refuse O_RDONLY directory
-    fds; durability is then best-effort, same as before this helper.
-    """
-    try:
-        fd = os.open(directory, os.O_RDONLY)
-    except OSError:
-        return
-    try:
-        os.fsync(fd)
-    except OSError:
-        pass
-    finally:
-        os.close(fd)
 
 
 @dataclass
@@ -98,209 +75,76 @@ class CheckpointStats:
     chunks_total: int = 0
     chunks_resumed: int = 0
     chunks_run: int = 0
-    retries: int = 0
-    failures: List[str] = field(default_factory=list)
 
 
 class CheckpointedRun:
-    """Chunked, atomically-checkpointed, resumable campaign execution.
+    """Chunked, resumable campaign execution over a :class:`ResultStore`.
 
     Long trace campaigns (the fig6 CPA and TVLA drivers push thousands
-    of logic simulations through the power models) die wholesale when a
-    single chunk fails or the process is killed.  This helper processes
-    an item list in fixed chunks, snapshots accumulated results (plus any
-    caller-provided generator state) to an ``.npz`` after every chunk via
-    atomic rename, retries failed chunks with capped exponential backoff,
-    and on restart resumes from the last completed chunk — producing
-    byte-identical results to an uninterrupted run.
-
-    Parameters
-    ----------
-    path:
-        Checkpoint file (``.npz`` appended when missing).
-    chunk_size:
-        Items per chunk — also the checkpoint granularity.
-    max_retries:
-        Per-chunk retry budget for exceptions in ``retry_on``.
-    backoff_base, backoff_cap:
-        Exponential backoff: attempt *k* sleeps
-        ``min(backoff_cap, backoff_base * 2**(k-1))`` seconds.
-    retry_on:
-        Exception classes considered transient.  Anything else
-        propagates immediately (the checkpoint keeps completed chunks).
-    sleep:
-        Injectable sleep function (tests pass a recorder).
+    of logic simulations through the power models) must survive a
+    killed process.  Each chunk's rows become one entry of the
+    content-addressed store at ``path`` under
+    ``chunk_key(fingerprint, chunk_index)``, where the fingerprint is
+    the items hash, the chunk size and the caller's campaign
+    fingerprint.  A rerun on the same directory serves stored chunks
+    and computes only the missing ones; every chunk is a pure function
+    of its items and start index (counter-based noise), so the result
+    is byte-identical to an uninterrupted run.  A different campaign
+    hashes to different keys and reuses nothing; a torn entry fails the
+    store's digest check and is recomputed.
     """
 
-    def __init__(self, path, chunk_size: int = 32, max_retries: int = 3,
-                 backoff_base: float = 0.05, backoff_cap: float = 2.0,
-                 retry_on: Tuple[type, ...] = (ReproError,),
-                 sleep: Callable[[float], None] = time.sleep,
-                 telemetry=None):
-        path = os.fspath(path)
-        if not path.endswith(".npz"):
-            path += ".npz"
+    def __init__(self, path, chunk_size: int = 32, telemetry=None):
+        # Imported here: the job service package loads asyncio and the
+        # HTTP API, which drivers that never checkpoint should not pay for.
+        from ..service.store import ResultStore
+
         if chunk_size < 1:
             raise CheckpointError("chunk_size must be >= 1")
-        if max_retries < 0:
-            raise CheckpointError("max_retries must be >= 0")
-        self.path = path
+        self.store = ResultStore(path)
         self.chunk_size = chunk_size
-        self.max_retries = max_retries
-        self.backoff_base = backoff_base
-        self.backoff_cap = backoff_cap
-        self.retry_on = tuple(retry_on)
-        self.sleep = sleep
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self.stats = CheckpointStats()
 
-    # -- persistence ---------------------------------------------------------
-
-    def _fingerprint(self, items: Sequence,
-                     extra: Optional[Dict[str, Any]]) -> Dict[str, Any]:
-        digest = hashlib.sha256(repr(list(items)).encode()).hexdigest()
-        fp: Dict[str, Any] = {"n_items": len(items), "items_sha": digest,
-                              "chunk_size": self.chunk_size}
-        if extra:
-            fp.update(extra)
-        return fp
-
-    def _save(self, blocks: List[np.ndarray], n_done: int,
-              fingerprint: Dict[str, Any], state: Any) -> None:
-        # Crash-durable rename-into-place: the temp file is fsync'd
-        # before os.replace (rename alone orders nothing on power loss —
-        # the new name could point at unwritten blocks), and the
-        # directory is fsync'd after so the rename itself survives.
-        directory = os.path.dirname(self.path) or "."
-        fd, tmp = tempfile.mkstemp(suffix=".npz", dir=directory)
-        try:
-            with self.telemetry.span("checkpoint.save", n_done=n_done), \
-                    self.telemetry.timer("checkpoint.save_seconds"):
-                rows = np.vstack(blocks) if blocks else np.zeros((0, 0))
-                with os.fdopen(fd, "wb") as handle:
-                    fd = None
-                    np.savez(handle, rows=rows, n_done=np.int64(n_done),
-                             meta=np.array(json.dumps(fingerprint)),
-                             state=np.array(json.dumps(state)))
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                os.replace(tmp, self.path)
-                _fsync_directory(directory)
-        except BaseException:
-            if fd is not None:
-                os.close(fd)
-            if os.path.exists(tmp):
-                os.remove(tmp)
-            raise
-
-    def load(self) -> Optional[Tuple[np.ndarray, int, Dict[str, Any], Any]]:
-        """Existing checkpoint as (rows, n_done, fingerprint, state)."""
-        if not os.path.exists(self.path):
-            return None
-        try:
-            with self.telemetry.span("checkpoint.load"), \
-                    self.telemetry.timer("checkpoint.load_seconds"):
-                with np.load(self.path, allow_pickle=False) as archive:
-                    rows = np.array(archive["rows"])
-                    n_done = int(archive["n_done"])
-                    meta = json.loads(str(archive["meta"][()]))
-                    state = json.loads(str(archive["state"][()]))
-        except (OSError, KeyError, ValueError, EOFError,
-                zipfile.BadZipFile) as err:
-            raise CheckpointError(
-                f"unreadable checkpoint {self.path}: {err}") from err
-        return rows, n_done, meta, state
-
-    def clear(self) -> None:
-        """Delete the checkpoint (start the next run from scratch)."""
-        if os.path.exists(self.path):
-            os.remove(self.path)
-
-    # -- execution -----------------------------------------------------------
-
     def run(self, items: Sequence, process_chunk: Callable,
-            fingerprint: Optional[Dict[str, Any]] = None,
-            get_state: Optional[Callable[[], Any]] = None,
-            set_state: Optional[Callable[[Any], None]] = None) -> np.ndarray:
-        """Process ``items`` in chunks, checkpointing after each.
+            fingerprint: Optional[Dict[str, Any]] = None) -> np.ndarray:
+        """Process ``items`` in chunks, storing each as it completes.
 
         ``process_chunk(chunk_items, start_index)`` must return an array
         with one row per item, computed independently of any other chunk.
-        ``get_state``/``set_state`` round-trip external mutable state
-        through the checkpoint for processes that are not pure functions
-        of the item index.  (Trace campaigns no longer need this: their
-        noise is counter-based, keyed by trace index.)
         """
+        from ..service.store import chunk_key
+
         items = list(items)
-        fp = self._fingerprint(items, fingerprint)
-        self.stats = CheckpointStats(
-            chunks_total=-(-len(items) // self.chunk_size) if items else 0)
-        blocks: List[np.ndarray] = []
-        start = 0
-        loaded = self.load()
-        if loaded is not None:
-            rows, n_done, meta, state = loaded
-            if meta != fp:
-                # Both fingerprints ride in the context so the refusal
-                # is diagnosable from a JSONL post-mortem alone: which
-                # noise entropy / scheme / style the snapshot belongs
-                # to, and which one the caller asked to resume.
-                raise CheckpointError(
-                    f"checkpoint {self.path} belongs to a different "
-                    f"campaign (saved {meta}, expected {fp}); "
-                    f"clear() it to restart",
-                    context={"path": self.path, "saved": meta,
-                             "expected": fp})
-            if n_done % self.chunk_size != 0 and n_done != len(items):
-                raise CheckpointError(
-                    f"checkpoint {self.path} is torn: {n_done} rows is "
-                    f"not a chunk boundary")
-            if n_done > 0:
-                blocks = [rows[:n_done]]
-                start = n_done
-                self.stats.chunks_resumed = -(-n_done // self.chunk_size)
-                if set_state is not None and state is not None:
-                    set_state(state)
-
-        for begin in range(start, len(items), self.chunk_size):
-            chunk = items[begin:begin + self.chunk_size]
-            state0 = get_state() if get_state is not None else None
-            attempt = 0
-            while True:
-                try:
-                    out = np.asarray(process_chunk(chunk, begin))
-                    break
-                except self.retry_on as err:
-                    attempt += 1
-                    self.stats.retries += 1
-                    self.stats.failures.append(
-                        f"chunk@{begin} attempt {attempt}: {err}")
-                    if attempt > self.max_retries:
-                        raise CheckpointError(
-                            f"chunk at item {begin} failed after "
-                            f"{self.max_retries} retries: {err}") from err
-                    if set_state is not None and state0 is not None:
-                        set_state(state0)
-                    self.sleep(min(self.backoff_cap,
-                                   self.backoff_base * 2 ** (attempt - 1)))
-            if out.ndim == 1:
-                out = out.reshape(len(chunk), -1)
-            if out.shape[0] != len(chunk):
-                raise CheckpointError(
-                    f"process_chunk returned {out.shape[0]} rows for a "
-                    f"{len(chunk)}-item chunk")
-            blocks.append(out)
-            n_done = begin + len(chunk)
-            state_now = get_state() if get_state is not None else None
-            self._save(blocks, n_done, fp, state_now)
-            self.stats.chunks_run += 1
-
+        fp: Dict[str, Any] = {
+            "n_items": len(items),
+            "items_sha": hashlib.sha256(repr(items).encode()).hexdigest(),
+            "chunk_size": self.chunk_size}
+        fp.update(fingerprint or {})
+        starts = range(0, len(items), self.chunk_size)
+        self.stats = CheckpointStats(chunks_total=len(starts))
         tele = self.telemetry
-        if self.stats.chunks_run:
-            tele.counter("checkpoint.chunks_run").inc(self.stats.chunks_run)
-        if self.stats.chunks_resumed:
-            tele.counter("checkpoint.chunks_resumed").inc(
-                self.stats.chunks_resumed)
-        if self.stats.retries:
-            tele.counter("checkpoint.retries").inc(self.stats.retries)
+        blocks: List[np.ndarray] = []
+        for index, begin in enumerate(starts):
+            chunk = items[begin:begin + self.chunk_size]
+            key = chunk_key(fp, index)
+            with tele.span("checkpoint.chunk", chunk=index,
+                           start=begin) as span:
+                rows = self.store.get(key)
+                span.set("resumed", rows is not None)
+                if rows is None:
+                    rows = np.asarray(process_chunk(chunk, begin))
+                    if rows.ndim == 1:
+                        rows = rows.reshape(len(chunk), -1)
+                    if rows.shape[0] != len(chunk):
+                        raise CheckpointError(
+                            f"process_chunk returned {rows.shape[0]} rows "
+                            f"for a {len(chunk)}-item chunk")
+                    self.store.put(key, rows)
+                    self.stats.chunks_run += 1
+                    tele.counter("checkpoint.chunks_run").inc()
+                else:
+                    self.stats.chunks_resumed += 1
+                    tele.counter("checkpoint.chunks_resumed").inc()
+            blocks.append(rows)
         return np.vstack(blocks) if blocks else np.zeros((0, 0))

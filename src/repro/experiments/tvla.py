@@ -15,7 +15,6 @@ key hypothesis.  The expected (and obtained) nuance:
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -68,10 +67,10 @@ def run(key: int = 0x2B, n_traces: int = 128,
         telemetry=None) -> TVLAExperiment:
     """Assess all three styles with fixed-vs-random TVLA.
 
-    ``checkpoint_dir`` makes each per-style acquisition resumable
-    (snapshots at ``<dir>/tvla_<style>.npz`` every ``chunk_size``
-    traces); a killed assessment restarted with the same directory
-    resumes and yields identical t statistics.  ``workers`` spreads
+    ``checkpoint_dir`` makes each per-style acquisition resumable (one
+    result-store entry per ``chunk_size`` traces); a killed assessment
+    restarted with the same directory acquires only the missing chunks
+    and yields identical t statistics.  ``workers`` spreads
     each acquisition over a worker pool with byte-identical traces.
     """
     rows: List[TVLAStyleRow] = []
@@ -81,9 +80,8 @@ def run(key: int = 0x2B, n_traces: int = 128,
         netlist, _ = build_reduced_aes(library)
         runner = None
         if checkpoint_dir is not None:
-            runner = CheckpointedRun(
-                os.path.join(checkpoint_dir, f"tvla_{library.style}.npz"),
-                chunk_size=chunk_size, telemetry=telemetry)
+            runner = CheckpointedRun(checkpoint_dir, chunk_size=chunk_size,
+                                     telemetry=telemetry)
         result = fixed_vs_random_tvla(netlist, key=key, n_traces=n_traces,
                                       chain=chain, runner=runner,
                                       workers=workers, backend=backend,

@@ -51,9 +51,9 @@ class MeasurementChain:
     resolution: float = uA(1.0)
     seed: Optional[int] = 1234
 
-    #: Identifies the per-trace seeding scheme.  Checkpoint fingerprints
-    #: embed it so a snapshot taken under one scheme is never silently
-    #: resumed under another.
+    #: Identifies the per-trace seeding scheme.  Stored-chunk
+    #: fingerprints embed it so chunks taken under one scheme are never
+    #: served to a campaign under another.
     SCHEME: ClassVar[str] = "philox-per-trace-v1"
 
     def __post_init__(self) -> None:
@@ -131,12 +131,12 @@ class MeasurementChain:
     def fingerprint(self) -> Dict[str, Union[str, float]]:
         """JSON-serialisable identity of the noise process.
 
-        Checkpointed campaigns embed this in the snapshot fingerprint:
-        a checkpoint written with different entropy, a different noise
-        configuration, or an older seeding scheme refuses to resume
-        instead of silently splicing two different noise streams.  The
-        per-trace derivation makes any *state* round-trip unnecessary —
-        the index alone reconstructs the stream.
+        Checkpointed campaigns embed this in the key of every stored
+        chunk: a different entropy, noise configuration or seeding
+        scheme addresses different chunks, so two noise streams are
+        never spliced.  The per-trace derivation makes any *state*
+        round-trip unnecessary — the index alone reconstructs the
+        stream.
         """
         return {"scheme": self.SCHEME, "entropy": str(self._entropy),
                 "noise_sigma": float(self.noise_sigma),

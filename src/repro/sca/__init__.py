@@ -31,7 +31,7 @@ from .acquisition import (
     resolve_backend,
     validate_plaintexts,
 )
-from .attack import AttackCampaign, CampaignResult, collect_traces
+from .attack import AttackCampaign, CampaignResult
 from .matrix import (
     MatrixCell,
     MatrixReport,
@@ -75,7 +75,6 @@ __all__ = [
     "validate_plaintexts",
     "AttackCampaign",
     "CampaignResult",
-    "collect_traces",
     "MatrixCell",
     "MatrixReport",
     "MatrixSpec",

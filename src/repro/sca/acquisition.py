@@ -41,7 +41,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..errors import AcquisitionError, AttackError, ConvergenceError
+from ..errors import AcquisitionError, AttackError
 from ..obs import NULL_TELEMETRY, MemorySink, Telemetry
 from ..netlist import GateNetlist, LogicSimulator
 from ..power import (
@@ -53,7 +53,6 @@ from ..power import (
     wddl_baseline,
     wddl_current,
 )
-from ..spice.batch import batch_size_from_env
 from ..units import ns, ps
 
 #: Trace capture window (the reduced AES settles well within this).
@@ -124,16 +123,9 @@ class TraceAcquirer:
     def __init__(self, netlist: GateNetlist, key: int,
                  chain: Optional[MeasurementChain] = None,
                  grid: Optional[TraceGrid] = None,
-                 mismatch_seed: int = 0, t_apply: float = 0.0,
-                 batch: Optional[int] = None):
+                 mismatch_seed: int = 0, t_apply: float = 0.0):
         if not 0 <= key <= 0xFF:
             raise AttackError(f"key byte out of range: {key}")
-        if batch is None:
-            batch = batch_size_from_env(default=1)
-        batch = int(batch)
-        if batch < 1:
-            raise AttackError(f"batch must be >= 1: {batch}")
-        self.batch = batch
         self.netlist = netlist
         self.key = key
         self.chain = chain if chain is not None else MeasurementChain()
@@ -164,8 +156,7 @@ class TraceAcquirer:
 
         Two acquirers with equal fingerprints produce byte-identical
         traces for equal ``(plaintexts, trace_offset)`` — the property
-        the campaign job service's content-addressed result store and
-        the checkpoint resume guard both key on.  Everything that
+        a content-addressed result store keys on.  Everything that
         shapes a trace is present: the netlist identity, the key, the
         mismatch die, the capture grid, and the measurement chain's own
         fingerprint (entropy + seeding scheme).
@@ -218,80 +209,21 @@ class TraceAcquirer:
                                 baseline=self._baseline)
 
     def acquire(self, plaintexts: Sequence[int],
-                trace_offset: int = 0,
-                failures: Optional[List[dict]] = None) -> np.ndarray:
+                trace_offset: int = 0) -> np.ndarray:
         """Measured traces, one row per plaintext.
 
         ``trace_offset`` is the campaign-global index of the first
         plaintext — it keys the noise, so a chunk produces the same
-        bytes wherever and whenever it runs.
-
-        With ``batch > 1`` the instrument arithmetic runs over blocks
-        of that many traces through
-        :meth:`~repro.power.MeasurementChain.measure_block`; the noise
-        stays per-trace Philox, so the blocked path is byte-identical
-        to the serial loop by construction.
-
-        A :class:`ConvergenceError` on one trace does not fail the
-        whole chunk outright: the failing trace is isolated and retried
-        serially on its own (re-entering the solver's full recovery
-        ladder where the power model is simulator-backed) while every
-        other trace keeps its result.  A recovered isolation is
-        appended to ``failures`` (trace index, plaintext, original
-        error) so the pool can emit ``trace_failed`` telemetry; only a
-        trace whose serial retry fails too raises.
+        bytes wherever and whenever it runs.  The ideal samples of the
+        whole chunk go through one
+        :meth:`~repro.power.MeasurementChain.measure_block`, which is
+        byte-identical to a per-trace ``measure`` loop.
         """
         pts = validate_plaintexts(plaintexts)
-        rows = np.empty((len(pts), self.grid.n))
-        if self.batch > 1:
-            for begin in range(0, len(pts), self.batch):
-                block = pts[begin:begin + self.batch]
-                samples = np.zeros((len(block), self.grid.n))
-                retry: List[Tuple[int, int, ConvergenceError]] = []
-                for j, plaintext in enumerate(block):
-                    try:
-                        samples[j] = self.ideal_samples(plaintext)
-                    except ConvergenceError as err:
-                        retry.append((j, plaintext, err))
-                rows[begin:begin + len(block)] = self.chain.measure_block(
-                    samples, first_index=trace_offset + begin)
-                for j, plaintext, err in retry:
-                    rows[begin + j] = self._retry_trace(
-                        plaintext, trace_offset + begin + j, err, failures)
-        else:
-            for i, plaintext in enumerate(pts):
-                index = trace_offset + i
-                try:
-                    samples = self.ideal_samples(plaintext)
-                except ConvergenceError as err:
-                    rows[i] = self._retry_trace(plaintext, index, err,
-                                                failures)
-                else:
-                    rows[i] = self.chain.measure(samples, trace_index=index)
-        return rows
-
-    def _retry_trace(self, plaintext: int, trace_index: int,
-                     err: ConvergenceError,
-                     failures: Optional[List[dict]]) -> np.ndarray:
-        """Serial retry of one isolated trace.
-
-        The retry re-runs the trace alone; a second failure is the
-        trace's final outcome and raises with the full post-mortem
-        context (which campaign trace, which input) so the JSONL trace
-        alone locates it.
-        """
-        record = {"trace_index": trace_index, "plaintext": plaintext,
-                  "key": self.key, "error": err.to_dict()}
-        try:
-            samples = self.ideal_samples(plaintext)
-        except ConvergenceError as err2:
-            err2.context.setdefault("trace_index", trace_index)
-            err2.context.setdefault("plaintext", plaintext)
-            err2.context.setdefault("key", self.key)
-            raise
-        if failures is not None:
-            failures.append(record)
-        return self.chain.measure(samples, trace_index=trace_index)
+        samples = np.empty((len(pts), self.grid.n))
+        for i, plaintext in enumerate(pts):
+            samples[i] = self.ideal_samples(plaintext)
+        return self.chain.measure_block(samples, first_index=trace_offset)
 
 
 # -- worker-pool plumbing -----------------------------------------------------
@@ -307,40 +239,26 @@ def _instrumented_chunk(acquirer: TraceAcquirer, chunk_index: int,
                         observe: bool, t_submit: float):
     """Run one chunk, optionally under an isolated telemetry collector.
 
-    Returns ``(rows, records, failures)`` where ``records`` is the
-    collector's record list (to be :meth:`~repro.obs.Telemetry.adopt`-ed
-    by the parent in chunk-index order) or ``None`` when telemetry is
-    off, and ``failures`` lists the chunk's recovered per-trace
-    isolations (see :meth:`TraceAcquirer.acquire`).  Everything is
-    plain dicts, so the fork backend can pickle the results back
-    across the process boundary.
+    Returns ``(rows, records)`` where ``records`` is the collector's
+    record list (to be :meth:`~repro.obs.Telemetry.adopt`-ed by the
+    parent in chunk-index order) or ``None`` when telemetry is off.
+    Everything is plain dicts, so the fork backend can pickle the
+    results back across the process boundary.
     """
-    failures: List[dict] = []
     if not observe:
-        try:
-            rows = acquirer.acquire(plaintexts, trace_offset=trace_offset,
-                                    failures=failures)
-        except ConvergenceError as err:
-            err.context.setdefault("chunk", chunk_index)
-            raise
-        return rows, None, failures
+        return acquirer.acquire(plaintexts, trace_offset=trace_offset), None
     collector = Telemetry(sinks=[MemorySink()])
     t0 = time.monotonic()
     collector.histogram("sca.acquisition.queue_wait_seconds").observe(
         max(0.0, t0 - t_submit))
-    try:
-        with collector.span("sca.acquisition.chunk", chunk=chunk_index,
-                            offset=trace_offset, n=len(plaintexts)):
-            rows = acquirer.acquire(plaintexts, trace_offset=trace_offset,
-                                    failures=failures)
-    except ConvergenceError as err:
-        err.context.setdefault("chunk", chunk_index)
-        raise
+    with collector.span("sca.acquisition.chunk", chunk=chunk_index,
+                        offset=trace_offset, n=len(plaintexts)):
+        rows = acquirer.acquire(plaintexts, trace_offset=trace_offset)
     collector.histogram("sca.acquisition.chunk_seconds").observe(
         time.monotonic() - t0)
     collector.counter("sca.acquisition.traces").inc(len(plaintexts))
     collector.emit_metrics()
-    return rows, collector.sinks[0].records, failures
+    return rows, collector.sinks[0].records
 
 
 def _process_chunk(token: int, chunk_index: int, trace_offset: int,
@@ -365,30 +283,17 @@ class AcquisitionPool:
     def __init__(self, factory: Callable[[], TraceAcquirer],
                  workers: int = 1, backend: str = "auto",
                  chunk_size: int = DEFAULT_CHUNK, telemetry=None,
-                 max_pool_rebuilds: int = 3, batch: Optional[int] = None):
+                 max_pool_rebuilds: int = 3):
         if chunk_size < 1:
             raise AttackError(f"chunk_size must be >= 1: {chunk_size}")
         if max_pool_rebuilds < 0:
             raise AttackError(
                 f"max_pool_rebuilds must be >= 0: {max_pool_rebuilds}")
-        if batch is not None and int(batch) < 1:
-            raise AttackError(f"batch must be >= 1: {batch}")
         self.backend = resolve_backend(backend, workers)
         self.workers = 1 if self.backend == "serial" else workers
         self.chunk_size = chunk_size
         self.max_pool_rebuilds = max_pool_rebuilds
-        self.batch = None if batch is None else int(batch)
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        if batch is not None:
-            # Override the acquirer's batch size without asking every
-            # factory to grow a parameter: acquirers expose `batch` as
-            # plain state, and every worker builds through this wrapper.
-            base_factory, size = factory, self.batch
-
-            def factory() -> TraceAcquirer:
-                acquirer = base_factory()
-                acquirer.batch = size
-                return acquirer
         self._factory = factory
         self._executor: Optional[Executor] = None
         self._token: Optional[int] = None
@@ -584,39 +489,21 @@ class AcquisitionPool:
                 range(0, len(pts), self.chunk_size))]
         with tele.span("sca.acquisition.acquire", backend=self.backend,
                        workers=self.workers, traces=len(pts),
-                       chunks=len(jobs), chunk_size=self.chunk_size,
-                       batch=self.batch):
-            try:
-                if self.backend == "serial":
-                    results = [
-                        _instrumented_chunk(
-                            self._serial, index, offset, chunk, observe,
-                            time.monotonic() if observe else 0.0)
-                        for index, offset, chunk in jobs]
-                elif self.backend == "process":
-                    results = self._run_process_jobs(jobs, observe, tele)
-                else:
-                    results = self._run_thread_jobs(jobs, observe)
-            except ConvergenceError as err:
-                # The context carries trace_index/plaintext/chunk (set at
-                # the point of failure), so this one event makes the
-                # failure reproducible from the JSONL trace alone.
-                tele.counter("sca.acquisition.trace_failures").inc()
-                tele.event("sca.acquisition.trace_failed",
-                           backend=self.backend, error=err.to_dict())
-                raise
+                       chunks=len(jobs), chunk_size=self.chunk_size):
+            if self.backend == "serial":
+                results = [
+                    _instrumented_chunk(
+                        self._serial, index, offset, chunk, observe,
+                        time.monotonic() if observe else 0.0)
+                    for index, offset, chunk in jobs]
+            elif self.backend == "process":
+                results = self._run_process_jobs(jobs, observe, tele)
+            else:
+                results = self._run_thread_jobs(jobs, observe)
             blocks: List[np.ndarray] = []
-            for rows, records, failures in results:
+            for rows, records in results:
                 if records is not None:
                     tele.adopt(records)
-                for failure in failures:
-                    # A trace that fell out of its chunk but recovered
-                    # on the serial retry: the campaign goes on, the
-                    # isolation is still a first-class event.
-                    tele.counter("sca.acquisition.trace_failures").inc()
-                    tele.event("sca.acquisition.trace_failed",
-                               backend=self.backend, recovered=True,
-                               **failure)
                 blocks.append(rows)
         if not blocks:
             return np.zeros((0, TraceGrid(0.0, DEFAULT_WINDOW,
@@ -631,21 +518,19 @@ def acquire_traces(netlist: GateNetlist, key: int,
                    mismatch_seed: int = 0, t_apply: float = 0.0,
                    workers: int = 1, backend: str = "auto",
                    chunk_size: int = DEFAULT_CHUNK,
-                   trace_offset: int = 0, telemetry=None,
-                   batch: Optional[int] = None) -> np.ndarray:
+                   trace_offset: int = 0, telemetry=None) -> np.ndarray:
     """One-shot parallel acquisition: simulate, compose, and measure
     ``plaintexts`` with ``workers`` workers.
 
     Byte-identical to a serial run for any ``workers``/``backend``/
-    ``chunk_size`` — and for any ``telemetry`` or ``batch`` — see the
-    module docstring for why.
+    ``chunk_size`` — and for any ``telemetry`` — see the module
+    docstring for why.
     """
     pts = validate_plaintexts(plaintexts)
 
     def factory() -> TraceAcquirer:
         return TraceAcquirer(netlist, key, chain=chain, grid=grid,
-                             mismatch_seed=mismatch_seed, t_apply=t_apply,
-                             batch=batch)
+                             mismatch_seed=mismatch_seed, t_apply=t_apply)
 
     if not pts:
         return np.zeros((0, (grid if grid is not None else

@@ -36,14 +36,7 @@ from ..power import MeasurementChain, TraceGrid
 from ..synth import map_lut, sbox_truth_tables
 from ..synth.buffering import buffer_high_fanout
 from ..power.preprocess import standardize
-from .acquisition import (
-    DEFAULT_CHUNK,
-    DEFAULT_DT,
-    DEFAULT_WINDOW,
-    AcquisitionPool,
-    TraceAcquirer,
-    acquire_traces,
-)
+from .acquisition import DEFAULT_CHUNK, AcquisitionPool, TraceAcquirer
 from .cpa import CPAResult, cpa_attack
 from .dpa import DPAResult, multibit_dpa_attack
 
@@ -76,28 +69,6 @@ def build_reduced_aes(library: Library,
         nl.add_primary_output(net)
     buffer_high_fanout(nl, max_fanout=6)
     return nl, outputs
-
-
-def collect_traces(netlist: GateNetlist, key: int,
-                   plaintexts: Sequence[int],
-                   chain: Optional[MeasurementChain] = None,
-                   grid: Optional[TraceGrid] = None,
-                   mismatch_seed: int = 0,
-                   t_apply: float = 0.0,
-                   trace_offset: int = 0,
-                   workers: int = 1,
-                   backend: str = "auto") -> np.ndarray:
-    """Simulated measured traces, one row per plaintext.
-
-    The whole batch is validated before any simulation runs, and trace
-    ``i`` draws its noise from index ``trace_offset + i`` — the result
-    is a pure function of the inputs, independent of worker count or
-    chunk order.
-    """
-    return acquire_traces(netlist, key, plaintexts, chain=chain,
-                          grid=grid, mismatch_seed=mismatch_seed,
-                          t_apply=t_apply, trace_offset=trace_offset,
-                          workers=workers, backend=backend)
 
 
 @dataclass
@@ -152,10 +123,9 @@ class AttackCampaign:
     def fingerprint(self) -> Dict[str, object]:
         """JSON-serialisable identity of this campaign's trace function.
 
-        Embedded in checkpoint snapshots (:meth:`run_checkpointed`) and
-        used by the campaign job service to key its content-addressed
-        result store: equal fingerprints guarantee byte-identical
-        traces for equal plaintext slices.
+        Keys the stored chunks of :meth:`run_checkpointed`: equal
+        fingerprints guarantee byte-identical traces for equal
+        plaintext slices.
         """
         return {"experiment": "cpa-campaign",
                 "style": self.library.style,
@@ -163,35 +133,31 @@ class AttackCampaign:
                 "mismatch_seed": self.mismatch_seed,
                 "noise": self.chain.fingerprint()}
 
-    def _acquirer_factory(self, grid: Optional[TraceGrid],
-                          batch: Optional[int] = None):
+    def _acquirer_factory(self, grid: Optional[TraceGrid]):
         def factory() -> TraceAcquirer:
             return TraceAcquirer(self.netlist, self.key, chain=self.chain,
                                  grid=grid,
-                                 mismatch_seed=self.mismatch_seed,
-                                 batch=batch)
+                                 mismatch_seed=self.mismatch_seed)
         return factory
 
     def run(self, plaintexts: Optional[Sequence[int]] = None,
             with_dpa: bool = False,
             grid: Optional[TraceGrid] = None,
             workers: int = 1, backend: str = "auto",
-            chunk_size: int = DEFAULT_CHUNK,
-            batch: Optional[int] = None) -> CampaignResult:
+            chunk_size: int = DEFAULT_CHUNK) -> CampaignResult:
         """Collect traces and attack.
 
         Defaults to all 256 plaintexts — the exhaustive enumeration the
         paper uses.  ``workers`` spreads the acquisition over a process
-        (or thread) pool; ``batch`` sets the acquirer's lockstep block
-        size (default: ``REPRO_SPICE_BATCH``); the traces are
-        byte-identical for any combination.
+        (or thread) pool; the traces are byte-identical for any worker
+        count.
         """
         pts = list(plaintexts) if plaintexts is not None else list(range(256))
         tele = self.telemetry
         with tele.span("sca.campaign", style=self.library.style,
                        key=self.key, n_traces=len(pts),
                        checkpointed=False):
-            with AcquisitionPool(self._acquirer_factory(grid, batch),
+            with AcquisitionPool(self._acquirer_factory(grid),
                                  workers=workers, backend=backend,
                                  chunk_size=chunk_size,
                                  telemetry=tele) as pool:
@@ -202,34 +168,34 @@ class AttackCampaign:
                          with_dpa: bool = False,
                          grid: Optional[TraceGrid] = None,
                          workers: int = 1,
-                         backend: str = "auto",
-                         batch: Optional[int] = None) -> CampaignResult:
+                         backend: str = "auto") -> CampaignResult:
         """Like :meth:`run`, but collect traces through a resumable runner.
 
         ``runner`` is a :class:`repro.experiments.runner.CheckpointedRun`
-        (duck-typed to keep this layer free of experiment imports): trace
-        acquisition proceeds in chunks with an atomic snapshot after each,
-        and a killed campaign restarted with the same runner path resumes
-        where it stopped.  Noise is keyed by trace index, so resumed (and
-        parallel) acquisition is byte-identical to an uninterrupted serial
-        run with no RNG state riding along in the checkpoint; the seeding
-        scheme is fingerprinted instead, so a snapshot from a different
-        scheme or entropy refuses to resume.
+        (duck-typed to keep this layer free of experiment imports): each
+        acquired chunk is stored under this campaign's fingerprint, and
+        a killed campaign restarted on the same store acquires only the
+        chunks it lacks.  Noise is keyed by trace index, so resumed (and
+        parallel) acquisition is byte-identical to an uninterrupted
+        serial run; a different seeding scheme, entropy or grid keys
+        different chunks and reuses nothing.
         """
         pts = list(plaintexts) if plaintexts is not None else list(range(256))
         tele = self.telemetry
         with tele.span("sca.campaign", style=self.library.style,
                        key=self.key, n_traces=len(pts),
                        checkpointed=True):
-            with AcquisitionPool(self._acquirer_factory(grid, batch),
+            with AcquisitionPool(self._acquirer_factory(grid),
                                  workers=workers, backend=backend,
                                  telemetry=tele) as pool:
 
                 def process(chunk: Sequence[int], start: int) -> np.ndarray:
                     return pool.acquire(chunk, trace_offset=start)
 
-                traces = runner.run(pts, process,
-                                    fingerprint=self.fingerprint())
+                fingerprint = self.fingerprint()
+                if grid is not None:
+                    fingerprint["grid"] = [grid.t0, grid.t1, grid.dt]
+                traces = runner.run(pts, process, fingerprint=fingerprint)
             return self._attack(pts, traces, with_dpa)
 
     def _attack(self, pts: List[int], traces: np.ndarray,

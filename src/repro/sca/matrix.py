@@ -88,20 +88,6 @@ def _derive_seed(*parts) -> int:
     return zlib.crc32(text.encode("utf-8")) & 0x7FFFFFFF
 
 
-#: Error codes considered transient for grid-cell retry purposes: an
-#: external backend that died or timed out, and acquisition-pool
-#: failures (rebuild budget exhausted on a loaded host).  A resubmitted
-#: grid with ``retry_failed=True`` re-attempts cells cached with one of
-#: these instead of replaying the stale failure.
-TRANSIENT_ERROR_PREFIXES = ("E_BACKEND", "E_ACQUISITION")
-
-
-def is_transient_error_code(code: Optional[str]) -> bool:
-    """Whether a cached cell failure is worth re-attempting."""
-    return bool(code) and any(code.startswith(prefix)
-                              for prefix in TRANSIENT_ERROR_PREFIXES)
-
-
 @dataclass(frozen=True)
 class MatrixCell:
     """One coordinate of the expanded grid."""
@@ -392,14 +378,12 @@ class _GridRunner:
     """Shared state for one grid execution: caches + acquisition pool."""
 
     def __init__(self, spec: MatrixSpec, telemetry, workers: int,
-                 backend: str, erc: Optional[bool],
-                 retry_failed: bool = False):
+                 backend: str, erc: Optional[bool]):
         self.spec = spec
         self.tele = telemetry
         self.workers = workers
         self.backend = backend
         self.erc = erc if erc is not None else erc_enabled()
-        self.retry_failed = retry_failed
         self._libraries: Dict[Tuple[str, str], Library] = {}
         self._netlists: Dict[Tuple[str, str], Tuple] = {}
         self._tracesets: Dict[Tuple, Tuple] = {}
@@ -436,28 +420,16 @@ class _GridRunner:
         """(plaintexts, traces) for a cell's coordinates, cached.
 
         Failures are cached too, so every cell sharing a broken trace
-        set reports the same error without re-running the acquisition —
-        unless ``retry_failed`` is set and the cached failure looks
-        transient (an ``E_BACKEND_*`` subprocess death or an
-        ``E_ACQUISITION`` pool collapse), in which case the acquisition
-        is re-attempted once per :meth:`traceset` call instead of
-        replaying a failure the environment may have recovered from.
+        set reports the same error without re-running the acquisition:
+        the acquisition is deterministic, so a rerun would fail again.
         """
         key = cell.trace_key(repeat)
         if key in self._tracesets:
             kind, payload = self._tracesets[key]
-            if kind == "err" and self.retry_failed \
-                    and is_transient_error_code(payload.error_code):
-                del self._tracesets[key]
-                self.tele.event("sca.matrix.retry_failed",
-                                style=cell.style, corner=cell.corner,
-                                repeat=repeat,
-                                error_code=payload.error_code)
-            else:
-                self.reused += 1
-                if kind == "err":
-                    raise payload
-                return payload
+            self.reused += 1
+            if kind == "err":
+                raise payload
+            return payload
         try:
             pts, traces = self._acquire(cell, repeat)
         except ReproError as exc:
@@ -618,23 +590,18 @@ class _GridRunner:
 
 
 def run_matrix(spec: MatrixSpec, telemetry=None, workers: int = 1,
-               backend: str = "auto", erc: Optional[bool] = None,
-               retry_failed: bool = False) -> MatrixReport:
+               backend: str = "auto",
+               erc: Optional[bool] = None) -> MatrixReport:
     """Expand ``spec`` and run every cell, returning one report.
 
     ``workers``/``backend`` configure each cell's acquisition pool;
-    ``erc`` overrides the REPRO_ERC preflight gate.  ``retry_failed``
-    re-attempts tracesets whose cached failure carries a transient
-    error code (``E_BACKEND_*``/``E_ACQUISITION``) instead of replaying
-    it into every consumer cell — the knob for resubmitting a grid
-    after an environment hiccup.  Cell order (and every seed) is a pure
-    function of the spec, so two runs of the same grid produce
-    byte-identical trace sets.
+    ``erc`` overrides the REPRO_ERC preflight gate.  Cell order (and
+    every seed) is a pure function of the spec, so two runs of the same
+    grid produce byte-identical trace sets.
     """
     tele = telemetry if telemetry is not None else NULL_TELEMETRY
     cells = spec.expand()
-    runner = _GridRunner(spec, tele, workers, backend, erc,
-                         retry_failed=retry_failed)
+    runner = _GridRunner(spec, tele, workers, backend, erc)
     with tele.span("sca.matrix", n_cells=len(cells),
                    styles=",".join(spec.styles),
                    attacks=",".join(spec.attacks),

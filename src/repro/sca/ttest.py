@@ -104,9 +104,9 @@ def fixed_vs_random_tvla(netlist, key: int, n_traces: int = 128,
 
     Interleaves fixed and random plaintexts (the standard acquisition
     discipline) and compares the two trace populations.  ``runner``, when
-    given, is a :class:`repro.experiments.runner.CheckpointedRun`: the
-    acquisition proceeds in resumable chunks, and a killed campaign
-    restarted with the same runner path produces byte-identical traces.
+    given, is a :class:`repro.experiments.runner.CheckpointedRun`: each
+    acquired chunk is stored, and a killed campaign restarted on the
+    same store acquires only the missing chunks, byte-identically.
     ``workers`` spreads the acquisition over a worker pool; noise is
     keyed by trace index, so any worker count (with or without a
     runner) yields the same bytes.
@@ -120,8 +120,8 @@ def fixed_vs_random_tvla(netlist, key: int, n_traces: int = 128,
         raise AttackError("need at least 4 traces (2 per class)")
     if n_traces % 2 != 0:
         # An odd count would silently acquire n_traces - 1 while the
-        # checkpoint fingerprint records the requested count — reject it
-        # up front instead of fingerprinting traces that don't exist.
+        # chunk fingerprint records the requested count — reject it up
+        # front instead of fingerprinting traces that don't exist.
         raise AttackError(
             f"n_traces must be even (fixed/random classes are "
             f"interleaved pairwise); got {n_traces}")
@@ -151,14 +151,17 @@ def fixed_vs_random_tvla(netlist, key: int, n_traces: int = 128,
                 def process(chunk, start):
                     return pool.acquire(chunk, trace_offset=start)
 
-                traces = runner.run(
-                    interleaved, process,
-                    fingerprint={"experiment": "tvla", "key": key,
-                                 "n_traces": n_traces,
-                                 "fixed_plaintext": fixed_plaintext,
-                                 "mismatch_seed": mismatch_seed,
-                                 "seed": seed,
-                                 "noise": chain.fingerprint()})
+                fingerprint = {"experiment": "tvla",
+                               "netlist": netlist.name, "key": key,
+                               "n_traces": n_traces,
+                               "fixed_plaintext": fixed_plaintext,
+                               "mismatch_seed": mismatch_seed,
+                               "seed": seed,
+                               "noise": chain.fingerprint()}
+                if grid is not None:
+                    fingerprint["grid"] = [grid.t0, grid.t1, grid.dt]
+                traces = runner.run(interleaved, process,
+                                    fingerprint=fingerprint)
         fixed_traces = traces[0::2]
         random_traces = traces[1::2]
         t = welch_t(fixed_traces, random_traces)

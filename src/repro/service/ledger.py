@@ -5,10 +5,10 @@ Every mutation of the job queue is one appended line::
     {"crc": <crc32 of the canonical record json>, "rec": {...}}
 
 and the whole queue state is a fold over those lines — there is no
-other store.  The discipline mirrors the checkpoint writer
-(:class:`repro.experiments.runner.CheckpointedRun`): each append is
-flushed and fsync'd before the call returns, so a SIGKILL between any
-two appends loses at most work-in-flight, never committed state.
+other store.  Each append is flushed and fsync'd before the call
+returns, the same discipline as a result-store put, so a SIGKILL
+between any two appends loses at most work-in-flight, never committed
+state.
 
 Appends are serialised across *processes* with ``flock`` on the ledger
 file itself (workers, the supervisor, and ``ledgerctl`` all mutate one

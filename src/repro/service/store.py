@@ -10,11 +10,15 @@ and entries live at ``root/<digest[:2]>/<digest>.npz``.  Duplicate job
 submissions, crash-replayed chunks, and requeued leases all hash to the
 same key and dedupe to a cache hit instead of a recompute.
 
-Writes use the checkpoint discipline (fsync'd temp → ``os.replace`` →
-directory fsync) and are idempotent: a second put of the same key is a
-no-op, and a half-written temp file can never shadow a committed entry.
-Reads verify an embedded row digest and the key itself before trusting
-an entry; anything torn or foreign reads as a miss.
+Writes are crash-durable (fsync'd temp → ``os.replace`` → directory
+fsync) and idempotent: a second put of the same key is a no-op, and a
+half-written temp file can never shadow a committed entry.  Reads
+verify an embedded row digest and the key itself before trusting an
+entry; anything torn or foreign reads as a miss and is discarded, so
+the recompute's put commits a good copy.
+
+The store is also the resume mechanism of local campaigns
+(:class:`repro.experiments.runner.CheckpointedRun`).
 """
 
 from __future__ import annotations
@@ -27,8 +31,25 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from ..experiments.runner import _fsync_directory
 from .spec import canonical_json
+
+
+def _fsync_directory(directory: str) -> None:
+    """Flush a rename to the directory's metadata, where supported.
+
+    Some filesystems (and all of Windows) refuse O_RDONLY directory
+    fds; durability is then best-effort.
+    """
+    try:
+        fd = os.open(directory, os.O_RDONLY)
+    except OSError:
+        return
+    try:
+        os.fsync(fd)
+    except OSError:
+        pass
+    finally:
+        os.close(fd)
 
 
 def chunk_key(fingerprint: Dict, chunk_index: int) -> str:
@@ -95,7 +116,8 @@ class ResultStore:
 
         Integrity-checked: a torn, truncated, or mislabeled entry reads
         as a miss (the caller recomputes — determinism makes that safe),
-        never as wrong data.
+        never as wrong data.  The bad entry is removed so that the
+        recompute's :meth:`put` can replace it.
         """
         path = self._path(key)
         if not os.path.exists(path):
@@ -105,11 +127,15 @@ class ResultStore:
                 rows = np.array(archive["rows"])
                 stored_key = str(archive["key"])
                 digest = str(archive["digest"])
+            if stored_key == key and _rows_digest(rows) == digest:
+                return rows
         except (OSError, ValueError, KeyError, zipfile.BadZipFile):
-            return None
-        if stored_key != key or _rows_digest(rows) != digest:
-            return None
-        return rows
+            pass
+        try:
+            os.remove(path)
+        except OSError:
+            pass
+        return None
 
     def keys(self) -> List[str]:
         found: List[str] = []

@@ -53,12 +53,7 @@ from .recovery import (
 )
 from .sweep import dc_sweep, SweepResult
 from .transient import TransientResult, TransientStats, run_transient
-from .batch import (
-    BATCH_ENV,
-    BatchSystem,
-    batch_size_from_env,
-    run_transient_batch,
-)
+from .batch import BatchSystem, run_transient_batch
 from .analysis import (
     differential_delay,
     propagation_delay,
@@ -128,9 +123,7 @@ __all__ = [
     "TransientResult",
     "TransientStats",
     "run_transient",
-    "BATCH_ENV",
     "BatchSystem",
-    "batch_size_from_env",
     "run_transient_batch",
     "differential_delay",
     "propagation_delay",

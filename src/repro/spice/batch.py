@@ -35,13 +35,6 @@ event) happens when the batch axis cannot apply at all: un-banked custom
 device classes (fault-injection proxies), an ``on_step`` hook,
 ``REPRO_SPICE_ASSEMBLY=loop``, no unknowns, or lanes whose topologies
 do not actually match.
-
-The batch size used by acquisition comes from the ``batch=`` knob on
-:class:`~repro.sca.acquisition.TraceAcquirer` /
-:class:`~repro.sca.acquisition.AcquisitionPool`, defaulting to the
-``REPRO_SPICE_BATCH`` environment variable (see
-:func:`batch_size_from_env`); ``python -m repro --spice-batch N`` sets
-the same variable.
 """
 
 from __future__ import annotations
@@ -60,32 +53,6 @@ from .dc import _ASSEMBLY_ENV, _DAMP_LIMIT, OperatingPoint, System, \
 from .recovery import _ATTEMPT_MAXITER, SolveBudget
 from .transient import TransientResult, TransientStats, _CompanionCaps, \
     _ringing_mask, _time_grid, run_transient
-
-#: Environment override for the default acquisition batch size.
-BATCH_ENV = "REPRO_SPICE_BATCH"
-
-
-def batch_size_from_env(default: Optional[int] = None) -> Optional[int]:
-    """The ``REPRO_SPICE_BATCH`` batch size, or ``default`` when unset.
-
-    ``1`` (and ``None``) mean the serial engine; larger values select the
-    lockstep batched engine for that many traces per solve.
-    """
-    raw = os.environ.get(BATCH_ENV, "").strip()
-    if not raw:
-        return default
-    try:
-        value = int(raw)
-    except ValueError:
-        raise CircuitError(
-            f"cannot parse {BATCH_ENV}={raw!r}: expected a positive integer",
-            context={"env": BATCH_ENV, "value": raw}) from None
-    if value < 1:
-        raise CircuitError(
-            f"{BATCH_ENV} must be >= 1, got {value}",
-            context={"env": BATCH_ENV, "value": raw})
-    return value
-
 
 class BatchSystem:
     """Bank-indexed view of B circuits sharing one topology.

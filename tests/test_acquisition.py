@@ -3,7 +3,7 @@
 The contract under test: a campaign's trace matrix is a pure function
 of (netlist, key, chain entropy, mismatch seed, plaintexts) — the same
 bytes come out whether acquisition is serial, threaded, forked,
-chunk-shuffled, or killed and resumed from a checkpoint.
+chunk-shuffled, or killed and resumed from the result store.
 """
 
 import numpy as np
@@ -14,8 +14,9 @@ from repro.cells import (
     build_mcml_library,
     build_pg_mcml_library,
 )
-from repro.errors import AttackError, CheckpointError, TraceError
+from repro.errors import AttackError, TraceError
 from repro.experiments.runner import CheckpointedRun
+from repro.obs import MemorySink, Telemetry
 from repro.power import MeasurementChain, TraceGrid
 from repro.sca import (
     AcquisitionPool,
@@ -47,21 +48,6 @@ def style_setup(request):
     netlist, _ = build_reduced_aes(library)
     serial = acquire_traces(netlist, KEY, PTS, workers=1)
     return request.param, library, netlist, serial
-
-
-class _KillAfter(CheckpointedRun):
-    """Checkpoint runner that dies after N successful chunk saves."""
-
-    def __init__(self, *args, die_after=2, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.die_after = die_after
-        self._saves = 0
-
-    def _save(self, blocks, n_done, fingerprint, state):
-        super()._save(blocks, n_done, fingerprint, state)
-        self._saves += 1
-        if self._saves >= self.die_after:
-            raise KeyboardInterrupt
 
 
 class TestByteIdenticalAcrossExecution:
@@ -100,20 +86,25 @@ class TestByteIdenticalAcrossExecution:
                              backend="thread", chunk_size=7)
         assert np.array_equal(odd, serial)
 
-    def test_kill_and_resume_with_workers_matches_serial(self, style_setup,
-                                                         tmp_path):
+    def test_kill_and_resume_with_workers_matches_serial(
+            self, style_setup, tmp_path, kill_after_puts):
         _, library, _, serial = style_setup
-        path = tmp_path / "campaign.npz"
+        path = tmp_path / "store"
         campaign = AttackCampaign(library, KEY)
         with pytest.raises(KeyboardInterrupt):
             campaign.run_checkpointed(
-                _KillAfter(path, chunk_size=8, die_after=2), PTS,
-                workers=2, backend="thread")
+                kill_after_puts(CheckpointedRun(path, chunk_size=8), 2),
+                PTS, workers=2, backend="thread")
 
+        tele = Telemetry(sinks=[MemorySink()])
         runner = CheckpointedRun(path, chunk_size=8)
-        resumed = AttackCampaign(library, KEY).run_checkpointed(
+        resumed = AttackCampaign(library, KEY,
+                                 telemetry=tele).run_checkpointed(
             runner, PTS, workers=4, backend="thread")
         assert runner.stats.chunks_resumed == 2
+        assert runner.stats.chunks_run == 3
+        # Only the three missing chunks were acquired.
+        assert tele.registry.counter("sca.acquisition.traces").value == 24
         assert np.array_equal(resumed.traces, serial)
         reference = cpa_attack(serial, PTS, true_key=KEY)
         assert resumed.cpa.rank_of_true_key() == \
@@ -234,77 +225,31 @@ class TestBackendResolution:
 
 
 class TestCheckpointScheme:
-    def test_different_entropy_refuses_to_resume(self, tmp_path):
+    def test_different_entropy_reuses_no_chunk(self, tmp_path,
+                                               kill_after_puts):
         library = build_cmos_library()
         pts = list(range(16))
-        path = tmp_path / "fp.npz"
+        path = tmp_path / "store"
         first = AttackCampaign(library, KEY, chain=MeasurementChain(seed=1))
         with pytest.raises(KeyboardInterrupt):
             first.run_checkpointed(
-                _KillAfter(path, chunk_size=8, die_after=1), pts)
+                kill_after_puts(CheckpointedRun(path, chunk_size=8), 1),
+                pts)
         second = AttackCampaign(library, KEY,
                                 chain=MeasurementChain(seed=2))
-        with pytest.raises(CheckpointError, match="different"):
-            second.run_checkpointed(CheckpointedRun(path, chunk_size=8),
-                                    pts)
+        runner = CheckpointedRun(path, chunk_size=8)
+        resumed = second.run_checkpointed(runner, pts)
+        assert runner.stats.chunks_resumed == 0
+        assert runner.stats.chunks_run == 2
+        fresh = AttackCampaign(library, KEY,
+                               chain=MeasurementChain(seed=2)).run(pts)
+        assert resumed.traces.tobytes() == fresh.traces.tobytes()
 
     def test_empty_plaintext_list_yields_empty_matrix(self):
         library = build_cmos_library()
         netlist, _ = build_reduced_aes(library)
         out = acquire_traces(netlist, KEY, [])
         assert out.shape[0] == 0 and out.shape[1] > 0
-
-
-class TestConvergenceFailureContext:
-    """A failed solve inside a campaign must be locatable from the JSONL
-    telemetry alone: trace index, chunk, plaintext, key (PR 6)."""
-
-    def _failing_pool(self, telemetry=None, fail_at=11):
-        from repro.errors import ConvergenceError
-        from repro.sca.acquisition import TraceAcquirer
-
-        library = build_cmos_library()
-        netlist, _ = build_reduced_aes(library)
-
-        class _Flaky(TraceAcquirer):
-            def ideal_samples(self, plaintext):
-                if plaintext == fail_at:
-                    raise ConvergenceError("newton diverged")
-                return super().ideal_samples(plaintext)
-
-        return AcquisitionPool(lambda: _Flaky(netlist, KEY), workers=1,
-                               chunk_size=4, telemetry=telemetry)
-
-    def test_error_context_names_the_trace(self):
-        from repro.errors import ConvergenceError
-
-        with self._failing_pool() as pool:
-            with pytest.raises(ConvergenceError) as err:
-                pool.acquire(list(range(16)), trace_offset=100)
-        ctx = err.value.context
-        assert ctx["trace_index"] == 111  # offset 100 + position 11
-        assert ctx["plaintext"] == 11
-        assert ctx["key"] == KEY
-        assert ctx["chunk"] == 2  # chunk_size=4 -> plaintext 11 in chunk 2
-        assert err.value.to_dict()["context"]["trace_index"] == 111
-
-    def test_trace_failed_event_carries_the_post_mortem(self):
-        from repro.errors import ConvergenceError
-        from repro.obs import MemorySink, Telemetry
-
-        sink = MemorySink()
-        tele = Telemetry(sinks=[sink])
-        with self._failing_pool(telemetry=tele) as pool:
-            with pytest.raises(ConvergenceError):
-                pool.acquire(list(range(16)))
-        failed = [r for r in sink.records
-                  if r.get("name") == "sca.acquisition.trace_failed"]
-        assert len(failed) == 1
-        error = failed[0]["attrs"]["error"]
-        assert error["error_code"] == "E_CONVERGENCE"
-        assert error["context"]["trace_index"] == 11
-        assert error["context"]["plaintext"] == 11
-        assert error["context"]["chunk"] == 2
 
 
 class TestBlockedMeasurement:
@@ -339,134 +284,18 @@ class TestBlockedMeasurement:
 
 
 class TestBatchedAcquisition:
-    """The acquirer's batch knob must never change a byte (PR 7)."""
+    """The acquirer measures each chunk as one block; the bytes equal a
+    per-trace ``measure`` loop for every block size."""
 
     @pytest.mark.parametrize("batch", [1, 3, 16, 64])
     def test_batch_sizes_byte_identical(self, style_setup, batch):
-        # 40 traces: batch=3 and 16 leave ragged final blocks, 64
+        # 40 traces: blocks of 3 and 16 leave ragged final blocks, 64
         # exceeds the trace count entirely.
         _, _, netlist, serial = style_setup
-        out = acquire_traces(netlist, KEY, PTS, batch=batch)
-        assert out.tobytes() == serial.tobytes()
-
-    def test_env_var_sets_default_batch(self, monkeypatch):
-        from repro.spice.batch import BATCH_ENV
-        library = build_cmos_library()
-        netlist, _ = build_reduced_aes(library)
-        monkeypatch.setenv(BATCH_ENV, "6")
         acquirer = TraceAcquirer(netlist, KEY)
-        assert acquirer.batch == 6
-        monkeypatch.delenv(BATCH_ENV)
-        assert TraceAcquirer(netlist, KEY).batch == 1
-
-    def test_pool_batch_overrides_factory(self):
-        library = build_cmos_library()
-        netlist, _ = build_reduced_aes(library)
-        pool = AcquisitionPool(lambda: TraceAcquirer(netlist, KEY),
-                               workers=1, batch=5)
-        pool._ensure_started()
-        assert pool._serial.batch == 5
-        with pytest.raises(AttackError):
-            AcquisitionPool(lambda: TraceAcquirer(netlist, KEY), batch=0)
-
-    def test_invalid_batch_rejected(self):
-        library = build_cmos_library()
-        netlist, _ = build_reduced_aes(library)
-        with pytest.raises(AttackError):
-            TraceAcquirer(netlist, KEY, batch=0)
-
-    def test_campaign_batch_knob_byte_identical(self):
-        library = build_cmos_library()
-        pts = list(range(24))
-        base = AttackCampaign(library, KEY).run(pts)
-        batched = AttackCampaign(library, KEY).run(pts, batch=8)
-        assert np.array_equal(base.traces, batched.traces)
-        assert base.rank == batched.rank
-
-    def test_kill_and_resume_under_batch_matches_serial(self, tmp_path):
-        library = build_cmos_library()
-        serial = AttackCampaign(library, KEY).run(PTS).traces
-        path = tmp_path / "campaign.npz"
-        campaign = AttackCampaign(library, KEY)
-        with pytest.raises(KeyboardInterrupt):
-            campaign.run_checkpointed(
-                _KillAfter(path, chunk_size=8, die_after=2), PTS, batch=4)
-        runner = CheckpointedRun(path, chunk_size=8)
-        resumed = AttackCampaign(library, KEY).run_checkpointed(
-            runner, PTS, batch=4)
-        assert runner.stats.chunks_resumed == 2
-        assert np.array_equal(resumed.traces, serial)
-
-
-class _TransientlyFlaky(TraceAcquirer):
-    """Fails each listed plaintext once, then recovers — the shape of a
-    marginal Newton solve that converges on the serial retry."""
-
-    def __init__(self, *args, fail_once=(), **kwargs):
-        super().__init__(*args, **kwargs)
-        self._remaining = set(fail_once)
-
-    def ideal_samples(self, plaintext):
-        if plaintext in self._remaining:
-            self._remaining.discard(plaintext)
-            from repro.errors import ConvergenceError
-            raise ConvergenceError("transient newton blowup")
-        return super().ideal_samples(plaintext)
-
-
-class TestTraceIsolation:
-    """A ConvergenceError on one trace no longer fails its whole chunk:
-    the trace is retried serially, the chunk's other traces survive,
-    and the isolation is a `trace_failed` event with the index (PR 7)."""
-
-    def _run(self, batch, fail_once=(5,)):
-        from repro.obs import MemorySink, Telemetry
-        library = build_cmos_library()
-        netlist, _ = build_reduced_aes(library)
-        serial = acquire_traces(netlist, KEY, PTS)
-        sink = MemorySink()
-        tele = Telemetry(sinks=[sink])
-        with AcquisitionPool(
-                lambda: _TransientlyFlaky(netlist, KEY,
-                                          fail_once=fail_once),
-                workers=1, chunk_size=8, telemetry=tele,
-                batch=batch) as pool:
-            out = pool.acquire(PTS)
-        events = [r for r in sink.records
-                  if r.get("name") == "sca.acquisition.trace_failed"]
-        return serial, out, events
-
-    @pytest.mark.parametrize("batch", [1, 4])
-    def test_recovered_trace_is_byte_identical(self, batch):
-        serial, out, events = self._run(batch)
-        assert out.tobytes() == serial.tobytes()
-        assert len(events) == 1
-        attrs = events[0]["attrs"]
-        assert attrs["trace_index"] == 5
-        assert attrs["recovered"] is True
-        assert attrs["error"]["error_code"] == "E_CONVERGENCE"
-
-    def test_multiple_isolations_across_chunks(self):
-        serial, out, events = self._run(batch=4, fail_once=(2, 11, 30))
-        assert out.tobytes() == serial.tobytes()
-        assert sorted(e["attrs"]["trace_index"] for e in events) == \
-            [2, 11, 30]
-
-    def test_persistent_failure_still_raises_with_context(self):
-        from repro.errors import ConvergenceError
-
-        library = build_cmos_library()
-        netlist, _ = build_reduced_aes(library)
-
-        class _Dead(TraceAcquirer):
-            def ideal_samples(self, plaintext):
-                if plaintext == 7:
-                    raise ConvergenceError("never converges")
-                return super().ideal_samples(plaintext)
-
-        with AcquisitionPool(lambda: _Dead(netlist, KEY, batch=4),
-                             workers=1, chunk_size=8) as pool:
-            with pytest.raises(ConvergenceError) as err:
-                pool.acquire(PTS)
-        assert err.value.context["trace_index"] == 7
-        assert err.value.context["plaintext"] == 7
+        per_trace = np.array([
+            acquirer.chain.measure(acquirer.ideal_samples(p), trace_index=i)
+            for i, p in enumerate(PTS)])
+        out = acquire_traces(netlist, KEY, PTS, chunk_size=batch)
+        assert out.tobytes() == per_trace.tobytes()
+        assert serial.tobytes() == per_trace.tobytes()

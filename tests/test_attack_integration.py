@@ -13,7 +13,7 @@ from repro.cells import build_cmos_library, build_mcml_library, \
     build_pg_mcml_library
 from repro.errors import AttackError
 from repro.power import MeasurementChain, TraceGrid
-from repro.sca import AttackCampaign, collect_traces
+from repro.sca import AttackCampaign, acquire_traces
 from repro.sca.attack import build_reduced_aes
 from repro.aes import SBOX
 from repro.netlist import LogicSimulator
@@ -55,24 +55,24 @@ class TestCollectTraces:
     def test_shape_and_determinism(self, cmos_campaign):
         grid = TraceGrid(0.0, ns(2), 50e-12)
         pts = [0, 1, 2, 3]
-        a = collect_traces(cmos_campaign.netlist, KEY, pts, grid=grid,
+        a = acquire_traces(cmos_campaign.netlist, KEY, pts, grid=grid,
                            chain=MeasurementChain(seed=9))
-        b = collect_traces(cmos_campaign.netlist, KEY, pts, grid=grid,
+        b = acquire_traces(cmos_campaign.netlist, KEY, pts, grid=grid,
                            chain=MeasurementChain(seed=9))
         assert a.shape == (4, grid.n)
         assert np.array_equal(a, b)
 
     def test_key_validated(self, cmos_campaign):
         with pytest.raises(AttackError):
-            collect_traces(cmos_campaign.netlist, 300, [0])
+            acquire_traces(cmos_campaign.netlist, 300, [0])
 
     def test_plaintext_validated(self, cmos_campaign):
         with pytest.raises(AttackError):
-            collect_traces(cmos_campaign.netlist, KEY, [999])
+            acquire_traces(cmos_campaign.netlist, KEY, [999])
 
     def test_cmos_traces_vary_with_data(self, cmos_campaign):
         grid = TraceGrid(0.0, ns(2), 50e-12)
-        traces = collect_traces(cmos_campaign.netlist, KEY, [0x00, 0xFF],
+        traces = acquire_traces(cmos_campaign.netlist, KEY, [0x00, 0xFF],
                                 grid=grid,
                                 chain=MeasurementChain(noise_sigma=0.0,
                                                        resolution=0.0))
@@ -80,7 +80,7 @@ class TestCollectTraces:
 
     def test_pg_traces_nearly_constant(self, pg_campaign):
         grid = TraceGrid(0.0, ns(2), 50e-12)
-        traces = collect_traces(pg_campaign.netlist, KEY, [0x00, 0xFF],
+        traces = acquire_traces(pg_campaign.netlist, KEY, [0x00, 0xFF],
                                 grid=grid,
                                 chain=MeasurementChain(noise_sigma=0.0,
                                                        resolution=0.0))

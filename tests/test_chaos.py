@@ -1,5 +1,5 @@
 """Chaos tests: killed workers, runaway-solve budgets, ERC preflight,
-and crash-durable checkpoints.
+and crash-durable result-store puts.
 
 The fault-tolerance contract under test:
 
@@ -12,8 +12,9 @@ The fault-tolerance contract under test:
   structured :class:`BudgetExhaustedError` carrying diagnostics;
 * the ERC rejects each class of malformed circuit with structured
   findings before any Newton iteration;
-* checkpoint saves survive crashes (fsync before rename, directory
-  fsync after) and failed saves never corrupt the previous checkpoint.
+* result-store puts, which hold every checkpointed chunk, survive
+  crashes (fsync before rename, directory fsync after), and a failed
+  put leaves no temp file and never damages earlier entries.
 
 Set ``REPRO_CHAOS_ARTIFACT=/path/out.jsonl`` to have the worker-kill
 run leave its validated failure-telemetry JSONL behind (CI uploads it).
@@ -23,6 +24,7 @@ import gc
 import json
 import math
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -37,13 +39,13 @@ from repro.errors import (
     ErcError,
     ReproError,
 )
-from repro.experiments.runner import CheckpointedRun
 from repro.faultinject import Fault, FaultInjector, WorkerKillSwitch
 from repro.obs import MemorySink, Telemetry, validate_stream
 from repro.sca import AcquisitionPool, AttackCampaign, TraceAcquirer, \
     acquire_traces, cpa_attack
 from repro.sca.acquisition import _FORK_ACQUIRERS, _fork_available
 from repro.sca.attack import build_reduced_aes
+from repro.service.store import ResultStore, chunk_key
 from repro.spice import Circuit, DC, SolveBudget, UNLIMITED_BUDGET, \
     check_circuit, erc_preflight, run_transient, solve_dc
 from repro.spice.devices import Mosfet, Resistor
@@ -455,35 +457,47 @@ class TestErcRules:
 
 
 class TestDurableCheckpoint:
+    """Every checkpointed chunk is one :class:`ResultStore` put."""
+
     def test_save_fsyncs_file_and_directory(self, tmp_path, monkeypatch):
+        store = ResultStore(tmp_path / "store")
+        key = chunk_key({"k": 1}, 0)
+        final = store._path(key)
         fsynced = []
         real_fsync = os.fsync
-        monkeypatch.setattr(os, "fsync",
-                            lambda fd: (fsynced.append(fd), real_fsync(fd))[1])
-        runner = CheckpointedRun(tmp_path / "c.npz", chunk_size=4)
-        runner._save([np.ones((2, 3))], 2, {"n_items": 2}, {"k": 1})
-        assert len(fsynced) >= 2  # temp file, then its directory
-        rows, n_done, meta, state = runner.load()
-        assert rows.shape == (2, 3) and n_done == 2
-        assert meta["n_items"] == 2 and state == {"k": 1}
+
+        def recording_fsync(fd):
+            mode = os.fstat(fd).st_mode
+            fsynced.append(("dir" if stat.S_ISDIR(mode) else "file",
+                            os.path.exists(final)))
+            return real_fsync(fd)
+
+        monkeypatch.setattr(os, "fsync", recording_fsync)
+        store.put(key, np.ones((2, 3)))
+        # The temp file is flushed before the rename publishes it, then
+        # the directory is flushed so the rename itself survives.
+        assert fsynced == [("file", False), ("dir", True)]
+        monkeypatch.undo()
+        assert np.array_equal(store.get(key), np.ones((2, 3)))
 
     def test_failed_save_preserves_previous_checkpoint(self, tmp_path,
                                                        monkeypatch):
-        runner = CheckpointedRun(tmp_path / "c.npz", chunk_size=4)
-        runner._save([np.ones((2, 3))], 2, {"n_items": 2}, None)
+        store = ResultStore(tmp_path / "store")
+        earlier = chunk_key({"k": 1}, 0)
+        store.put(earlier, np.ones((2, 3)))
 
         def explode(*args, **kwargs):
             raise OSError("disk full")
 
         monkeypatch.setattr(np, "savez", explode)
         with pytest.raises(OSError):
-            runner._save([np.ones((4, 3))], 4, {"n_items": 4}, None)
+            store.put(chunk_key({"k": 1}, 1), np.ones((4, 3)))
         monkeypatch.undo()
-        rows, n_done, _, _ = runner.load()
-        assert n_done == 2 and rows.shape == (2, 3)
-        leftovers = [p for p in os.listdir(tmp_path)
-                     if p != "c.npz"]
-        assert leftovers == []  # temp file cleaned up
+        files = [os.path.join(root, name)
+                 for root, _, names in os.walk(store.root)
+                 for name in names]
+        assert files == [store._path(earlier)]  # no temp file, no entry
+        assert np.array_equal(store.get(earlier), np.ones((2, 3)))
 
 
 # -- failure taxonomy ---------------------------------------------------------

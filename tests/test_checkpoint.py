@@ -1,19 +1,25 @@
-"""Tests for CheckpointedRun: chunked execution, atomic snapshots,
-retry with backoff, and the acceptance-criterion kill-and-resume
-round-trip on a fig6-style CPA campaign."""
+"""Tests for CheckpointedRun: chunked execution over the content-addressed
+result store, and the acceptance-criterion kill-and-resume round-trips on
+fig6-style CPA campaigns and TVLA assessments."""
 
-import json
 import os
 
 import numpy as np
 import pytest
 
-from repro.cells import build_cmos_library
-from repro.errors import CheckpointError, ReproError
+from repro.cells import (
+    build_cmos_library,
+    build_mcml_library,
+    build_pg_mcml_library,
+)
+from repro.errors import CheckpointError
+from repro.experiments import fig6, tvla
 from repro.experiments.runner import CheckpointedRun
-from repro.power import MeasurementChain
-from repro.sca import AttackCampaign, fixed_vs_random_tvla
+from repro.obs import MemorySink, Telemetry
+from repro.power import TraceGrid
+from repro.sca import AttackCampaign, cpa_attack, fixed_vs_random_tvla
 from repro.sca.attack import build_reduced_aes
+from repro.units import ns, ps
 
 
 def square_chunk(chunk, start):
@@ -22,68 +28,56 @@ def square_chunk(chunk, start):
 
 class TestBasicExecution:
     def test_single_pass(self, tmp_path):
-        runner = CheckpointedRun(tmp_path / "basic.npz", chunk_size=4)
+        runner = CheckpointedRun(tmp_path / "basic", chunk_size=4)
         out = runner.run(list(range(10)), square_chunk)
         np.testing.assert_array_equal(
             out, [[i, i * i] for i in range(10)])
-        assert os.path.exists(runner.path)
+        assert len(runner.store.keys()) == 3  # one entry per chunk
         assert runner.stats.chunks_total == 3
         assert runner.stats.chunks_run == 3
         assert runner.stats.chunks_resumed == 0
 
     def test_completed_run_resumes_without_reprocessing(self, tmp_path):
-        runner = CheckpointedRun(tmp_path / "done.npz", chunk_size=4)
+        runner = CheckpointedRun(tmp_path / "done", chunk_size=4)
         first = runner.run(list(range(10)), square_chunk)
 
         def exploding(chunk, start):
             raise AssertionError("should not be called on a finished run")
 
-        again = CheckpointedRun(tmp_path / "done.npz", chunk_size=4)
+        again = CheckpointedRun(tmp_path / "done", chunk_size=4)
         second = again.run(list(range(10)), exploding)
         np.testing.assert_array_equal(first, second)
         assert again.stats.chunks_run == 0
         assert again.stats.chunks_resumed == 3
 
     def test_one_dim_chunk_output(self, tmp_path):
-        runner = CheckpointedRun(tmp_path / "flat.npz", chunk_size=3)
+        runner = CheckpointedRun(tmp_path / "flat", chunk_size=3)
         out = runner.run(list(range(7)),
                          lambda chunk, start: np.array(
                              [float(i) for i in chunk]))
         assert out.shape == (7, 1)
 
-    def test_clear_removes_the_checkpoint(self, tmp_path):
-        runner = CheckpointedRun(tmp_path / "gone.npz", chunk_size=4)
-        runner.run(list(range(4)), square_chunk)
-        assert os.path.exists(runner.path)
-        runner.clear()
-        assert not os.path.exists(runner.path)
-
-    def test_npz_suffix_is_appended(self, tmp_path):
-        runner = CheckpointedRun(tmp_path / "noext")
-        assert runner.path.endswith(".npz")
-
     def test_bad_parameters_rejected(self, tmp_path):
         with pytest.raises(CheckpointError):
-            CheckpointedRun(tmp_path / "x.npz", chunk_size=0)
-        with pytest.raises(CheckpointError):
-            CheckpointedRun(tmp_path / "x.npz", max_retries=-1)
+            CheckpointedRun(tmp_path / "x", chunk_size=0)
 
     def test_wrong_row_count_rejected(self, tmp_path):
-        runner = CheckpointedRun(tmp_path / "rows.npz", chunk_size=4)
+        runner = CheckpointedRun(tmp_path / "rows", chunk_size=4)
         with pytest.raises(CheckpointError):
             runner.run(list(range(8)),
                        lambda chunk, start: np.zeros((1, 2)))
+        assert runner.store.keys() == []  # nothing malformed was stored
 
 
 class TestKillAndResume:
     def test_mid_run_kill_resumes_from_chunk_boundary(self, tmp_path):
-        path = tmp_path / "killed.npz"
+        path = tmp_path / "killed"
         calls = []
 
         def process_then_die(chunk, start):
             calls.append(start)
             if start >= 8:
-                raise KeyboardInterrupt  # not in retry_on: propagates
+                raise KeyboardInterrupt
             return square_chunk(chunk, start)
 
         runner = CheckpointedRun(path, chunk_size=4)
@@ -93,183 +87,89 @@ class TestKillAndResume:
 
         resumed = CheckpointedRun(path, chunk_size=4)
         calls.clear()
-        out = resumed.run(list(range(12)), square_chunk)
+
+        def recording(chunk, start):
+            calls.append(start)
+            return square_chunk(chunk, start)
+
+        out = resumed.run(list(range(12)), recording)
         np.testing.assert_array_equal(
             out, [[i, i * i] for i in range(12)])
+        assert calls == [8]  # only the missing chunk is computed
         assert resumed.stats.chunks_resumed == 2
         assert resumed.stats.chunks_run == 1
 
-    def test_corrupt_checkpoint_raises_checkpoint_error(self, tmp_path):
-        path = tmp_path / "corrupt.npz"
-        CheckpointedRun(path, chunk_size=4).run(list(range(8)), square_chunk)
-        with open(path, "r+b") as fh:
+    def test_truncated_chunk_entry_is_recomputed(self, tmp_path):
+        path = tmp_path / "torn"
+        reference = CheckpointedRun(path, chunk_size=4).run(
+            list(range(8)), square_chunk)
+        entries = [os.path.join(root, name)
+                   for root, _, names in os.walk(path) for name in names]
+        assert len(entries) == 2
+        with open(entries[0], "r+b") as fh:
             fh.truncate(200)  # simulate disk corruption
-        runner = CheckpointedRun(path, chunk_size=4)
-        with pytest.raises(CheckpointError, match="unreadable"):
-            runner.run(list(range(8)), square_chunk)
 
-    def test_fingerprint_mismatch_raises(self, tmp_path):
-        path = tmp_path / "fp.npz"
+        runner = CheckpointedRun(path, chunk_size=4)
+        out = runner.run(list(range(8)), square_chunk)
+        assert out.tobytes() == reference.tobytes()
+        assert runner.stats.chunks_run == 1
+        assert runner.stats.chunks_resumed == 1
+
+        # The recompute replaced the torn entry: the next run is all hits.
+        again = CheckpointedRun(path, chunk_size=4)
+        assert again.run(list(range(8)), square_chunk).tobytes() == \
+            reference.tobytes()
+        assert again.stats.chunks_resumed == 2
+
+    def test_fingerprint_mismatch_reuses_nothing(self, tmp_path):
+        path = tmp_path / "fp"
         CheckpointedRun(path, chunk_size=4).run(list(range(8)), square_chunk)
         other = CheckpointedRun(path, chunk_size=4)
-        with pytest.raises(CheckpointError, match="different") as info:
-            other.run(list(range(9)), square_chunk)
-        # Both fingerprints ride in the context so the refusal is
-        # diagnosable from a JSONL post-mortem alone.
-        err = info.value
-        assert err.error_code == "E_CHECKPOINT"
-        assert err.context["saved"]["n_items"] == 8
-        assert err.context["expected"]["n_items"] == 9
-        assert err.context["saved"]["items_sha"] \
-            != err.context["expected"]["items_sha"]
-        assert err.context["path"] == str(path)
-        json.dumps(err.to_dict())  # post-mortem is JSONL-ready
+        out = other.run(list(range(9)), square_chunk)
+        np.testing.assert_array_equal(out, [[i, i * i] for i in range(9)])
+        assert other.stats.chunks_resumed == 0
+        assert other.stats.chunks_run == 3
+        assert len(other.store.keys()) == 5  # both campaigns side by side
 
     def test_extra_fingerprint_keys_participate(self, tmp_path):
-        path = tmp_path / "fpx.npz"
+        path = tmp_path / "fpx"
         CheckpointedRun(path, chunk_size=4).run(
             list(range(8)), square_chunk, fingerprint={"seed": 1})
         other = CheckpointedRun(path, chunk_size=4)
-        with pytest.raises(CheckpointError):
-            other.run(list(range(8)), square_chunk, fingerprint={"seed": 2})
-
-    def test_state_round_trip(self, tmp_path):
-        """Caller state (e.g. an RNG) rides along in the checkpoint so a
-        resumed run continues the exact stream."""
-        path = tmp_path / "state.npz"
-        state = {"n": 0}
-
-        def process(chunk, start):
-            rows = []
-            for _ in chunk:
-                rows.append([float(state["n"])])
-                state["n"] += 1
-            return np.array(rows)
-
-        runner = CheckpointedRun(path, chunk_size=2)
-
-        def die_after_one(chunk, start):
-            if start >= 2:
-                raise KeyboardInterrupt
-            return process(chunk, start)
-
-        with pytest.raises(KeyboardInterrupt):
-            runner.run(list(range(6)), die_after_one,
-                       get_state=lambda: state,
-                       set_state=state.update)
-
-        # Fresh process: the counter restarts at a wrong value unless the
-        # checkpoint restores it.
-        state.clear()
-        state["n"] = 999
-        out = CheckpointedRun(path, chunk_size=2).run(
-            list(range(6)), process,
-            get_state=lambda: state, set_state=state.update)
-        np.testing.assert_array_equal(out, [[float(i)] for i in range(6)])
+        other.run(list(range(8)), square_chunk, fingerprint={"seed": 2})
+        assert other.stats.chunks_resumed == 0
+        same = CheckpointedRun(path, chunk_size=4)
+        same.run(list(range(8)), square_chunk, fingerprint={"seed": 1})
+        assert same.stats.chunks_resumed == 2
 
 
-class TestRetryBackoff:
-    def test_transient_failures_are_retried_with_backoff(self, tmp_path):
-        sleeps = []
-        attempts = {"n": 0}
-
-        def flaky(chunk, start):
-            if start == 4 and attempts["n"] < 2:
-                attempts["n"] += 1
-                raise ReproError("transient wobble")
-            return square_chunk(chunk, start)
-
-        runner = CheckpointedRun(tmp_path / "flaky.npz", chunk_size=4,
-                                 max_retries=3, backoff_base=0.05,
-                                 backoff_cap=2.0, sleep=sleeps.append)
-        out = runner.run(list(range(8)), flaky)
-        np.testing.assert_array_equal(out, [[i, i * i] for i in range(8)])
-        assert runner.stats.retries == 2
-        assert sleeps == [0.05, 0.1]
-        assert len(runner.stats.failures) == 2
-
-    def test_backoff_is_capped(self, tmp_path):
-        sleeps = []
-        attempts = {"n": 0}
-
-        def very_flaky(chunk, start):
-            if attempts["n"] < 4:
-                attempts["n"] += 1
-                raise ReproError("still down")
-            return square_chunk(chunk, start)
-
-        runner = CheckpointedRun(tmp_path / "cap.npz", chunk_size=4,
-                                 max_retries=5, backoff_base=0.05,
-                                 backoff_cap=0.15, sleep=sleeps.append)
-        runner.run(list(range(4)), very_flaky)
-        assert sleeps == [0.05, 0.1, 0.15, 0.15]
-
-    def test_retry_budget_exhaustion_raises(self, tmp_path):
-        def hopeless(chunk, start):
-            raise ReproError("permanently down")
-
-        runner = CheckpointedRun(tmp_path / "dead.npz", chunk_size=4,
-                                 max_retries=2, sleep=lambda s: None)
-        with pytest.raises(CheckpointError, match="after 2 retries"):
-            runner.run(list(range(4)), hopeless)
-
-    def test_state_restored_before_each_retry(self, tmp_path):
-        state = {"n": 0}
-        attempts = {"n": 0}
-
-        def advancing_then_failing(chunk, start):
-            rows = []
-            for _ in chunk:
-                rows.append([float(state["n"])])
-                state["n"] += 1
-            if start == 2 and attempts["n"] == 0:
-                attempts["n"] += 1
-                raise ReproError("failed after consuming state")
-            return np.array(rows)
-
-        runner = CheckpointedRun(tmp_path / "restore.npz", chunk_size=2,
-                                 sleep=lambda s: None)
-        out = runner.run(list(range(4)), advancing_then_failing,
-                         get_state=lambda: dict(state),
-                         set_state=state.update)
-        # Without the restore, the retried chunk would read 4 and 5.
-        np.testing.assert_array_equal(out, [[0.0], [1.0], [2.0], [3.0]])
-
-
-class _KillAfter(CheckpointedRun):
-    """Checkpoint runner that dies after N successful chunk saves."""
-
-    def __init__(self, *args, die_after=2, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.die_after = die_after
-        self._saves = 0
-
-    def _save(self, blocks, n_done, fingerprint, state):
-        super()._save(blocks, n_done, fingerprint, state)
-        self._saves += 1
-        if self._saves >= self.die_after:
-            raise KeyboardInterrupt
+_BUILDERS = {
+    "cmos": build_cmos_library,
+    "mcml": build_mcml_library,
+    "pgmcml": build_pg_mcml_library,
+}
 
 
 class TestCampaignResume:
-    """Acceptance criterion: a fig6-style CPA campaign killed mid-run
-    resumes from its checkpoint and yields byte-identical results."""
+    """Acceptance criterion: a fig6-style CPA campaign or a TVLA
+    assessment killed mid-run resumes from the store and yields
+    byte-identical results."""
 
     KEY = 0x2B
     PLAINTEXTS = list(range(48))
 
-    def test_cpa_campaign_kill_and_resume_is_byte_identical(self, tmp_path):
+    def test_cpa_campaign_kill_and_resume_is_byte_identical(
+            self, tmp_path, kill_after_puts):
         lib = build_cmos_library()
-        path = tmp_path / "fig6_cmos.npz"
+        path = tmp_path / "store"
 
         reference = AttackCampaign(lib, self.KEY).run(self.PLAINTEXTS)
 
         campaign = AttackCampaign(lib, self.KEY)
         with pytest.raises(KeyboardInterrupt):
             campaign.run_checkpointed(
-                _KillAfter(path, chunk_size=16, die_after=2),
+                kill_after_puts(CheckpointedRun(path, chunk_size=16), 2),
                 self.PLAINTEXTS)
-        assert os.path.exists(path)
 
         resumed_campaign = AttackCampaign(lib, self.KEY)
         runner = CheckpointedRun(path, chunk_size=16)
@@ -281,22 +181,118 @@ class TestCampaignResume:
         np.testing.assert_array_equal(result.cpa.peak_per_guess,
                                       reference.cpa.peak_per_guess)
 
-    def test_tvla_kill_and_resume_matches_uninterrupted(self, tmp_path):
+    def test_tvla_kill_and_resume_matches_uninterrupted(
+            self, tmp_path, kill_after_puts):
         lib = build_cmos_library()
         netlist, _ = build_reduced_aes(lib)
-        path = tmp_path / "tvla_cmos.npz"
+        path = tmp_path / "store"
 
         reference = fixed_vs_random_tvla(netlist, key=self.KEY, n_traces=32)
 
         with pytest.raises(KeyboardInterrupt):
             fixed_vs_random_tvla(
                 netlist, key=self.KEY, n_traces=32,
-                runner=_KillAfter(path, chunk_size=8, die_after=2))
+                runner=kill_after_puts(CheckpointedRun(path, chunk_size=8),
+                                       2))
 
         result = fixed_vs_random_tvla(
             netlist, key=self.KEY, n_traces=32,
             runner=CheckpointedRun(path, chunk_size=8))
         np.testing.assert_array_equal(result.t_values, reference.t_values)
+
+    @pytest.mark.parametrize("style", sorted(_BUILDERS))
+    def test_killed_campaigns_resume_in_parallel_on_one_store(
+            self, style, tmp_path, kill_after_puts):
+        """CPA and TVLA for one style share a store directory; each is
+        killed after 2 chunks and resumed with 4 threads.  The resumed
+        runs acquire only their missing chunks, and the telemetry
+        says so."""
+        library = _BUILDERS[style]()
+        netlist, _ = build_reduced_aes(library)
+        store = tmp_path / "store"
+        pts = self.PLAINTEXTS
+
+        serial = AttackCampaign(library, self.KEY).run(pts)
+        serial_tvla = fixed_vs_random_tvla(netlist, key=self.KEY,
+                                           n_traces=32)
+
+        with pytest.raises(KeyboardInterrupt):
+            AttackCampaign(library, self.KEY).run_checkpointed(
+                kill_after_puts(CheckpointedRun(store, chunk_size=8), 2),
+                pts, workers=4, backend="thread")
+        with pytest.raises(KeyboardInterrupt):
+            fixed_vs_random_tvla(
+                netlist, key=self.KEY, n_traces=32,
+                runner=kill_after_puts(CheckpointedRun(store, chunk_size=8),
+                                       2),
+                workers=4, backend="thread")
+
+        tele = Telemetry(sinks=[MemorySink()])
+        resumed = AttackCampaign(library, self.KEY,
+                                 telemetry=tele).run_checkpointed(
+            CheckpointedRun(store, chunk_size=8, telemetry=tele), pts,
+            workers=4, backend="thread")
+        assert resumed.traces.tobytes() == serial.traces.tobytes()
+        assert resumed.cpa.rank_of_true_key() == \
+            cpa_attack(serial.traces, pts,
+                       true_key=self.KEY).rank_of_true_key()
+        counters = tele.registry
+        assert counters.counter("checkpoint.chunks_resumed").value == 2
+        assert counters.counter("checkpoint.chunks_run").value == 4
+        assert counters.counter("sca.acquisition.traces").value == \
+            len(pts) - 16
+
+        tvla_tele = Telemetry(sinks=[MemorySink()])
+        tvla = fixed_vs_random_tvla(
+            netlist, key=self.KEY, n_traces=32,
+            runner=CheckpointedRun(store, chunk_size=8,
+                                   telemetry=tvla_tele),
+            workers=4, backend="thread", telemetry=tvla_tele)
+        assert tvla.t_values.tobytes() == serial_tvla.t_values.tobytes()
+        counters = tvla_tele.registry
+        assert counters.counter("checkpoint.chunks_resumed").value == 2
+        assert counters.counter("checkpoint.chunks_run").value == 2
+        assert counters.counter("sca.acquisition.traces").value == 16
+
+
+    def test_different_grid_reuses_no_chunk(self, tmp_path):
+        lib = build_cmos_library()
+        pts = self.PLAINTEXTS[:16]
+        store = tmp_path / "store"
+        AttackCampaign(lib, self.KEY).run_checkpointed(
+            CheckpointedRun(store, chunk_size=8), pts)
+        grid = TraceGrid(0.0, ns(2.0), ps(50.0))
+        runner = CheckpointedRun(store, chunk_size=8)
+        coarse = AttackCampaign(lib, self.KEY).run_checkpointed(
+            runner, pts, grid=grid)
+        assert runner.stats.chunks_resumed == 0
+        fresh = AttackCampaign(lib, self.KEY).run(pts, grid=grid)
+        assert coarse.traces.tobytes() == fresh.traces.tobytes()
+
+    def test_drivers_share_one_store_across_styles(self, tmp_path):
+        """fig6 and tvla keep every style's chunks in one directory;
+        the keys never collide, and a rerun is served entirely from
+        the store."""
+        store = str(tmp_path / "store")
+        pts = self.PLAINTEXTS[:16]
+        plain_cpa = fig6.run(plaintexts=pts)
+        plain_tvla = tvla.run(n_traces=16)
+        fig6.run(plaintexts=pts, checkpoint_dir=store, chunk_size=8)
+        tvla.run(n_traces=16, checkpoint_dir=store, chunk_size=8)
+
+        tele = Telemetry(sinks=[MemorySink()])
+        cpa = fig6.run(plaintexts=pts, checkpoint_dir=store, chunk_size=8,
+                       telemetry=tele)
+        assessed = tvla.run(n_traces=16, checkpoint_dir=store,
+                            chunk_size=8, telemetry=tele)
+        assert tele.registry.counter("checkpoint.chunks_resumed").value \
+            == 12  # 3 styles x 2 chunks, for fig6 and again for tvla
+        assert tele.registry.counter("checkpoint.chunks_run").value == 0
+        for style in ("cmos", "mcml", "pgmcml"):
+            assert cpa.results[style].traces.tobytes() == \
+                plain_cpa.results[style].traces.tobytes()
+        assert [r.max_abs_t for r in assessed.rows] == \
+            [r.max_abs_t for r in plain_tvla.rows]
 
 
 class TestTelemetryEdgeCases:
@@ -304,63 +300,61 @@ class TestTelemetryEdgeCases:
     works and stays byte-identical whether telemetry is off, in memory,
     or appending to a JSONL file — even one a previous kill corrupted."""
 
-    def _killed_then_resumed(self, tmp_path, first_tele, second_tele):
-        from repro.obs import MemorySink, Telemetry
-
-        path = tmp_path / "obs.npz"
-        reference = CheckpointedRun(tmp_path / "ref.npz", chunk_size=4).run(
+    def _killed_then_resumed(self, tmp_path, arm, first_tele, second_tele):
+        path = tmp_path / "obs"
+        reference = CheckpointedRun(tmp_path / "ref", chunk_size=4).run(
             list(range(12)), square_chunk)
         with pytest.raises(KeyboardInterrupt):
-            _KillAfter(path, chunk_size=4, die_after=2,
-                       telemetry=first_tele).run(list(range(12)),
-                                                 square_chunk)
+            arm(CheckpointedRun(path, chunk_size=4, telemetry=first_tele),
+                2).run(list(range(12)), square_chunk)
         runner = CheckpointedRun(path, chunk_size=4, telemetry=second_tele)
         out = runner.run(list(range(12)), square_chunk)
         np.testing.assert_array_equal(out, reference)
         assert runner.stats.chunks_resumed == 2
 
-    def test_resume_with_telemetry_enabled_both_sides(self, tmp_path):
-        from repro.obs import MemorySink, Telemetry
-
+    def test_resume_with_telemetry_enabled_both_sides(self, tmp_path,
+                                                      kill_after_puts):
         first = Telemetry(sinks=[MemorySink()])
         second = Telemetry(sinks=[MemorySink()])
-        self._killed_then_resumed(tmp_path, first, second)
-        assert any(s["name"] == "checkpoint.save"
-                   for s in first.sinks[0].spans())
-        assert any(s["name"] == "checkpoint.load"
-                   for s in second.sinks[0].spans())
+        self._killed_then_resumed(tmp_path, kill_after_puts, first, second)
+        before = [s["attrs"] for s in first.sinks[0].spans()
+                  if s["name"] == "checkpoint.chunk"]
+        assert [a["resumed"] for a in before] == [False, False]
+        assert before[-1]["error"] == "KeyboardInterrupt"
+        after = [s["attrs"]["resumed"] for s in second.sinks[0].spans()
+                 if s["name"] == "checkpoint.chunk"]
+        assert after == [True, True, False]
         assert second.registry.counter("checkpoint.chunks_resumed").value \
             == 2
-        assert second.registry.histogram(
-            "checkpoint.load_seconds").snapshot()["count"] == 1
+        assert second.registry.counter("checkpoint.chunks_run").value == 1
 
-    def test_resume_after_telemetry_is_turned_off(self, tmp_path):
-        from repro.obs import MemorySink, Telemetry
-
-        self._killed_then_resumed(tmp_path,
+    def test_resume_after_telemetry_is_turned_off(self, tmp_path,
+                                                  kill_after_puts):
+        self._killed_then_resumed(tmp_path, kill_after_puts,
                                   Telemetry(sinks=[MemorySink()]), None)
 
-    def test_resume_after_telemetry_is_turned_on(self, tmp_path):
-        from repro.obs import MemorySink, Telemetry
-
-        self._killed_then_resumed(tmp_path, None,
+    def test_resume_after_telemetry_is_turned_on(self, tmp_path,
+                                                 kill_after_puts):
+        self._killed_then_resumed(tmp_path, kill_after_puts, None,
                                   Telemetry(sinks=[MemorySink()]))
 
-    def test_corrupt_jsonl_sink_does_not_poison_resume(self, tmp_path):
+    def test_corrupt_jsonl_sink_does_not_poison_resume(self, tmp_path,
+                                                       kill_after_puts):
         """The trace file is append-only: a resume pointed at a trace
         torn by the kill (or overwritten with garbage) neither raises
         nor changes the computed rows."""
-        from repro.obs import JsonlSink, Telemetry, read_jsonl
+        from repro.obs import JsonlSink, read_jsonl
 
         trace = tmp_path / "campaign.jsonl"
-        path = tmp_path / "obs.npz"
-        reference = CheckpointedRun(tmp_path / "ref.npz", chunk_size=4).run(
+        path = tmp_path / "obs"
+        reference = CheckpointedRun(tmp_path / "ref", chunk_size=4).run(
             list(range(12)), square_chunk)
 
         first = Telemetry(sinks=[JsonlSink(trace)])
         with pytest.raises(KeyboardInterrupt):
-            _KillAfter(path, chunk_size=4, die_after=2,
-                       telemetry=first).run(list(range(12)), square_chunk)
+            kill_after_puts(CheckpointedRun(path, chunk_size=4,
+                                            telemetry=first),
+                            2).run(list(range(12)), square_chunk)
         first.close()
 
         # Simulate the kill tearing the trace mid-record.
@@ -375,23 +369,26 @@ class TestTelemetryEdgeCases:
 
         # Lenient reading recovers every intact record around the tear.
         records = read_jsonl(trace)
-        assert any(r.get("name") == "checkpoint.load" for r in records)
-        assert any(r.get("name") == "checkpoint.save" for r in records)
+        chunks = [r["attrs"]["resumed"] for r in records
+                  if r.get("name") == "checkpoint.chunk"]
+        assert chunks == [False, False, True, True, False]
 
-    def test_redirecting_telemetry_mid_campaign_is_harmless(self, tmp_path):
+    def test_redirecting_telemetry_mid_campaign_is_harmless(
+            self, tmp_path, kill_after_puts):
         """First half traced to file A, resume traced to file B: rows
         identical and both traces individually well-formed."""
-        from repro.obs import JsonlSink, Telemetry, read_jsonl, validate_stream
+        from repro.obs import JsonlSink, read_jsonl, validate_stream
 
         a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        path = tmp_path / "redir.npz"
-        reference = CheckpointedRun(tmp_path / "ref.npz", chunk_size=4).run(
+        path = tmp_path / "redir"
+        reference = CheckpointedRun(tmp_path / "ref", chunk_size=4).run(
             list(range(12)), square_chunk)
 
         first = Telemetry(sinks=[JsonlSink(a)])
         with pytest.raises(KeyboardInterrupt):
-            _KillAfter(path, chunk_size=4, die_after=2,
-                       telemetry=first).run(list(range(12)), square_chunk)
+            kill_after_puts(CheckpointedRun(path, chunk_size=4,
+                                            telemetry=first),
+                            2).run(list(range(12)), square_chunk)
         first.close()
 
         second = Telemetry(sinks=[JsonlSink(b)])

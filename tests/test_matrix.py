@@ -13,7 +13,6 @@ import pytest
 
 from repro.aes import SBOX
 from repro.errors import AttackError, DeviceError, ReproError
-from repro.obs import MemorySink, Telemetry
 from repro.sca import (
     MatrixSpec,
     centered_product,
@@ -28,7 +27,7 @@ from repro.sca import (
     tie_aware_rank,
     tie_width,
 )
-from repro.sca.matrix import MatrixCell, is_transient_error_code
+from repro.sca.matrix import MatrixCell
 
 
 def hw(values):
@@ -298,19 +297,11 @@ class TestRunMatrix:
 
 
 class TestRetryFailed:
-    """The ``retry_failed`` knob: transient acquisition failures are
-    re-attempted instead of replayed into every consumer cell."""
+    """A failed acquisition is cached and replayed into every consumer
+    cell, never retried: the acquisition is deterministic."""
 
     SPEC = MatrixSpec(styles=("cmos",), attacks=("cpa", "dpa"),
                       budgets=(16,), repeats=1)
-
-    def test_transient_error_code_predicate(self):
-        assert is_transient_error_code("E_BACKEND_DIED")
-        assert is_transient_error_code("E_BACKEND_PROTOCOL")
-        assert is_transient_error_code("E_ACQUISITION")
-        assert not is_transient_error_code("E_ATTACK")
-        assert not is_transient_error_code("E_CONVERGENCE")
-        assert not is_transient_error_code(None)
 
     def _flaky(self, monkeypatch, error_code, failures=1):
         """Make the first ``failures`` acquisitions die with
@@ -338,26 +329,3 @@ class TestRetryFailed:
         assert {c.error_code for c in report.cells} == {"E_BACKEND_DIED"}
         assert calls["n"] == 1  # second cell consumed the cached failure
         assert report.acquisitions_reused == 1
-
-    def test_retry_failed_reattempts_transient_failures(self, monkeypatch):
-        calls = self._flaky(monkeypatch, "E_BACKEND_DIED")
-        sink = MemorySink()
-        tele = Telemetry(sinks=[sink])
-        report = run_matrix(self.SPEC, telemetry=tele, erc=False,
-                            retry_failed=True)
-        by_attack = {c.cell.attack: c for c in report.cells}
-        assert not by_attack["cpa"].ok  # the attempt that hit the fault
-        assert by_attack["cpa"].error_code == "E_BACKEND_DIED"
-        assert by_attack["dpa"].ok  # the retry recovered
-        assert calls["n"] == 2
-        retries = [r for r in sink.records
-                   if r.get("kind") == "event"
-                   and r.get("name") == "sca.matrix.retry_failed"]
-        assert len(retries) == 1
-        assert retries[0]["attrs"]["error_code"] == "E_BACKEND_DIED"
-
-    def test_retry_failed_ignores_nontransient_codes(self, monkeypatch):
-        calls = self._flaky(monkeypatch, "E_CONVERGENCE")
-        report = run_matrix(self.SPEC, erc=False, retry_failed=True)
-        assert [c.ok for c in report.cells] == [False, False]
-        assert calls["n"] == 1  # a deterministic failure is not retried

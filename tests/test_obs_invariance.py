@@ -96,30 +96,21 @@ class TestByteIdenticalWithTelemetry:
             shutil.copyfile(path, artifact)
 
     def test_kill_and_resume_with_telemetry_matches(self, style_setup,
-                                                    tmp_path):
-        """Telemetry through checkpoint save/kill/load/resume: the
-        resumed matrix is still byte-identical, and checkpoint spans
-        cover both the saves before the kill and the resume load."""
+                                                    tmp_path,
+                                                    kill_after_puts):
+        """Telemetry through store put/kill/resume: the resumed matrix
+        is still byte-identical, and checkpoint spans cover both the
+        chunks stored before the kill and the chunks served on resume."""
         _, library, _, reference = style_setup
-        path = tmp_path / "campaign.npz"
+        path = tmp_path / "store"
         first = Telemetry(sinks=[MemorySink()])
-
-        class _KillAfter(CheckpointedRun):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                self._saves = 0
-
-            def _save(self, blocks, n_done, fingerprint, state):
-                super()._save(blocks, n_done, fingerprint, state)
-                self._saves += 1
-                if self._saves >= 2:
-                    raise KeyboardInterrupt
 
         with pytest.raises(KeyboardInterrupt):
             AttackCampaign(library, KEY, telemetry=first).run_checkpointed(
-                _KillAfter(path, chunk_size=8, telemetry=first), PTS)
-        assert any(s["name"] == "checkpoint.save"
-                   for s in first.sinks[0].spans())
+                kill_after_puts(CheckpointedRun(path, chunk_size=8,
+                                                telemetry=first), 2), PTS)
+        assert [s["attrs"]["resumed"] for s in first.sinks[0].spans()
+                if s["name"] == "checkpoint.chunk"] == [False, False]
 
         second = Telemetry(sinks=[MemorySink()])
         runner = CheckpointedRun(path, chunk_size=8, telemetry=second)
@@ -128,37 +119,28 @@ class TestByteIdenticalWithTelemetry:
             runner, PTS)
         assert runner.stats.chunks_resumed == 2
         assert np.array_equal(resumed.traces, reference)
-        assert any(s["name"] == "checkpoint.load"
-                   for s in second.sinks[0].spans())
+        assert [s["attrs"]["resumed"] for s in second.sinks[0].spans()
+                if s["name"] == "checkpoint.chunk"] == [True, True, False]
         assert second.registry.counter("checkpoint.chunks_resumed").value \
             == 2
         validate_stream(second.sinks[0].records)
 
     def test_resume_without_telemetry_after_telemetry_run(self, style_setup,
-                                                          tmp_path):
+                                                          tmp_path,
+                                                          kill_after_puts):
         """A campaign started with telemetry resumes identically with it
-        disabled — and vice versa the checkpoint fingerprint is blind to
-        observability entirely."""
+        disabled — the chunk keys are blind to observability entirely."""
         _, library, _, reference = style_setup
-        path = tmp_path / "mixed.npz"
-
-        class _KillAfter(CheckpointedRun):
-            def __init__(self, *args, **kwargs):
-                super().__init__(*args, **kwargs)
-                self._saves = 0
-
-            def _save(self, blocks, n_done, fingerprint, state):
-                super()._save(blocks, n_done, fingerprint, state)
-                self._saves += 1
-                if self._saves >= 1:
-                    raise KeyboardInterrupt
+        path = tmp_path / "store"
 
         tele = Telemetry(sinks=[MemorySink()])
         with pytest.raises(KeyboardInterrupt):
             AttackCampaign(library, KEY, telemetry=tele).run_checkpointed(
-                _KillAfter(path, chunk_size=8, telemetry=tele), PTS)
-        resumed = AttackCampaign(library, KEY).run_checkpointed(
-            CheckpointedRun(path, chunk_size=8), PTS)
+                kill_after_puts(CheckpointedRun(path, chunk_size=8,
+                                                telemetry=tele), 1), PTS)
+        runner = CheckpointedRun(path, chunk_size=8)
+        resumed = AttackCampaign(library, KEY).run_checkpointed(runner, PTS)
+        assert runner.stats.chunks_resumed == 1
         assert np.array_equal(resumed.traces, reference)
 
 

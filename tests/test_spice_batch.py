@@ -41,7 +41,6 @@ from repro.spice import (
     run_transient,
     run_transient_batch,
 )
-from repro.spice.batch import BATCH_ENV, BatchSystem, batch_size_from_env
 from repro.spice.dc import _ASSEMBLY_ENV
 from repro.spice.transient import (
     RINGING_ABS_FLOOR,
@@ -476,28 +475,6 @@ class TestBudgetParity:
 
 
 class TestBatchKnob:
-    def test_env_parsing(self, monkeypatch):
-        monkeypatch.delenv(BATCH_ENV, raising=False)
-        assert batch_size_from_env() is None
-        assert batch_size_from_env(default=1) == 1
-        monkeypatch.setenv(BATCH_ENV, "32")
-        assert batch_size_from_env() == 32
-        monkeypatch.setenv(BATCH_ENV, "zero")
-        with pytest.raises(CircuitError):
-            batch_size_from_env()
-        monkeypatch.setenv(BATCH_ENV, "0")
-        with pytest.raises(CircuitError):
-            batch_size_from_env()
-
-    def test_cli_flag_sets_env(self, monkeypatch, capsys):
-        import os
-
-        import repro.__main__ as main_mod
-        monkeypatch.delenv(BATCH_ENV, raising=False)
-        assert main_mod.main(["list", "--spice-batch", "8"]) == 0
-        assert os.environ.get(BATCH_ENV) == "8"
-        monkeypatch.delenv(BATCH_ENV, raising=False)
-
     def test_telemetry_counts_lockstep_work(self):
         tele, _ = _batch_telemetry()
         run_transient_batch(rc_lanes([1, 2, 3]), 2e-9, 1e-10,
