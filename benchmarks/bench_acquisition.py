@@ -4,7 +4,15 @@ Times a 256-trace fig6-style CPA campaign (CMOS target, the heaviest
 per-trace style) serially and with a 4-worker pool, proves the two
 trace matrices are byte-identical and the CPA verdict unchanged, and
 records traces/sec for both in ``BENCH_acquisition.json`` at the repo
-root.
+root.  Those plaintexts are all distinct, so the acquirer's
+ideal-sample memo never hits there.
+
+The ``repeated_plaintexts`` section measures the memo: 1024 seed-drawn
+CMOS plaintexts (so bytes recur, as in a long campaign) acquired
+serially, against an uncached reference that simulates and measures
+every trace on its own.  It records both rates, the
+``sca.acquisition.simulated`` count (memo misses) and whether the
+bytes are identical.
 
 Also measures the observability layer (``repro.obs``) on the serial
 path: one run with a live Telemetry handle (its metrics registry
@@ -29,12 +37,16 @@ from conftest import run_once
 
 from repro.cells import build_cmos_library
 from repro.obs import Telemetry
-from repro.sca import AttackCampaign
+from repro.sca import AttackCampaign, TraceAcquirer, acquire_traces
 from repro.sca.acquisition import resolve_backend
+from repro.sca.attack import build_reduced_aes
 
 N_TRACES = 256
 WORKERS = 4
 KEY = 0x2B
+#: The repeated-plaintext case: seed-drawn bytes, so most recur.
+N_REPEATED = 1024
+REPEATED_SEED = 0
 
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RESULT_PATH = os.path.join(_REPO_ROOT, "BENCH_acquisition.json")
@@ -72,6 +84,40 @@ def _disabled_path_overhead_pct(serial_s: float) -> dict:
         "disabled_calls_charged": calls,
         "disabled_overhead_pct": round(
             100.0 * calls * per_call_s / serial_s, 5),
+    }
+
+
+def _repeated_plaintexts_case(library) -> dict:
+    """Memoised serial acquisition vs an uncached per-trace reference."""
+    netlist, _ = build_reduced_aes(library)
+    pts = [int(p) for p in np.random.default_rng(REPEATED_SEED).integers(
+        0, 256, size=N_REPEATED)]
+    begin = time.perf_counter()
+    memoised = acquire_traces(netlist, KEY, pts)
+    memo_s = time.perf_counter() - begin
+
+    oracle = TraceAcquirer(netlist, KEY)
+    begin = time.perf_counter()
+    uncached = np.array([
+        oracle.chain.measure(oracle.ideal_samples(p), trace_index=i)
+        for i, p in enumerate(pts)])
+    uncached_s = time.perf_counter() - begin
+
+    telemetry = Telemetry()
+    acquire_traces(netlist, KEY, pts, telemetry=telemetry)
+    return {
+        "n_traces": N_REPEATED,
+        "seed": REPEATED_SEED,
+        "distinct_plaintexts": len(set(pts)),
+        "simulated": telemetry.registry.counter(
+            "sca.acquisition.simulated").value,
+        "memo_seconds": round(memo_s, 4),
+        "uncached_seconds": round(uncached_s, 4),
+        "memo_traces_per_sec": round(N_REPEATED / memo_s, 2),
+        "uncached_traces_per_sec": round(N_REPEATED / uncached_s, 2),
+        "speedup": round(uncached_s / memo_s, 3),
+        "byte_identical_to_uncached":
+            memoised.tobytes() == uncached.tobytes(),
     }
 
 
@@ -117,6 +163,7 @@ def run_comparison():
             "registry": telemetry.registry.snapshot(),
             **_disabled_path_overhead_pct(serial_s),
         },
+        "repeated_plaintexts": _repeated_plaintexts_case(library),
     }
     with open(RESULT_PATH, "w") as fh:
         json.dump(report, fh, indent=2)
@@ -135,6 +182,9 @@ def test_acquisition_parallel_equivalence_and_throughput(benchmark):
     assert report["telemetry"]["registry"].get("sca.acquisition.traces", {}
                                                ).get("value") == N_TRACES
     assert report["telemetry"]["disabled_overhead_pct"] <= 2.0, report
+    repeated = report["repeated_plaintexts"]
+    assert repeated["byte_identical_to_uncached"], repeated
+    assert repeated["simulated"] == repeated["distinct_plaintexts"], repeated
     if (os.cpu_count() or 1) >= WORKERS:
         assert report["speedup"] >= 2.5, report
     benchmark.extra_info.update(report)

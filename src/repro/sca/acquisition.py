@@ -16,7 +16,12 @@ count, chunking, or execution order:
 
 :class:`TraceAcquirer` owns the per-worker hoisted state (one power
 model, one event simulator, the precomputed data-independent baseline
-for differential styles), so none of it is rebuilt per chunk.
+for differential styles), so none of it is rebuilt per chunk.  It also
+memoises the noiseless samples per plaintext byte: the reduced AES
+takes one byte, so a die has at most 256 distinct ideal traces, and
+each is simulated and composed once per acquirer however often its
+byte recurs.  Noise and quantisation stay per trace, so the memo
+changes no output byte.
 :func:`acquire_traces` is the one-shot entry point;
 :class:`AcquisitionPool` keeps a pool alive across many acquisitions
 (the checkpointed campaign path reuses one pool for every chunk).
@@ -118,6 +123,13 @@ class TraceAcquirer:
     — the power model, the event simulator, the key stimulus, and (for
     differential styles) the pre-composed data-independent baseline —
     so per-chunk work is only the per-trace part.
+
+    :meth:`ideal_samples` is a pure function of the plaintext byte for
+    a given acquirer: the simulator's ``reset()`` returns to the
+    discharged die before every cycle, and the power model and baseline
+    are fixed at construction.  :meth:`acquire` therefore memoises its
+    rows per byte (at most 256 x ``grid.n`` floats).  The memo lives
+    and dies with the acquirer, so each worker keeps its own.
     """
 
     def __init__(self, netlist: GateNetlist, key: int,
@@ -150,6 +162,7 @@ class TraceAcquirer:
             self._baseline = wddl_baseline(self.model, self.grid)
         else:
             self._baseline = differential_baseline(self.model, self.grid)
+        self._ideal: Dict[int, np.ndarray] = {}
 
     def fingerprint(self) -> Dict[str, object]:
         """JSON-serialisable identity of this acquirer's trace function.
@@ -197,7 +210,8 @@ class TraceAcquirer:
                             baseline=self._baseline)
 
     def ideal_samples(self, plaintext: int) -> np.ndarray:
-        """Pre-instrument current samples for one plaintext."""
+        """Pre-instrument current samples for one plaintext, simulated
+        afresh (the uncached reference for :meth:`acquire`'s memo)."""
         if self.model.style == "wddl":
             return self._wddl_samples(plaintext)
         self.simulator.reset()
@@ -214,15 +228,21 @@ class TraceAcquirer:
 
         ``trace_offset`` is the campaign-global index of the first
         plaintext — it keys the noise, so a chunk produces the same
-        bytes wherever and whenever it runs.  The ideal samples of the
-        whole chunk go through one
+        bytes wherever and whenever it runs.  Each row's ideal samples
+        come from the memo, calling :meth:`ideal_samples` only for a
+        byte this acquirer has not simulated yet; the whole chunk then
+        goes through one
         :meth:`~repro.power.MeasurementChain.measure_block`, which is
         byte-identical to a per-trace ``measure`` loop.
         """
         pts = validate_plaintexts(plaintexts)
         samples = np.empty((len(pts), self.grid.n))
+        memo = self._ideal
         for i, plaintext in enumerate(pts):
-            samples[i] = self.ideal_samples(plaintext)
+            row = memo.get(plaintext)
+            if row is None:
+                row = memo[plaintext] = self.ideal_samples(plaintext)
+            samples[i] = row
         return self.chain.measure_block(samples, first_index=trace_offset)
 
 
@@ -251,12 +271,17 @@ def _instrumented_chunk(acquirer: TraceAcquirer, chunk_index: int,
     t0 = time.monotonic()
     collector.histogram("sca.acquisition.queue_wait_seconds").observe(
         max(0.0, t0 - t_submit))
+    memo_before = len(acquirer._ideal)
     with collector.span("sca.acquisition.chunk", chunk=chunk_index,
                         offset=trace_offset, n=len(plaintexts)):
         rows = acquirer.acquire(plaintexts, trace_offset=trace_offset)
     collector.histogram("sca.acquisition.chunk_seconds").observe(
         time.monotonic() - t0)
     collector.counter("sca.acquisition.traces").inc(len(plaintexts))
+    # Memo misses: per worker, so backend-dependent — a counter, never
+    # a span attr (span trees must match across backends).
+    collector.counter("sca.acquisition.simulated").inc(
+        len(acquirer._ideal) - memo_before)
     collector.emit_metrics()
     return rows, collector.sinks[0].records
 

@@ -5,17 +5,26 @@ per trace) against every time sample of the trace matrix; the correct
 key shows the largest |rho| at the samples where the predicted
 intermediate is being computed.  Fig. 6 of the paper plots exactly these
 per-guess correlation traces.
+
+The hypothesis is a function of the plaintext byte alone, so
+:func:`cpa_attack` gathers its (256, n) matrix from one precomputed
+256 x 256 Hamming-weight table
+(:func:`~repro.sca.leakage.all_guess_hypotheses`) instead of calling
+the model once per guess on every MTD or evolution prefix.  The
+gathered matrix equals the stack of 256
+:func:`~repro.sca.leakage.hw_model` rows byte for byte, so ``rho``
+does too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
 from ..errors import AttackError
-from .leakage import hw_model
+from .leakage import all_guess_hypotheses
 from .ranking import tie_aware_rank, tie_width
 
 
@@ -112,10 +121,8 @@ class CPAResult:
 
 
 def cpa_attack(traces: np.ndarray, plaintexts: Sequence[int],
-               true_key: Optional[int] = None,
-               model: Callable = hw_model) -> CPAResult:
-    """Run CPA over all 256 key guesses."""
-    hypotheses = np.vstack([model(plaintexts, k) for k in range(256)])
-    rho = correlation_matrix(traces, hypotheses)
+               true_key: Optional[int] = None) -> CPAResult:
+    """Run CPA with the Hamming-weight model over all 256 key guesses."""
+    rho = correlation_matrix(traces, all_guess_hypotheses(plaintexts))
     best = int(np.abs(rho).max(axis=1).argmax())
     return CPAResult(rho=rho, best_guess=best, true_key=true_key)

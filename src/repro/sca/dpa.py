@@ -16,6 +16,7 @@ import numpy as np
 
 from ..aes.sbox import SBOX
 from ..errors import AttackError
+from .leakage import check_bytes
 from .ranking import tie_aware_rank, tie_width
 
 
@@ -64,7 +65,7 @@ def dpa_attack(traces: np.ndarray, plaintexts: Sequence[int],
     if not 0 <= target_bit <= 7:
         raise AttackError(f"target bit out of range: {target_bit}")
     traces = np.asarray(traces, dtype=float)
-    pts = np.asarray(plaintexts, dtype=np.int64)
+    pts = check_bytes(plaintexts)
     if traces.shape[0] != pts.size:
         raise AttackError("trace/plaintext count mismatch")
     sbox = np.asarray(SBOX, dtype=np.int64)
@@ -96,7 +97,7 @@ def multibit_dpa_attack(traces: np.ndarray, plaintexts: Sequence[int],
     MCML/PG-MCML still give it nothing to vote on.
     """
     traces = np.asarray(traces, dtype=float)
-    pts = np.asarray(plaintexts, dtype=np.int64)
+    pts = check_bytes(plaintexts)
     if traces.shape[0] != pts.size:
         raise AttackError("trace/plaintext count mismatch")
     sbox = np.asarray(SBOX, dtype=np.int64)

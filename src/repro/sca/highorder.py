@@ -27,14 +27,14 @@ uniformly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..aes.sbox import SBOX
 from ..errors import AttackError
 from .cpa import CPAResult, cpa_attack
-from .leakage import hw_model
+from .leakage import check_bytes
 from .ranking import tie_aware_rank, tie_width
 
 #: Cap on samples entering the pairwise product (O(k^2) combined width).
@@ -71,7 +71,6 @@ def centered_product(traces: np.ndarray,
 
 def second_order_cpa(traces: np.ndarray, plaintexts: Sequence[int],
                      true_key: Optional[int] = None,
-                     model: Callable = hw_model,
                      max_samples: int = DEFAULT_COMBINE_SAMPLES,
                      ) -> CPAResult:
     """CPA on centered-product combined samples.
@@ -81,7 +80,7 @@ def second_order_cpa(traces: np.ndarray, plaintexts: Sequence[int],
     original time indices are needed.
     """
     combined, _ = centered_product(traces, max_samples=max_samples)
-    return cpa_attack(combined, plaintexts, true_key=true_key, model=model)
+    return cpa_attack(combined, plaintexts, true_key=true_key)
 
 
 @dataclass
@@ -154,15 +153,13 @@ def mlpa_attack(traces: np.ndarray, plaintexts: Sequence[int],
     (36 regressors on 40 traces would "explain" pure noise).
     """
     traces = np.asarray(traces, dtype=float)
-    pts = np.asarray(list(plaintexts), dtype=np.int64)
+    pts = check_bytes(list(plaintexts))
     if traces.ndim != 2:
         raise AttackError("traces must be 2-D (n_traces, n_samples)")
     if traces.shape[0] != pts.size:
         raise AttackError("trace/plaintext count mismatch")
     if degree not in (1, 2):
         raise AttackError(f"MLPA degree must be 1 or 2: {degree}")
-    if np.any(pts < 0) or np.any(pts > 0xFF):
-        raise AttackError("plaintext bytes out of range")
     n = traces.shape[0]
     width = {1: 8, 2: 8 + 28}[degree]
     while degree > 1 and n < 2 * width + 2:

@@ -5,6 +5,10 @@ guess, predict a number proportional to the power the device should
 draw.  §6 uses "the Hamming weight of the S-box output" (after Brier et
 al.); the Hamming-distance variant is provided for register-based
 targets and for the ablation studies.
+
+Every model and attack checks its bytes through :func:`check_bytes`:
+an index outside 0..255 would otherwise wrap around the S-box (a
+negative byte) or escape as a bare ``IndexError``.
 """
 
 from __future__ import annotations
@@ -17,6 +21,30 @@ from ..aes.sbox import SBOX
 from ..errors import AttackError
 
 _HW_TABLE = np.array([bin(x).count("1") for x in range(256)], dtype=np.int64)
+_SBOX = np.asarray(SBOX, dtype=np.int64)
+_BYTES = np.arange(256, dtype=np.int64)
+
+#: HW(SBOX[p ^ k]) at ``[k, p]``: row ``k`` is key guess ``k``'s
+#: hypothesis for every plaintext byte.  Equal to :func:`hw_model`
+#: entry for entry (both are small integers in float64).
+_HW_HYPOTHESES = _HW_TABLE[_SBOX[_BYTES[:, None] ^ _BYTES]].astype(float)
+
+
+def check_bytes(plaintexts: Sequence[int], key_guess: int = 0) -> np.ndarray:
+    """Plaintext bytes as an int64 array, checked for a byte-wide attack.
+
+    Raises :class:`AttackError` for an empty batch, a plaintext byte
+    outside 0..255, or a key guess outside 0..255.  Attacks that try
+    every guess leave ``key_guess`` at its in-range default.
+    """
+    if not 0 <= key_guess <= 0xFF:
+        raise AttackError(f"key guess out of range: {key_guess}")
+    pts = np.asarray(plaintexts, dtype=np.int64)
+    if pts.size == 0:
+        raise AttackError("no plaintexts")
+    if pts.min() < 0 or pts.max() > 0xFF:
+        raise AttackError("plaintext bytes out of range")
+    return pts
 
 
 def hamming_weight(value: int) -> int:
@@ -33,15 +61,8 @@ def hamming_distance(a: int, b: int) -> int:
 
 def hw_model(plaintexts: Sequence[int], key_guess: int) -> np.ndarray:
     """HW(SBOX[p ^ k]) for every plaintext — the paper's power model."""
-    if not 0 <= key_guess <= 0xFF:
-        raise AttackError(f"key guess out of range: {key_guess}")
-    pts = np.asarray(plaintexts, dtype=np.int64)
-    if pts.size == 0:
-        raise AttackError("no plaintexts")
-    if pts.min() < 0 or pts.max() > 0xFF:
-        raise AttackError("plaintext bytes out of range")
-    sbox = np.asarray(SBOX, dtype=np.int64)
-    return _HW_TABLE[sbox[pts ^ key_guess]].astype(float)
+    pts = check_bytes(plaintexts, key_guess)
+    return _HW_TABLE[_SBOX[pts ^ key_guess]].astype(float)
 
 
 def hd_model(plaintexts: Sequence[int], key_guess: int,
@@ -49,12 +70,17 @@ def hd_model(plaintexts: Sequence[int], key_guess: int,
     """HD(SBOX[p ^ k], reference) — register-overwrite leakage."""
     if not 0 <= reference <= 0xFF:
         raise AttackError(f"reference byte out of range: {reference}")
-    pts = np.asarray(plaintexts, dtype=np.int64)
-    sbox = np.asarray(SBOX, dtype=np.int64)
-    return _HW_TABLE[sbox[pts ^ key_guess] ^ reference].astype(float)
+    pts = check_bytes(plaintexts, key_guess)
+    return _HW_TABLE[_SBOX[pts ^ key_guess] ^ reference].astype(float)
 
 
-def all_guess_hypotheses(plaintexts: Sequence[int],
-                         model=hw_model) -> np.ndarray:
-    """(256, n_traces) hypothesis matrix over every key guess."""
-    return np.vstack([model(plaintexts, k) for k in range(256)])
+def all_guess_hypotheses(plaintexts: Sequence[int]) -> np.ndarray:
+    """(256, n_traces) Hamming-weight hypothesis matrix over every key
+    guess, gathered from the precomputed table.
+
+    ``np.take`` returns it in C order, as a ``np.vstack`` of per-guess
+    :func:`hw_model` rows is; a ``[:, pts]`` gather would come out
+    Fortran-ordered, which changes the summation order, and so the
+    bytes, of the correlations computed from it.
+    """
+    return np.take(_HW_HYPOTHESES, check_bytes(plaintexts), axis=1)

@@ -8,7 +8,7 @@ count at which the attack stabilises on the correct key.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -53,8 +53,7 @@ def success_rate(ranks: Sequence[float], order: int = 1) -> float:
 
 
 def mtd(traces: np.ndarray, plaintexts: Sequence[int], true_key: int,
-        step: int = 16, stable_windows: int = 3,
-        model: Optional[Callable] = None) -> Optional[int]:
+        step: int = 16, stable_windows: int = 3) -> Optional[int]:
     """Measurements to disclosure.
 
     Re-runs CPA on growing prefixes of the trace set (every ``step``
@@ -77,8 +76,7 @@ def mtd(traces: np.ndarray, plaintexts: Sequence[int], true_key: int,
     streak = 0
     candidate: Optional[int] = None
     for n in counts:
-        kwargs = {"model": model} if model is not None else {}
-        result = cpa_attack(traces[:n], pts[:n], true_key=true_key, **kwargs)
+        result = cpa_attack(traces[:n], pts[:n], true_key=true_key)
         if result.best_guess == true_key:
             if streak == 0:
                 candidate = n

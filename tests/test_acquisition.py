@@ -6,6 +6,8 @@ bytes come out whether acquisition is serial, threaded, forked,
 chunk-shuffled, or killed and resumed from the result store.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -13,9 +15,11 @@ from repro.cells import (
     build_cmos_library,
     build_mcml_library,
     build_pg_mcml_library,
+    build_wddl_library,
 )
 from repro.errors import AttackError, TraceError
 from repro.experiments.runner import CheckpointedRun
+from repro.netlist import LogicSimulator
 from repro.obs import MemorySink, Telemetry
 from repro.power import MeasurementChain, TraceGrid
 from repro.sca import (
@@ -33,6 +37,8 @@ from repro.units import ns, ps, uA
 
 KEY = 0x2B
 PTS = list(range(40))
+#: Campaign index of the first trace in the memo tests.
+OFFSET = 5
 
 _BUILDERS = {
     "cmos": build_cmos_library,
@@ -299,3 +305,72 @@ class TestBatchedAcquisition:
         out = acquire_traces(netlist, KEY, PTS, chunk_size=batch)
         assert out.tobytes() == per_trace.tobytes()
         assert serial.tobytes() == per_trace.tobytes()
+
+
+@pytest.fixture(scope="module",
+                params=sorted(_BUILDERS) + ["wddl"])
+def repeated_setup(request):
+    """(style, netlist, plaintexts, uncached reference) per style.
+
+    96 plaintexts repeat 32 distinct bytes three times in shuffled
+    order; the reference row of trace ``i`` is a fresh
+    ``ideal_samples`` measured alone at index ``OFFSET + i``.
+    """
+    builder = dict(_BUILDERS, wddl=build_wddl_library)[request.param]
+    netlist, _ = build_reduced_aes(builder())
+    rng = np.random.default_rng(7)
+    distinct = rng.choice(256, size=32, replace=False)
+    pts = [int(p) for p in rng.permutation(np.repeat(distinct, 3))]
+    oracle = TraceAcquirer(netlist, KEY)
+    reference = np.array([
+        oracle.chain.measure(oracle.ideal_samples(p),
+                             trace_index=OFFSET + i)
+        for i, p in enumerate(pts)])
+    return request.param, netlist, pts, reference
+
+
+class TestIdealSampleMemo:
+    """Each distinct plaintext is simulated once per acquirer, and the
+    memoised traces equal uncached per-trace ones byte for byte."""
+
+    @pytest.mark.parametrize("chunk_size", [1, 7, 16])
+    def test_memo_matches_uncached_reference(self, repeated_setup,
+                                             chunk_size, monkeypatch):
+        style, netlist, pts, reference = repeated_setup
+        # WDDL settles each cycle with initialize(); the others run the
+        # event simulation.
+        method = "initialize" if style == "wddl" else "run"
+        original = getattr(LogicSimulator, method)
+        calls = Counter()
+
+        def counted(sim, *args, **kwargs):
+            calls[id(sim)] += 1
+            return original(sim, *args, **kwargs)
+
+        monkeypatch.setattr(LogicSimulator, method, counted)
+        out = acquire_traces(netlist, KEY, pts, chunk_size=chunk_size,
+                             trace_offset=OFFSET)
+        assert out.tobytes() == reference.tobytes()
+        assert list(calls.values()) == [len(set(pts))]
+
+    @pytest.mark.parametrize("backend", [
+        "thread",
+        pytest.param("process", marks=pytest.mark.skipif(
+            not _fork_available(), reason="fork start method unavailable")),
+    ])
+    @pytest.mark.parametrize("chunk_size", [1, 7, 16])
+    def test_parallel_backends_match_serial(self, repeated_setup,
+                                            backend, chunk_size):
+        _, netlist, pts, reference = repeated_setup
+        out = acquire_traces(netlist, KEY, pts, workers=3,
+                             backend=backend, chunk_size=chunk_size,
+                             trace_offset=OFFSET)
+        assert out.tobytes() == reference.tobytes()
+
+    def test_simulated_counter_counts_memo_misses(self):
+        netlist, _ = build_reduced_aes(build_cmos_library())
+        tele = Telemetry(sinks=[MemorySink()])
+        acquire_traces(netlist, KEY, list(range(16)) * 4, telemetry=tele)
+        assert tele.registry.counter("sca.acquisition.traces").value == 64
+        assert tele.registry.counter(
+            "sca.acquisition.simulated").value == 16

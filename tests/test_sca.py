@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.aes import SBOX
 from repro.errors import AttackError
@@ -15,7 +16,9 @@ from repro.sca import (
     hd_model,
     hw_model,
     key_rank,
+    mlpa_attack,
     mtd,
+    multibit_dpa_attack,
     success_rate,
 )
 from repro.sca.leakage import all_guess_hypotheses
@@ -56,6 +59,59 @@ class TestLeakageModels:
     def test_all_guess_matrix_shape(self):
         hyp = all_guess_hypotheses(list(range(16)))
         assert hyp.shape == (256, 16)
+
+    # Plaintext lists of 1..1024 drawn from a pool of 1..256 bytes, so
+    # most lists repeat bytes the way a long campaign does.
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.data_too_large])
+    @given(st.lists(st.integers(0, 255), min_size=1, max_size=256)
+           .flatmap(lambda pool: st.lists(st.sampled_from(pool),
+                                          min_size=1, max_size=1024)))
+    def test_gathered_hypotheses_equal_per_guess_stack(self, pts):
+        stack = np.vstack([hw_model(pts, k) for k in range(256)])
+        assert all_guess_hypotheses(pts).tobytes() == stack.tobytes()
+        traces = np.random.default_rng(len(pts)).normal(
+            size=(len(pts), 6))
+        assert cpa_attack(traces, pts).rho.tobytes() == \
+            correlation_matrix(traces, stack).tobytes()
+
+
+def _traces_for(pts):
+    return np.random.default_rng(0).normal(size=(len(pts), 3))
+
+
+#: Every model and attack that indexes the S-box by plaintext byte.
+_BYTE_CHECKED = {
+    "hw_model": lambda pts, key: hw_model(pts, key),
+    "hd_model": lambda pts, key: hd_model(pts, key),
+    "all_guess_hypotheses": lambda pts, key: all_guess_hypotheses(pts),
+    "cpa_attack": lambda pts, key: cpa_attack(_traces_for(pts), pts),
+    "dpa_attack": lambda pts, key: dpa_attack(_traces_for(pts), pts),
+    "multibit_dpa_attack":
+        lambda pts, key: multibit_dpa_attack(_traces_for(pts), pts),
+    "mlpa_attack":
+        lambda pts, key: mlpa_attack(_traces_for(pts), pts, degree=1),
+}
+#: (plaintexts, key guess): 40 traces clear MLPA's degree-1 minimum.
+_BAD_BYTES = {
+    "empty": ([], 0),
+    "negative-byte": ([3] * 39 + [-1], 0),
+    "byte-256": ([3] * 39 + [256], 0),
+    "byte-300": ([300] * 40, 0),
+    "key-guess-negative": ([3] * 40, -1),
+    "key-guess-999": ([3] * 40, 999),
+}
+
+
+@pytest.mark.parametrize("name, case", [
+    (name, case) for name in _BYTE_CHECKED for case in _BAD_BYTES
+    if name in ("hw_model", "hd_model") or not case.startswith("key")])
+def test_bad_bytes_rejected_everywhere(name, case):
+    """No byte may wrap around the S-box or escape as an IndexError."""
+    pts, key = _BAD_BYTES[case]
+    with pytest.raises(AttackError, match="out of range|no plaintexts"):
+        _BYTE_CHECKED[name](pts, key)
 
 
 def synthetic_traces(key, n_traces=200, n_samples=20, leak_sample=7,
