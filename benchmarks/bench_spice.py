@@ -1,8 +1,9 @@
 """Benchmark: vectorized device-bank MNA assembly vs the reference loop.
 
-Times cell-level transients with both assemblies (selected through
-``REPRO_SPICE_ASSEMBLY``) and records the results in
-``BENCH_spice.json`` at the repo root:
+Times cell-level transients under each assembly — forced through
+``forced_assembly``, which replaces the unknown-count selector in
+``repro.spice.dc`` — and records the results in ``BENCH_spice.json``
+at the repo root:
 
 * a single PG-MCML buffer driven through a full 256-step switching
   window — the smallest realistic workload, where ufunc dispatch and
@@ -15,6 +16,10 @@ Times cell-level transients with both assemblies (selected through
   engine at batch sizes 1 / 8 / 32 — batch=1 is the serial oracle, the
   batched chunks must match it to ≤1e-9 V and batch=32 must be ≥4×
   faster;
+* the bank/sparse crossover: PG-MCML buffer chains of 1 to 64 cells
+  (4 to 382 unknowns) under both assemblies, with the sparse/bank time
+  ratio and the largest voltage difference per size, next to the
+  ``SPARSE_MIN_UNKNOWNS`` threshold ``System`` selects by;
 * the 256-trace serial CPA acquisition of ``bench_acquisition.py``,
   re-timed under the bank default and compared against the reference
   numbers in ``BENCH_acquisition.json``.  That path is logic-sim plus
@@ -27,15 +32,17 @@ solutions of each transient are compared point for point so the JSON
 also certifies the assemblies agree (≤1e-9 V across the whole wave).
 
 The ``@slow`` sparse section (CI job ``sparse-bench``) adds the PR 8
-cases: a full S-box-unit DC solve where the sparse CSC assembly must
-beat the dense banks ≥5× with ≤1e-9 V divergence, and a factor-timing
-probe of the complete PG-MCML AES core (72k unknowns) that only the
-sparse path can represent at all.
+cases: a full S-box-unit DC solve where the sparse CSC assembly (which
+the S-box's ``System`` picks by itself) must beat the dense banks ≥5×
+with ≤1e-9 V divergence, and a factor-timing probe of the complete
+PG-MCML AES core (72k unknowns) that only the sparse path can
+represent at all.
 """
 
 import json
 import os
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -45,8 +52,9 @@ from repro.cells import build_cmos_library, build_pg_mcml_library
 from repro.cells.functions import function
 from repro.cells.pgmcml import PgMcmlCellGenerator
 from repro.sca import AttackCampaign
+import repro.spice.dc as dc
 from repro.spice import Circuit, run_transient_batch
-from repro.spice.dc import _ASSEMBLY_ENV
+from repro.spice.dc import SPARSE_MIN_UNKNOWNS, System
 from repro.spice.stimulus import Pulse
 from repro.spice.transient import run_transient
 from repro.tech import TECH90
@@ -62,6 +70,9 @@ KEY = 0x2B
 BATCH_TRACES = 256
 BATCH_SIZES = (1, 8, 32)
 BATCH_STEPS = 64
+
+#: Buffer-chain lengths of the bank/sparse crossover (4 to 382 unknowns).
+CROSSOVER_CELLS = (1, 2, 4, 8, 16, 32, 64)
 
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RESULT_PATH = os.path.join(_REPO_ROOT, "BENCH_spice.json")
@@ -113,12 +124,19 @@ def build_chain(n_cells: int):
     return ckt, window
 
 
+def forced_assembly(name: str):
+    """Every ``System`` built inside the block uses ``name``.
+
+    The one seam to a chosen assembly (``tests/assembly_seam.py`` is
+    the same): replace the unknown-count selector in ``repro.spice.dc``.
+    """
+    return mock.patch.object(dc, "_select_assembly", lambda n: name)
+
+
 def _timed_transient(circuit, window, assembly):
     """Best-of-``REPEATS`` transient wall time under one assembly."""
-    previous = os.environ.get(_ASSEMBLY_ENV)
-    os.environ[_ASSEMBLY_ENV] = assembly
-    try:
-        best, result = None, None
+    best, result = None, None
+    with forced_assembly(assembly):
         for _ in range(REPEATS):
             begin = time.perf_counter()
             result = run_transient(circuit, tstop=window,
@@ -126,22 +144,20 @@ def _timed_transient(circuit, window, assembly):
             elapsed = time.perf_counter() - begin
             if best is None or elapsed < best:
                 best = elapsed
-    finally:
-        if previous is None:
-            os.environ.pop(_ASSEMBLY_ENV, None)
-        else:
-            os.environ[_ASSEMBLY_ENV] = previous
     return result, best
+
+
+def _max_delta(ref, got) -> float:
+    """Largest node-voltage difference between two transient results."""
+    return max(float(np.max(np.abs(ref.voltages[node] - got.voltages[node])))
+               for node in ref.voltages)
 
 
 def _transient_case(name: str, n_cells: int) -> dict:
     circuit, window = build_chain(n_cells)
     bank_result, bank_s = _timed_transient(circuit, window, "bank")
     loop_result, loop_s = _timed_transient(circuit, window, "loop")
-    max_delta = max(
-        float(np.max(np.abs(bank_result.voltages[node]
-                            - loop_result.voltages[node])))
-        for node in bank_result.voltages)
+    max_delta = _max_delta(bank_result, loop_result)
     return {
         "case": name,
         "devices": len(circuit.devices),
@@ -150,6 +166,36 @@ def _transient_case(name: str, n_cells: int) -> dict:
         "loop_seconds": round(loop_s, 4),
         "speedup": round(loop_s / bank_s, 3),
         "max_voltage_delta": max_delta,
+    }
+
+
+def _crossover_case() -> dict:
+    """Bank vs sparse on buffer chains either side of the threshold.
+
+    ``selected`` is what ``System`` picks for the chain by itself;
+    ``sparse_over_bank`` below 1 means sparse was faster.
+    """
+    sizes = []
+    for n_cells in CROSSOVER_CELLS:
+        circuit, window = build_chain(n_cells)
+        bank_result, bank_s = _timed_transient(circuit, window, "bank")
+        sparse_result, sparse_s = _timed_transient(circuit, window,
+                                                   "sparse")
+        system = System(circuit)
+        sizes.append({
+            "cells": n_cells,
+            "unknowns": system.n,
+            "selected": system.assembly,
+            "bank_seconds": round(bank_s, 4),
+            "sparse_seconds": round(sparse_s, 4),
+            "sparse_over_bank": round(sparse_s / bank_s, 3),
+            "max_voltage_delta": _max_delta(bank_result, sparse_result),
+        })
+    return {
+        "sparse_min_unknowns": SPARSE_MIN_UNKNOWNS,
+        "steps": N_STEPS,
+        "repeats": REPEATS,
+        "sizes": sizes,
     }
 
 
@@ -247,11 +293,11 @@ def run_comparison():
     report = {
         "experiment": "device-bank vs reference-loop MNA assembly",
         "cpu_count": os.cpu_count(),
-        "assembly_env": os.environ.get(_ASSEMBLY_ENV, "bank"),
         "transients": [
             _transient_case("pgmcml_buffer", 1),
             _transient_case(f"pgmcml_chain{CHAIN_LEN}", CHAIN_LEN),
         ],
+        "crossover": _crossover_case(),
         "batched": _batched_transient_case(),
         "acquisition": _serial_acquisition(),
     }
@@ -268,6 +314,8 @@ def test_bank_assembly_speedup_and_equivalence(benchmark):
     assert chain["speedup"] >= 3.0, chain
     for entry in report["transients"]:
         assert entry["max_voltage_delta"] <= 1e-9, entry
+    for size in report["crossover"]["sizes"]:
+        assert size["max_voltage_delta"] <= 1e-9, size
     batched = report["batched"]
     assert batched["speedup_batch32"] >= 4.0, batched
     assert batched["max_voltage_delta_vs_serial"] <= 1e-9, batched
@@ -305,12 +353,13 @@ def _sparse_sbox_case() -> dict:
     voltage within 1e-9 V.
     """
     from repro.spice import solve_dc
-    from repro.spice.dc import System
 
     elab = _sbox_unit_testbench()
+    selected = System(elab.circuit)  # picked by its unknown count
+    with forced_assembly("bank"):
+        dense = System(elab.circuit)
     timings, ops, iters = {}, {}, {}
-    for assembly in ("bank", "sparse"):
-        sys_ = System(elab.circuit, assembly=assembly)
+    for assembly, sys_ in (("bank", dense), ("sparse", selected)):
         begin = time.perf_counter()
         op = solve_dc(elab.circuit, system=sys_)
         timings[assembly] = time.perf_counter() - begin
@@ -321,7 +370,8 @@ def _sparse_sbox_case() -> dict:
     return {
         "case": "pgmcml_sbox_unit_dc",
         "devices": len(elab.circuit.devices),
-        "unknowns": System(elab.circuit).n,
+        "unknowns": selected.n,
+        "selected_assembly": selected.assembly,
         "bank_seconds": round(timings["bank"], 4),
         "sparse_seconds": round(timings["sparse"], 4),
         "speedup_sparse": round(timings["bank"] / timings["sparse"], 3),
@@ -340,7 +390,6 @@ def _sparse_aes_core_case() -> dict:
     splu itself on the per-iteration path).
     """
     from repro.netlist import LogicSimulator
-    from repro.spice.dc import System
     from repro.synth import (attach_core_testbench, build_aes_core,
                              elaborate_netlist, initial_point)
 
@@ -357,7 +406,7 @@ def _sparse_aes_core_case() -> dict:
     ic = initial_point(elab, sim.values)
 
     begin = time.perf_counter()
-    sys_ = System(elab.circuit, assembly="sparse")
+    sys_ = System(elab.circuit)
     asm = sys_.sparse_assembly()
     pattern_s = time.perf_counter() - begin
     fixed = elab.circuit.fixed_nodes(0.0)
@@ -407,6 +456,7 @@ def run_sparse_comparison():
 def test_sparse_assembly_speedup_and_scale(benchmark):
     report = run_once(benchmark, run_sparse_comparison)
     sbox = report["sbox"]
+    assert sbox["selected_assembly"] == "sparse", sbox
     assert sbox["speedup_sparse"] >= 5.0, sbox
     assert sbox["max_voltage_delta"] <= 1e-9, sbox
     assert (sbox["newton_iterations"]["sparse"]

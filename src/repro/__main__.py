@@ -98,15 +98,6 @@ def main(argv=None) -> int:
                              "'2000' (Newton iterations) or "
                              "'iters=2000,attempts=3,rejections=64,"
                              "steps=200000' (sets REPRO_SOLVE_BUDGET)")
-    parser.add_argument("--assembly", choices=["bank", "loop", "sparse"],
-                        help="MNA assembly strategy: vectorised dense "
-                             "banks (default), per-device loop (oracle), "
-                             "or CSR + splu for large netlists "
-                             "(sets REPRO_SPICE_ASSEMBLY)")
-    parser.add_argument("--op-cache", action="store_true",
-                        help="reuse DC operating points across "
-                             "content-identical solves "
-                             "(sets REPRO_OP_CACHE=1)")
     from .spice.backend import available_backends
     parser.add_argument("--backend", choices=available_backends(),
                         help="simulator backend for DC/transient runs "
@@ -125,11 +116,6 @@ def main(argv=None) -> int:
         from .spice import SolveBudget
         os.environ["REPRO_SOLVE_BUDGET"] = args.solve_budget
         SolveBudget.from_env()  # fail fast on an unparsable spec
-    if args.assembly:
-        os.environ["REPRO_SPICE_ASSEMBLY"] = args.assembly
-    if args.op_cache:
-        from .spice import OP_CACHE_ENV
-        os.environ[OP_CACHE_ENV] = "1"
     if args.backend:
         from .spice.backend import dispatch
         os.environ[dispatch.BACKEND_ENV] = args.backend

@@ -7,7 +7,10 @@ bisection against DC solves of a replica buffer cell — the software
 equivalent of the bias-generation loop an MCML chip carries on-die.
 
 Solutions are cached per (Iss, swing, technology, gated) so repeated
-characterisation runs pay the cost once.
+characterisation runs pay the cost once.  Within one search, the scan
+and the bisections re-measure points they have already solved; a
+per-call :class:`~repro.spice.OperatingPointCache` answers those
+repeats with the stored operating point.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, Tuple
 
 from ..errors import CharacterizationError
-from ..spice import Circuit, solve_dc
+from ..spice import Circuit, OperatingPointCache, solve_dc
 from ..tech import Technology, TECH90
 from .functions import function
 from .mcml import McmlCellGenerator, McmlSizing
@@ -62,11 +65,11 @@ def _replica(sizing: McmlSizing, tech: Technology, gated: bool) -> Tuple[
     return ckt, out_p, out_n
 
 
-def _measure(sizing: McmlSizing, tech: Technology, gated: bool) -> Tuple[
-        float, float]:
+def _measure(sizing: McmlSizing, tech: Technology, gated: bool,
+             op_cache: OperatingPointCache) -> Tuple[float, float]:
     """(supply current, output swing) of the replica at DC."""
     ckt, out_p, out_n = _replica(sizing, tech, gated)
-    op = solve_dc(ckt)
+    op = solve_dc(ckt, op_cache=op_cache)
     iss = op.current("vdd")
     swing = abs(op[out_p] - op[out_n])
     return iss, swing
@@ -131,6 +134,7 @@ def solve_bias(iss: float, swing: float = 0.40, tech: Technology = TECH90,
     if cached is not None:
         return cached
 
+    op_cache = OperatingPointCache()
     sizing = McmlSizing.for_current(iss, swing, tech)
     tail = tech.flavor(sizing.tail_flavor)
     vn_lo, vn_hi = tail.vt0 + 0.02, min(tech.vdd, tail.vt0 + 0.75)
@@ -140,7 +144,7 @@ def solve_bias(iss: float, swing: float = 0.40, tech: Technology = TECH90,
     for _ in range(outer_iterations):
         def current_error(vn: float) -> float:
             test = replace(sizing, vn=vn)
-            measured, _ = _measure(test, tech, gated)
+            measured, _ = _measure(test, tech, gated, op_cache)
             return measured - iss
 
         vn = _bisect(vn_lo, vn_hi, current_error, tol=iss * 1e-3)
@@ -152,7 +156,7 @@ def solve_bias(iss: float, swing: float = 0.40, tech: Technology = TECH90,
         # the narrowest and bisect inside the first sign change.
         def swing_error(w_load: float) -> float:
             test = replace(sizing, w_load=w_load)
-            _, measured = _measure(test, tech, gated)
+            _, measured = _measure(test, tech, gated, op_cache)
             # Narrower load -> larger swing; scanning wide->narrow makes
             # the error start positive and fall through zero.
             return swing - measured
@@ -166,18 +170,18 @@ def solve_bias(iss: float, swing: float = 0.40, tech: Technology = TECH90,
         # At small tail currents even the minimum-width load is too
         # conductive: weaken it by raising the load gate bias Vp (the
         # second MCML design knob of §3) instead.
-        _, swing_now = _measure(sizing, tech, gated)
+        _, swing_now = _measure(sizing, tech, gated, op_cache)
         if swing_now < 0.9 * swing and w_load <= w_lo * 1.01:
             def swing_error_vp(vp: float) -> float:
                 test = replace(sizing, vp=vp)
-                _, measured = _measure(test, tech, gated)
+                _, measured = _measure(test, tech, gated, op_cache)
                 return swing - measured
 
             vp = _scan_bisect([0.1 * k for k in range(9)], swing_error_vp,
                               tol=swing * 1e-3)
             sizing = replace(sizing, vp=vp)
 
-    iss_measured, swing_measured = _measure(sizing, tech, gated)
+    iss_measured, swing_measured = _measure(sizing, tech, gated, op_cache)
     if abs(iss_measured - iss) > 0.15 * iss:
         raise CharacterizationError(
             f"bias solve missed the current target: wanted {iss:.3g} A, "

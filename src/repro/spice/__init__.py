@@ -33,7 +33,7 @@ from .devices import Mosfet, Resistor, Capacitor, VSource, ISource
 from .circuit import Circuit, GROUND
 from .dc import solve_dc, OperatingPoint
 from .sparse import SparseAssembly
-from .opcache import OP_CACHE_ENV, OperatingPointCache, default_op_cache
+from .opcache import OperatingPointCache
 from .deck import DeckInfo, parse_spice_deck, write_spice_deck, write_subckt
 from .erc import (
     ErcFinding,
@@ -90,9 +90,7 @@ __all__ = [
     "solve_dc",
     "OperatingPoint",
     "SparseAssembly",
-    "OP_CACHE_ENV",
     "OperatingPointCache",
-    "default_op_cache",
     "ErcFinding",
     "ErcReport",
     "check_circuit",

@@ -38,8 +38,8 @@ see ``tests/test_spice_banks.py``).
 Device classes without a bank — custom :class:`Device` subclasses such
 as the fault-injection proxies — fall back to :class:`LoopBlock`, which
 reproduces the reference per-device arithmetic verbatim.  The reference
-loop for *all* devices stays available behind
-``System(assembly="loop")`` / ``REPRO_SPICE_ASSEMBLY=loop``.
+loop for *all* devices stays in :class:`~repro.spice.dc.System` as the
+test oracle, reached by replacing ``repro.spice.dc._select_assembly``.
 
 Banks snapshot device parameters; :class:`~repro.spice.dc.System`
 rebuilds them whenever the identity of the circuit's device list

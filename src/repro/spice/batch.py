@@ -32,14 +32,16 @@ flow exactly and only shares the dispatch:
 
 Whole-batch serial fallback (with a ``spice.batch.fallback`` telemetry
 event) happens when the batch axis cannot apply at all: un-banked custom
-device classes (fault-injection proxies), an ``on_step`` hook,
-``REPRO_SPICE_ASSEMBLY=loop``, no unknowns, or lanes whose topologies
-do not actually match.
+device classes (fault-injection proxies), an ``on_step`` hook, no
+unknowns, or lanes whose topologies do not actually match.
+
+Lanes follow their template's :class:`~repro.spice.dc.System`: the
+assembly (dense banks or sparse CSC) is the one its unknown count
+selects.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
@@ -48,8 +50,8 @@ from ..errors import BudgetExhaustedError, CircuitError, ConvergenceError
 from ..obs import NULL_TELEMETRY
 from .banks import FD_STEP
 from .circuit import Circuit, canonical_node
-from .dc import _ASSEMBLY_ENV, _DAMP_LIMIT, OperatingPoint, System, \
-    _initial_guess, solve_dc
+from .dc import _DAMP_LIMIT, OperatingPoint, System, _initial_guess, \
+    solve_dc
 from .recovery import _ATTEMPT_MAXITER, SolveBudget
 from .transient import TransientResult, TransientStats, _CompanionCaps, \
     _ringing_mask, _time_grid, run_transient
@@ -58,31 +60,20 @@ class BatchSystem:
     """Bank-indexed view of B circuits sharing one topology.
 
     The first circuit is the *template*: its :class:`System` supplies the
-    node indices, scatter plans, and packed-voltage layout for every
-    lane.  Construction validates that all lanes really are the same
+    node indices, scatter plans, packed-voltage layout, and assembly for
+    every lane.  Construction validates that all lanes really are the same
     topology (device classes and terminals, node sets, source names,
     stimulus breakpoints) and harvests per-lane device parameters, which
     are collapsed back to the template's shared vectors when no lane
     differs (the common case — only the stimulus varies).
     """
 
-    def __init__(self, circuits: Sequence[Circuit], telemetry=None,
-                 assembly: Optional[str] = None):
+    def __init__(self, circuits: Sequence[Circuit], telemetry=None):
         if not circuits:
             raise CircuitError("BatchSystem needs at least one circuit")
         self.circuits = list(circuits)
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        if assembly is None:
-            # "loop" never reaches here (run_transient_batch falls back
-            # to the serial engine first); a direct caller gets "bank".
-            env = os.environ.get(_ASSEMBLY_ENV, "bank")
-            assembly = "sparse" if env == "sparse" else "bank"
-        if assembly not in ("bank", "sparse"):
-            raise CircuitError(
-                f"batch assembly must be 'bank' or 'sparse', got "
-                f"{assembly!r}; the loop assembly runs serially")
-        self.system = System(self.circuits[0], telemetry=self.telemetry,
-                             assembly=assembly)
+        self.system = System(self.circuits[0], telemetry=self.telemetry)
         self._validate_lockstep()
         self.banks = self.system.bank_assembly()
         if self.banks.loop is not None:
@@ -503,10 +494,10 @@ def run_transient_batch(circuits: Sequence[Circuit], tstop: float, dt: float,
     Falls back to per-lane serial runs — with a ``spice.batch.fallback``
     telemetry event — whenever the batch axis cannot apply: un-banked
     custom device classes, an ``on_step`` hook, mismatched topologies,
-    ``REPRO_SPICE_ASSEMBLY=loop``, or a circuit with no unknowns.  A
-    lane that fails mid-flight falls out of the batch and is retried
-    serially (``spice.batch.lane_isolated`` event); its error propagates
-    only if the serial retry fails too.
+    or a circuit with no unknowns.  A lane that fails mid-flight falls
+    out of the batch and is retried serially
+    (``spice.batch.lane_isolated`` event); its error propagates only if
+    the serial retry fails too.
     """
     circuits = list(circuits)
     if not circuits:
@@ -529,8 +520,6 @@ def run_transient_batch(circuits: Sequence[Circuit], tstop: float, dt: float,
 
     if on_step is not None:
         return serial_all("on_step-hook")
-    if os.environ.get(_ASSEMBLY_ENV, "bank") == "loop":
-        return serial_all("assembly=loop")
     if ics is not None and len(ics) != len(circuits):
         raise CircuitError(
             f"ics has {len(ics)} entries for {len(circuits)} circuits")

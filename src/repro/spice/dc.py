@@ -6,11 +6,17 @@ leaving the node).  The Jacobian is assembled from per-device forward
 differences, which keeps device models trivially extensible.  Robustness
 measures are the SPICE classics: per-iteration voltage-step damping and
 gmin continuation when plain Newton fails.
+
+Assembly is chosen from the circuit's size, never by the caller: below
+:data:`SPARSE_MIN_UNKNOWNS` unknowns the dense device banks
+(:mod:`repro.spice.banks`) win, from there on the sparse CSC path
+(:mod:`repro.spice.sparse`) does.  The per-device ``"loop"`` reference
+assembly is only reachable by replacing :func:`_select_assembly`,
+which the equivalence tests and ``benchmarks/bench_spice.py`` do.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -19,7 +25,6 @@ from ..errors import CircuitError, ConvergenceError
 from ..obs import NULL_TELEMETRY
 from .banks import FD_STEP, BankAssembly
 from .circuit import Circuit, canonical_node
-from .opcache import default_op_cache
 from .sparse import SparseAssembly
 from .recovery import (
     GMIN_LADDER,
@@ -34,10 +39,11 @@ from .recovery import (
 #: banked assembly so both walk the same Newton trajectory).
 _FD_STEP = FD_STEP
 
-#: Environment override for the default assembly strategy.
-_ASSEMBLY_ENV = "REPRO_SPICE_ASSEMBLY"
-
-_ASSEMBLY_CHOICES = ("bank", "loop", "sparse")
+#: Unknown count from which :class:`System` assembles sparse.  Measured
+#: on PG-MCML buffer chains (256-step transients, 2-vCPU host): sparse
+#: over bank time is 1.53 at 4 unknowns, 1.17 at 94, 0.77 at 190 and
+#: 0.43 at 382 (``crossover`` in ``BENCH_spice.json``).
+SPARSE_MIN_UNKNOWNS = 128
 
 #: Largest allowed Newton voltage update, volts.
 _DAMP_LIMIT = 0.3
@@ -45,39 +51,37 @@ _DAMP_LIMIT = 0.3
 _GMIN_LADDER = GMIN_LADDER
 
 
+def _select_assembly(n: int) -> str:
+    """The assembly for a :class:`System` with ``n`` unknowns."""
+    return "bank" if n < SPARSE_MIN_UNKNOWNS else "sparse"
+
+
 class System:
     """Index structures for repeated solves of one circuit.
 
     Building the node indices once and reusing them across transient steps
-    is the main performance lever of the engine.  ``assembly`` selects the
-    residual/Jacobian strategy: ``"bank"`` (default) evaluates devices in
-    vectorized class banks (:mod:`repro.spice.banks`); ``"loop"`` keeps
-    the reference per-device Python loop; ``"sparse"`` assembles the same
-    bank deposits into a canonical CSC pattern and factors with SuperLU
-    (:mod:`repro.spice.sparse`) — the only mode that scales to a full
-    synthesized core.  The ``REPRO_SPICE_ASSEMBLY`` environment variable
-    changes the default.
+    is the main performance lever of the engine.  ``assembly`` names the
+    residual/Jacobian strategy, picked by :func:`_select_assembly` from
+    the unknown count: ``"bank"`` evaluates devices in vectorized class
+    banks (:mod:`repro.spice.banks`) into a dense Jacobian; ``"sparse"``
+    assembles the same bank deposits into a canonical CSC pattern and
+    factors with SuperLU (:mod:`repro.spice.sparse`) — the only mode
+    that scales to a full synthesized core; ``"loop"`` is the reference
+    per-device Python loop the tests compare both against.
     """
 
-    def __init__(self, circuit: Circuit, telemetry=None,
-                 assembly: Optional[str] = None):
+    def __init__(self, circuit: Circuit, telemetry=None):
         circuit.validate()
         self.circuit = circuit
         #: Observability handle; the shared no-op when not provided.
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         #: Cumulative count of singular-Jacobian (lstsq fallback) events.
         self.singular_jacobian_events = 0
-        if assembly is None:
-            assembly = os.environ.get(_ASSEMBLY_ENV, "bank")
-        if assembly not in _ASSEMBLY_CHOICES:
-            raise CircuitError(
-                f"unknown assembly strategy {assembly!r}; "
-                f"expected one of {_ASSEMBLY_CHOICES}")
-        self.assembly = assembly
         self.fixed_set = set(circuit.fixed_nodes())
         self.unknowns: List[str] = circuit.unknown_nodes()
         self.index: Dict[str, int] = {n: i for i, n in enumerate(self.unknowns)}
         self.n = len(self.unknowns)
+        self.assembly = _select_assembly(self.n)
         # Packed-voltage layout: V = [x | fixed values in fixed_nodes()
         # key order].  The key set is stable across t and across the
         # scaled dicts source stepping builds, so the positions hold for
@@ -190,7 +194,7 @@ class System:
 
     def _residual_and_jacobian_loop(self, x: np.ndarray,
                                     fixed: Dict[str, float], gmin: float):
-        """Reference per-device assembly loop (``assembly="loop"``)."""
+        """Reference per-device assembly loop (the test oracle)."""
         f = np.zeros(self.n)
         jac = np.zeros((self.n, self.n))
         for d, device in enumerate(self.circuit.devices):
@@ -428,19 +432,16 @@ def solve_dc(circuit: Circuit, t: float = 0.0,
     :class:`~repro.errors.BudgetExhaustedError` instead of spinning on a
     stiff circuit.
 
-    ``op_cache`` (default: ``REPRO_OP_CACHE`` via
-    :func:`~repro.spice.opcache.default_op_cache`, off when unset)
-    short-circuits repeated solves of content-identical circuits at the
-    same bias — see :mod:`repro.spice.opcache` for the fingerprint and
-    invalidation contract.  Solves under a custom recovery ``policy``
-    bypass the cache (the policy steers the trajectory but is not part
-    of the key).
+    ``op_cache`` (off when omitted; :func:`repro.cells.bias.solve_bias`
+    passes one per call) short-circuits repeated solves of
+    content-identical circuits at the same bias — see
+    :mod:`repro.spice.opcache` for the fingerprint and invalidation
+    contract.  Solves under a custom recovery ``policy`` bypass the
+    cache (the policy steers the trajectory but is not part of the key).
     """
     sys_ = system if system is not None else System(circuit,
                                                     telemetry=telemetry)
     tele = telemetry if telemetry is not None else sys_.telemetry
-    if op_cache is None:
-        op_cache = default_op_cache()
     cache_key = None
     if op_cache is not None:
         if policy is not None:

@@ -1,15 +1,16 @@
 """Content-addressed operating-point cache.
 
-A synthesized core instantiates the same handful of cells thousands of
-times, and an acquisition campaign re-solves the same testbench with
-only the stimulus changing — most DC solves the engine runs are exact
-repeats.  This module caches solved operating points keyed by a
-*content fingerprint* of everything that determines the solution and
-the solver's trajectory to it:
+The bias search (:func:`repro.cells.bias.solve_bias`) scans and bisects
+one replica buffer over Vn, load width and Vp, and re-measures points it
+has already solved.  This module caches solved operating points keyed
+by a *content fingerprint* of everything that determines the solution
+and the solver's trajectory to it:
 
 * every device, in list order, as ``(class tag, name, terminals,
   parameters, parasitic capacitances)`` — list order matters because
   deposit summation order is part of the floating-point result;
+* every voltage source as ``(name, node)`` — the names key the
+  returned ``source_currents``;
 * the fixed-node voltages at the solve time (the bias / corner axis —
   a different stimulus value at ``t`` is a different key);
 * the warm-start guess and the assembly mode (both steer the Newton
@@ -25,36 +26,27 @@ the cache entirely (counted in ``bypasses``).
 A cache hit returns a fresh :class:`~repro.spice.dc.OperatingPoint`
 with copied voltage/current dicts, byte-identical to what a cold solve
 would produce (the solver is deterministic given the fingerprinted
-inputs); the stored solve's diagnostics ride along.  The cache is OFF
-by default — enable it with ``REPRO_OP_CACHE=1`` / ``--op-cache`` or by
-passing an explicit cache to :func:`~repro.spice.dc.solve_dc`.
+inputs); the stored solve's diagnostics ride along.  A cache lives as
+long as its owner: ``solve_bias`` makes one per call (about a hundred
+entries), and :func:`~repro.spice.dc.solve_dc` uses none unless one is
+passed.  Measured on the full characterisation plan, every hit came
+from the bias search; transients, Monte Carlo and leakage solves never
+repeat a key.
 """
 
 from __future__ import annotations
 
 import hashlib
-import os
-from collections import OrderedDict
 from typing import Dict, Optional
 
 from .devices import Capacitor, ISource, Mosfet, Resistor
 
-#: Environment switch for the process-default cache ("1"/"true"/"on").
-OP_CACHE_ENV = "REPRO_OP_CACHE"
-
-#: Default entry ceiling; FIFO eviction beyond it keeps the footprint
-#: bounded for long campaigns.
-DEFAULT_MAX_ENTRIES = 4096
-
-_TRUTHY = {"1", "true", "on", "yes"}
-
 
 class OperatingPointCache:
-    """FIFO-bounded map from content fingerprints to operating points."""
+    """Map from content fingerprints to operating points."""
 
-    def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES):
-        self.max_entries = max_entries
-        self._store: "OrderedDict[str, object]" = OrderedDict()
+    def __init__(self):
+        self._store: Dict[str, object] = {}
         self.hits = 0
         self.misses = 0
         self.bypasses = 0
@@ -80,7 +72,8 @@ class OperatingPointCache:
                     assembly: str) -> Optional[str]:
         """The content key, or ``None`` when the circuit cannot be
         fingerprinted (unknown device classes — fault proxies)."""
-        parts = [circuit.name, assembly]
+        parts = [circuit.name, assembly,
+                 repr(tuple((s.name, s.node) for s in circuit.vsources))]
         for device in circuit.devices:
             cls = type(device)
             if cls is Resistor:
@@ -128,8 +121,6 @@ class OperatingPointCache:
     def store(self, key: str, op) -> None:
         self.stores += 1
         self._store[key] = _copy_op(op)
-        while len(self._store) > self.max_entries:
-            self._store.popitem(last=False)
 
 
 def _copy_op(op):
@@ -138,20 +129,3 @@ def _copy_op(op):
     return OperatingPoint(dict(op.voltages), dict(op.source_currents),
                           diagnostics=op.diagnostics)
 
-
-_DEFAULT_CACHE: Optional[OperatingPointCache] = None
-
-
-def default_op_cache() -> Optional[OperatingPointCache]:
-    """The process-default cache when ``REPRO_OP_CACHE`` enables it.
-
-    The instance persists across calls (that is the point — repeated
-    solves share it); flipping the environment variable off hides it
-    without clearing it.
-    """
-    global _DEFAULT_CACHE
-    if os.environ.get(OP_CACHE_ENV, "").strip().lower() not in _TRUTHY:
-        return None
-    if _DEFAULT_CACHE is None:
-        _DEFAULT_CACHE = OperatingPointCache()
-    return _DEFAULT_CACHE

@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro.cells.bias as bias
 from repro.cells import (
     McmlCellGenerator,
     PgMcmlCellGenerator,
@@ -12,6 +13,7 @@ from repro.cells import (
 )
 from repro.cells.characterize import sensitising_assignment
 from repro.errors import CharacterizationError
+from repro.spice import OperatingPointCache
 from repro.units import uA
 
 
@@ -54,6 +56,38 @@ class TestBiasSolver:
             solve_bias(-1e-6)
         with pytest.raises(CharacterizationError):
             solve_bias(uA(50), swing=2.0)
+
+
+class TestBiasOperatingPointCache:
+    """The scan and bisections re-measure points they already solved;
+    the per-call cache must answer those without moving the result."""
+
+    @pytest.mark.parametrize("iss,gated", [(uA(50), True), (uA(20), False)])
+    def test_hits_leave_the_bias_point_byte_identical(self, monkeypatch,
+                                                      iss, gated):
+        made = []
+
+        class Recording(OperatingPointCache):
+            def __init__(self):
+                super().__init__()
+                made.append(self)
+
+        class AlwaysMiss(Recording):
+            def lookup(self, key):
+                self.misses += 1
+                return None
+
+        points = []
+        for cache_cls in (Recording, AlwaysMiss):
+            monkeypatch.setattr(bias, "_CACHE", {})
+            monkeypatch.setattr(bias, "OperatingPointCache", cache_cls)
+            points.append(solve_bias(iss, gated=gated))
+        cached, uncached = points
+        assert repr(cached) == repr(uncached)
+        assert len(made) == 2  # one cache per solve_bias call
+        assert made[0].hits > 0 and made[1].hits == 0
+        # Same search path: every DC solve asked its cache once.
+        assert made[0].hits + made[0].misses == made[1].misses
 
 
 class TestSensitising:

@@ -614,22 +614,3 @@ class TestOpCacheFaultInjection:
         ckt.swap_device("r2", R("r2", "b", "0", 2e3))
         solve_dc(ckt, op_cache=cache)
         assert cache.hits == 0 and cache.misses == 2 and len(cache) == 2
-
-    def test_transient_with_faults_and_cache_env(self, monkeypatch):
-        """REPRO_OP_CACHE=1 + armed faults: the run completes and the
-        default cache records only bypasses for the faulted circuit."""
-        from repro.spice import OP_CACHE_ENV, default_op_cache
-        from repro.spice import opcache as opcache_mod
-        monkeypatch.setenv(OP_CACHE_ENV, "1")
-        monkeypatch.setattr(opcache_mod, "_DEFAULT_CACHE", None)
-        ckt = self._bench()
-        ckt.capacitor("cb", "b", "0", 1e-13)
-        injector = FaultInjector(ckt, [Fault("r1", "open",
-                                             t_start=2e-9, t_stop=4e-9)])
-        with injector:
-            res = run_transient(ckt, tstop=6e-9, dt=2e-10,
-                                on_step=injector.set_time)
-        cache = default_op_cache()
-        assert cache is not None
-        assert cache.bypasses >= 1 and cache.hits == 0 and len(cache) == 0
-        assert np.all(np.isfinite(res.wave("b").v))

@@ -4,7 +4,9 @@ The banked path (:mod:`repro.spice.banks`) must reproduce the reference
 per-device loop's residual, Jacobian, and fixed-node currents to
 floating-point rounding (the issue's bound is 1e-12; in practice the
 two agree to ~1e-15 because both evaluate the same EKV arithmetic with
-the same forward-difference step).
+the same forward-difference step).  It also pins the size rule that
+gives a ``System`` the dense banks below ``SPARSE_MIN_UNKNOWNS`` unknowns
+and the sparse assembly from there on.
 """
 
 import numpy as np
@@ -14,12 +16,15 @@ from hypothesis import given, settings, strategies as st
 from repro.cells.functions import function
 from repro.cells.mcml import McmlCellGenerator
 from repro.cells.pgmcml import PgMcmlCellGenerator
-from repro.errors import CircuitError
-from repro.spice import Circuit, solve_dc
-from repro.spice.dc import _ASSEMBLY_ENV, System
+from repro.spice import Circuit, run_transient, run_transient_batch, solve_dc
+from repro.spice.batch import BatchSystem
+from repro.spice.dc import SPARSE_MIN_UNKNOWNS, System
 from repro.spice.devices import Mosfet
+from repro.spice.stimulus import Pulse
 from repro.tech import NMOS_LVT, PMOS_LVT, TECH90
 from repro.units import um
+
+from .assembly_seam import forced_system
 
 VDD = 1.2
 
@@ -59,8 +64,8 @@ def mixed_circuit() -> Circuit:
 
 def assert_assemblies_agree(circuit: Circuit, x: np.ndarray,
                             gmin: float = 0.0, t: float = 0.0) -> None:
-    bank = System(circuit, assembly="bank")
-    loop = System(circuit, assembly="loop")
+    bank = forced_system(circuit, "bank")
+    loop = forced_system(circuit, "loop")
     fixed = circuit.fixed_nodes(t)
     f_b, j_b = bank.residual_and_jacobian(x, fixed, gmin)
     f_l, j_l = loop.residual_and_jacobian(x, fixed, gmin)
@@ -98,8 +103,8 @@ class TestEquivalence:
 
     def test_solve_dc_agreement(self):
         circuit = biased_cell("pgmcml")
-        op_bank = solve_dc(circuit, system=System(circuit, assembly="bank"))
-        op_loop = solve_dc(circuit, system=System(circuit, assembly="loop"))
+        op_bank = solve_dc(circuit, system=forced_system(circuit, "bank"))
+        op_loop = solve_dc(circuit, system=forced_system(circuit, "loop"))
         for node, volt in op_bank.voltages.items():
             assert volt == pytest.approx(op_loop.voltages[node], abs=1e-9)
         for name, cur in op_bank.source_currents.items():
@@ -129,10 +134,10 @@ class TestScatterFallback:
         circuit = mixed_circuit()
         x = np.linspace(0.1, 1.0, len(circuit.unknown_nodes()))
         fixed = circuit.fixed_nodes()
-        dense = System(circuit, assembly="bank")
+        dense = System(circuit)
         f_d, j_d = dense.residual_and_jacobian(x, fixed, 0.0)
         monkeypatch.setattr(banks, "_DENSE_LIMIT", 0)
-        sparse = System(circuit, assembly="bank")
+        sparse = System(circuit)
         assert all(b.plan.s_f is None for b in sparse.bank_assembly().banks)
         f_s, j_s = sparse.residual_and_jacobian(x, fixed, 0.0)
         np.testing.assert_array_equal(f_d, f_s)
@@ -159,7 +164,7 @@ class TestLoopBlockFallback:
         original = circuit.device("mn")
         circuit.swap_device("mn", ScaledMosfet(
             "mn", *original.terminals, original.model))
-        system = System(circuit, assembly="bank")
+        system = System(circuit)
         assembly = system.bank_assembly()
         assert assembly.loop is not None
         assert any(type(d) is ScaledMosfet
@@ -176,11 +181,11 @@ class TestLoopBlockFallback:
 
         circuit.swap_device("mp", Proxy("mp", *original.terminals,
                                         original.model))
-        system = System(circuit, assembly="bank")
+        system = System(circuit)
         x = np.linspace(0.1, 1.1, system.n)
         fixed = circuit.fixed_nodes()
         cur_b = system.fixed_node_currents(x, fixed)
-        cur_l = System(circuit, assembly="loop").fixed_node_currents(x, fixed)
+        cur_l = forced_system(circuit, "loop").fixed_node_currents(x, fixed)
         for node in cur_b:
             assert cur_b[node] == pytest.approx(cur_l[node], rel=1e-9,
                                                 abs=1e-15)
@@ -189,7 +194,7 @@ class TestLoopBlockFallback:
 class TestStaleness:
     def test_swap_device_rebuilds_banks(self):
         circuit = mixed_circuit()
-        system = System(circuit, assembly="bank")
+        system = System(circuit)
         fixed = circuit.fixed_nodes()
         x = np.full(system.n, 0.5)
         before = system.residual_only(x, fixed, 0.0)
@@ -202,25 +207,55 @@ class TestStaleness:
         assert rebuilt is not first
         after = system.residual_only(x, fixed, 0.0)
         assert not np.allclose(before, after)
-        loop_after = System(circuit, assembly="loop").residual_only(
+        loop_after = forced_system(circuit, "loop").residual_only(
             x, fixed, 0.0)
         np.testing.assert_allclose(after, loop_after, rtol=1e-9, atol=1e-12)
 
 
+def resistor_ladder(unknowns: int, pulse: bool = False) -> Circuit:
+    """A source driving ``unknowns`` series resistors into ground, with
+    a capacitor on every internal node."""
+    c = Circuit(f"ladder{unknowns}")
+    c.v("vs", "n0", Pulse(0.0, VDD, 1e-10, 1e-11, 1e-11, 1e-9)
+        if pulse else VDD)
+    for k in range(unknowns):
+        c.resistor(f"r{k}", f"n{k}", f"n{k + 1}", 1e3)
+        c.capacitor(f"c{k}", f"n{k + 1}", "0", 1e-15)
+    c.resistor("rg", f"n{unknowns}", "0", 1e3)
+    return c
+
+
 class TestAssemblySelection:
-    def test_invalid_assembly_argument(self):
-        with pytest.raises(CircuitError, match="assembly"):
-            System(mixed_circuit(), assembly="simd")
-
-    def test_invalid_assembly_env(self, monkeypatch):
-        monkeypatch.setenv(_ASSEMBLY_ENV, "nope")
-        with pytest.raises(CircuitError, match="assembly"):
-            System(mixed_circuit())
-
-    def test_env_selects_loop(self, monkeypatch):
-        monkeypatch.setenv(_ASSEMBLY_ENV, "loop")
-        assert System(mixed_circuit()).assembly == "loop"
-
-    def test_default_is_bank(self, monkeypatch):
-        monkeypatch.delenv(_ASSEMBLY_ENV, raising=False)
+    def test_default_is_bank(self):
         assert System(mixed_circuit()).assembly == "bank"
+
+    @pytest.mark.parametrize("unknowns,assembly", [
+        (SPARSE_MIN_UNKNOWNS - 1, "bank"),
+        (SPARSE_MIN_UNKNOWNS, "sparse"),
+    ])
+    def test_unknown_count_picks_the_assembly(self, unknowns, assembly):
+        circuit = resistor_ladder(unknowns)
+        system = System(circuit)
+        assert system.n == unknowns
+        assert system.assembly == assembly
+        # A divider of equal resistors: node k sits at VDD*(1 - k/(n+1)).
+        op = solve_dc(circuit, system=system)
+        for k in range(1, unknowns + 1):
+            assert op[f"n{k}"] == pytest.approx(
+                VDD * (1.0 - k / (unknowns + 1)), abs=1e-9)
+
+    @pytest.mark.parametrize("unknowns,assembly", [
+        (SPARSE_MIN_UNKNOWNS - 1, "bank"),
+        (SPARSE_MIN_UNKNOWNS, "sparse"),
+    ])
+    def test_batch_lanes_follow_the_template(self, unknowns, assembly):
+        lanes = [resistor_ladder(unknowns, pulse=True) for _ in range(2)]
+        assert BatchSystem(lanes).system.assembly == assembly
+        batched = run_transient_batch(lanes, 4e-10, 2e-11)
+        serial = run_transient(resistor_ladder(unknowns, pulse=True),
+                               4e-10, 2e-11)
+        for got in batched:
+            np.testing.assert_array_equal(got.time, serial.time)
+            for node, wave in serial.voltages.items():
+                np.testing.assert_allclose(got.voltages[node], wave,
+                                           atol=1e-12)

@@ -41,7 +41,6 @@ from repro.spice import (
     run_transient,
     run_transient_batch,
 )
-from repro.spice.dc import _ASSEMBLY_ENV
 from repro.spice.transient import (
     RINGING_ABS_FLOOR,
     RINGING_REL_FLOOR,
@@ -337,14 +336,6 @@ class TestSerialFallback:
         assert len(results) == 2 and seen
         events = _events(sink, "spice.batch.fallback")
         assert events and events[0]["attrs"]["reason"] == "on_step-hook"
-
-    def test_loop_assembly_env_falls_back(self, monkeypatch):
-        monkeypatch.setenv(_ASSEMBLY_ENV, "loop")
-        tele, sink = _batch_telemetry()
-        results = run_transient_batch(rc_lanes([1]), 2e-9, 1e-10,
-                                      telemetry=tele)
-        assert len(results) == 1
-        assert _events(sink, "spice.batch.fallback")
 
     def test_mismatched_topology_falls_back(self):
         a = rc_lane()

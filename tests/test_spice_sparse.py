@@ -15,7 +15,11 @@ and factors with SuperLU instead of LAPACK.  The contract proven here:
   assemblies (pinned as a regression reference);
 * **the operating-point cache is safe** — hits are byte-identical to
   cold solves, content (not name) addressed, invalidated by
-  ``swap_device`` and fault-proxy injection, and disabled by default.
+  ``swap_device`` and fault-proxy injection, and keyed on source names.
+
+Each comparison builds its ``System`` under ``forced_assembly`` (the
+seam in ``tests/assembly_seam.py``); everywhere else the unknown count
+picks the assembly.
 
 Full-core (AES) cases are ``@pytest.mark.slow``: ERC preflight over the
 complete elaborated core in every style, and the headline smoke test —
@@ -23,7 +27,6 @@ a supply-current transient of the 144k-device PG-MCML core that only
 the sparse assembly can run.
 """
 
-import os
 import time
 
 import numpy as np
@@ -46,16 +49,14 @@ from repro.obs import Telemetry
 from repro.spice import (
     Circuit,
     DC,
-    OP_CACHE_ENV,
     OperatingPointCache,
     Pulse,
-    default_op_cache,
     run_transient,
     run_transient_batch,
     solve_dc,
 )
 from repro.spice import sparse as sparse_mod
-from repro.spice.dc import _ASSEMBLY_ENV, System
+from repro.spice.dc import System
 from repro.spice.erc import check_circuit
 from repro.synth import (
     attach_core_testbench,
@@ -67,7 +68,7 @@ from repro.synth import (
 from repro.tech import TECH90
 from repro.units import um
 
-ASSEMBLIES = ("bank", "loop", "sparse")
+from .assembly_seam import ASSEMBLIES, forced_assembly, forced_system
 
 #: Pinned reference trajectory of the 3-buffer PG-MCML chain DC solve
 #: (TestDiagnosticsPinned): plain Newton converges without touching the
@@ -89,13 +90,6 @@ LIB_BUILDERS = {
     "mcml": build_mcml_library,
     "pgmcml": build_pg_mcml_library,
 }
-
-
-@pytest.fixture(autouse=True)
-def _clean_env(monkeypatch):
-    """Equivalence runs must not inherit assembly/cache environment."""
-    monkeypatch.delenv(_ASSEMBLY_ENV, raising=False)
-    monkeypatch.delenv(OP_CACHE_ENV, raising=False)
 
 
 # -- testbench builders -------------------------------------------------------
@@ -177,9 +171,7 @@ def pg_buffer_chain(n_cells: int = 3, sleep_on: bool = True,
 
 
 def dc_solution(circuit: Circuit, assembly: str):
-    sys_ = System(circuit, assembly=assembly)
-    op = solve_dc(circuit, system=sys_)
-    return op
+    return solve_dc(circuit, system=forced_system(circuit, assembly))
 
 
 def assert_ops_close(op_a, op_b, tol=1e-9):
@@ -204,8 +196,8 @@ class TestDcEquivalence:
     def test_jacobian_entries_identical(self):
         """Densified sparse data == bank Jacobian, entry for entry."""
         ckt = biased_cell("pgmcml", "AND2")
-        bank = System(ckt, assembly="bank")
-        sparse = System(ckt, assembly="sparse")
+        bank = forced_system(ckt, "bank")
+        sparse = forced_system(ckt, "sparse")
         fixed = ckt.fixed_nodes(0.0)
         rng = np.random.default_rng(7)
         x = 0.6 + 0.1 * rng.standard_normal(bank.n)
@@ -221,8 +213,8 @@ class TestDcEquivalence:
 
     def test_fixed_node_currents_match(self):
         ckt = biased_cell("mcml", "MUX2")
-        bank = System(ckt, assembly="bank")
-        sparse = System(ckt, assembly="sparse")
+        bank = forced_system(ckt, "bank")
+        sparse = forced_system(ckt, "sparse")
         fixed = ckt.fixed_nodes(0.0)
         x = np.full(bank.n, 0.7)
         cur_b = bank.fixed_node_currents(x, fixed)
@@ -260,12 +252,13 @@ class TestDcEquivalence:
 
 class TestTransientEquivalence:
     @pytest.mark.parametrize("sleep_on", [True, False])
-    def test_pg_chain_waveforms(self, monkeypatch, sleep_on):
+    def test_pg_chain_waveforms(self, sleep_on):
         results = {}
         for assembly in ASSEMBLIES:
-            monkeypatch.setenv(_ASSEMBLY_ENV, assembly)
             ckt = pg_buffer_chain(2, sleep_on=sleep_on, pulse=True)
-            results[assembly] = run_transient(ckt, tstop=64e-12, dt=1e-12)
+            with forced_assembly(assembly):
+                results[assembly] = run_transient(ckt, tstop=64e-12,
+                                                  dt=1e-12)
         ref = results["bank"]
         for assembly in ("loop", "sparse"):
             res = results[assembly]
@@ -280,7 +273,7 @@ class TestTransientEquivalence:
                     atol=1e-9, err_msg=f"{assembly}:{src}")
 
     @pytest.mark.parametrize("style", ["cmos", "mcml"])
-    def test_single_cell_transient(self, monkeypatch, style):
+    def test_single_cell_transient(self, style):
         def build():
             if style == "cmos":
                 gen = CmosCellGenerator(TECH90)
@@ -306,14 +299,15 @@ class TestTransientEquivalence:
 
         waves = {}
         for assembly in ("bank", "sparse"):
-            monkeypatch.setenv(_ASSEMBLY_ENV, assembly)
-            waves[assembly] = run_transient(build(), tstop=60e-12, dt=1e-12)
+            with forced_assembly(assembly):
+                waves[assembly] = run_transient(build(), tstop=60e-12,
+                                                dt=1e-12)
         ref, got = waves["bank"], waves["sparse"]
         for node in ref.voltages:
             np.testing.assert_allclose(got.voltages[node],
                                        ref.voltages[node], atol=1e-9)
 
-    def test_batched_sparse_matches_serial_bank(self, monkeypatch):
+    def test_batched_sparse_matches_serial_bank(self):
         def lanes(n):
             out = []
             for k in range(n):
@@ -325,26 +319,26 @@ class TestTransientEquivalence:
                 out.append(ckt)
             return out
 
-        monkeypatch.setenv(_ASSEMBLY_ENV, "bank")
-        serial = [run_transient(c, tstop=5e-9, dt=0.5e-10)
-                  for c in lanes(4)]
-        monkeypatch.setenv(_ASSEMBLY_ENV, "sparse")
-        batched = run_transient_batch(lanes(4), tstop=5e-9, dt=0.5e-10)
+        with forced_assembly("bank"):
+            serial = [run_transient(c, tstop=5e-9, dt=0.5e-10)
+                      for c in lanes(4)]
+        with forced_assembly("sparse"):
+            batched = run_transient_batch(lanes(4), tstop=5e-9, dt=0.5e-10)
         for ref, got in zip(serial, batched):
             np.testing.assert_array_equal(got.time, ref.time)
             for node in ref.voltages:
                 np.testing.assert_allclose(got.voltages[node],
                                            ref.voltages[node], atol=1e-9)
 
-    def test_batched_pg_cells_sparse(self, monkeypatch):
+    def test_batched_pg_cells_sparse(self):
         def lanes(n):
             return [pg_buffer_chain(1, pulse=True) for _ in range(n)]
 
-        monkeypatch.setenv(_ASSEMBLY_ENV, "bank")
-        serial = [run_transient(c, tstop=32e-12, dt=1e-12)
-                  for c in lanes(3)]
-        monkeypatch.setenv(_ASSEMBLY_ENV, "sparse")
-        batched = run_transient_batch(lanes(3), tstop=32e-12, dt=1e-12)
+        with forced_assembly("bank"):
+            serial = [run_transient(c, tstop=32e-12, dt=1e-12)
+                      for c in lanes(3)]
+        with forced_assembly("sparse"):
+            batched = run_transient_batch(lanes(3), tstop=32e-12, dt=1e-12)
         for ref, got in zip(serial, batched):
             for node in ref.voltages:
                 np.testing.assert_allclose(got.voltages[node],
@@ -385,7 +379,7 @@ class TestDiagnosticsPinned:
 class TestSparseAssemblyUnit:
     def _small(self):
         ckt = biased_cell("pgmcml", "BUF")
-        sys_ = System(ckt, assembly="sparse")
+        sys_ = forced_system(ckt, "sparse")
         return ckt, sys_, sys_.sparse_assembly()
 
     def test_positions_outside_pattern_raise(self):
@@ -447,7 +441,7 @@ class TestSparseAssemblyUnit:
         ckt = Circuit("allfixed")
         ckt.v("vdd", "a", 1.0)
         ckt.resistor("r1", "a", "0", 1e3)
-        sys_ = System(ckt, assembly="sparse")
+        sys_ = forced_system(ckt, "sparse")
         assert sys_.n == 0
         op = solve_dc(ckt, system=sys_)
         assert op.voltages["a"] == pytest.approx(1.0)
@@ -545,16 +539,23 @@ class TestOperatingPointCache:
         solve_dc(ckt, op_cache=cache)
         assert cache.bypasses == 1 and len(cache) == 0
 
-    def test_fifo_eviction(self):
-        cache = OperatingPointCache(max_entries=2)
-        gates = ["INV", "NAND2", "NOR2"]
-        for g in gates:
-            solve_dc(cmos_cell(g), op_cache=cache)
-        assert len(cache) == 2
-        solve_dc(cmos_cell("INV"), op_cache=cache)  # evicted -> miss
-        assert cache.misses == 4
-        solve_dc(cmos_cell("NOR2"), op_cache=cache)  # still resident
-        assert cache.hits == 1
+    def test_source_names_are_part_of_the_key(self):
+        """Same devices and node voltages, different source name: the
+        second solve must miss, or its ``source_currents`` would name
+        the first circuit's source."""
+        def divider(source):
+            ckt = Circuit("div")
+            ckt.v(source, "a", 1.0)
+            ckt.resistor("r1", "a", "b", 1e3)
+            ckt.resistor("r2", "b", "0", 1e3)
+            return ckt
+
+        cache = OperatingPointCache()
+        first = solve_dc(divider("v1"), op_cache=cache)
+        second = solve_dc(divider("vx"), op_cache=cache)
+        assert cache.hits == 0 and cache.misses == 2
+        assert set(second.source_currents) == {"vx"}
+        assert second.current("vx") == first.current("v1")
 
     def test_telemetry_counters(self):
         tele = Telemetry(sinks=[])
@@ -566,15 +567,6 @@ class TestOperatingPointCache:
         assert reg.counter("spice.opcache.misses").value == 1
         assert reg.counter("spice.opcache.stores").value == 1
         assert reg.counter("spice.opcache.hits").value == 1
-
-    def test_disabled_by_default_enabled_by_env(self, monkeypatch):
-        assert default_op_cache() is None
-        monkeypatch.setenv(OP_CACHE_ENV, "1")
-        cache = default_op_cache()
-        assert isinstance(cache, OperatingPointCache)
-        assert default_op_cache() is cache  # persistent instance
-        monkeypatch.setenv(OP_CACHE_ENV, "off")
-        assert default_op_cache() is None
 
     def test_clear_resets_entries_and_counters(self):
         cache = OperatingPointCache()
@@ -588,8 +580,8 @@ class TestOperatingPointCache:
         """Assembly is part of the key; a hit never crosses assemblies."""
         cache = OperatingPointCache()
         ckt = cmos_cell("INV")
-        solve_dc(ckt, system=System(ckt, assembly="bank"), op_cache=cache)
-        solve_dc(ckt, system=System(ckt, assembly="sparse"), op_cache=cache)
+        solve_dc(ckt, system=forced_system(ckt, "bank"), op_cache=cache)
+        solve_dc(ckt, system=forced_system(ckt, "sparse"), op_cache=cache)
         assert cache.hits == 0 and cache.misses == 2
 
 
@@ -721,13 +713,13 @@ class TestFullCore:
         assert elapsed < max(5.0, 100e-6 * n_dev), \
             f"ERC took {elapsed:.1f}s for {n_dev} devices"
 
-    def test_aes_core_sparse_supply_current_smoke(self, monkeypatch):
+    def test_aes_core_sparse_supply_current_smoke(self):
         """The headline: a transient the dense assembly cannot run.
 
         144k devices / 72k unknowns — a dense Jacobian would be 40 GB.
-        The sparse engine must march a few backward-Euler steps from a
-        logic-seeded initial point and produce a finite supply-current
-        waveform.
+        The core's ``System`` picks the sparse engine by itself, which
+        must march a few backward-Euler steps from a logic-seeded
+        initial point and produce a finite supply-current waveform.
         """
         core = build_aes_core(build_pg_mcml_library())
         elab = elaborate_netlist(core.netlist, sleep_tree=core.sleep_tree)
@@ -736,7 +728,6 @@ class TestFullCore:
         sim = LogicSimulator(core.netlist)
         sim.initialize(inputs)
         ic = initial_point(elab, sim.values)
-        monkeypatch.setenv(_ASSEMBLY_ENV, "sparse")
         res = run_transient(elab.circuit, tstop=4e-12, dt=1e-12,
                             record=[elab.vdd_net], ic=ic)
         supply = res.current("vdd")
