@@ -41,7 +41,7 @@ class Fig6Result:
     def succeeded(self, style: str) -> bool:
         return self.results[style].succeeded
 
-    def rank(self, style: str) -> int:
+    def rank(self, style: str) -> float:
         return self.results[style].rank
 
     def distinguishability(self, style: str) -> float:
@@ -82,14 +82,12 @@ def run(key: int = DEFAULT_KEY,
         campaign = AttackCampaign(lib, key, chain=chain,
                                   mismatch_seed=mismatch_seed,
                                   telemetry=telemetry)
-        if checkpoint_dir is None:
-            results[lib.style] = campaign.run(plaintexts, workers=workers,
-                                              backend=backend)
-        else:
+        runner = None
+        if checkpoint_dir is not None:
             runner = CheckpointedRun(checkpoint_dir, chunk_size=chunk_size,
                                      telemetry=telemetry)
-            results[lib.style] = campaign.run_checkpointed(
-                runner, plaintexts, workers=workers, backend=backend)
+        results[lib.style] = campaign.run(plaintexts, workers=workers,
+                                          backend=backend, runner=runner)
     return Fig6Result(results=results, key=key)
 
 

@@ -45,7 +45,7 @@ DEFAULT_TRACES = 120
 class ScenarioResult:
     name: str
     window: str
-    rank: int
+    rank: float
     peak_rho: float
 
     @property

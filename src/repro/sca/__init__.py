@@ -6,6 +6,12 @@ output as the power model, plus the original difference-of-means DPA
 (Kocher et al.) and the usual evaluation metrics (key rank, guessing
 entropy, measurements-to-disclosure).
 
+Every key-recovery result (CPA, DPA, MLPA, second-order CPA) derives
+its best guess, tie-aware rank and verdict from its per-guess scores
+through :class:`repro.sca.ranking.KeyRanking`.  An attack succeeds only
+when the true key alone holds the top score; MTD and success rate use
+the same rule, so a verdict means the same for every key byte.
+
 :mod:`repro.sca.attack` is the end-to-end harness: synthesise the
 reduced AES target in a given logic style, collect simulated current
 traces through the measurement chain, attack, and score.
@@ -14,7 +20,7 @@ traces through the measurement chain, attack, and score.
 from .leakage import hamming_weight, hamming_distance, hw_model, hd_model
 from .cpa import cpa_attack, correlation_matrix, CPAResult
 from .dpa import dpa_attack, multibit_dpa_attack, DPAResult
-from .ranking import tie_aware_rank, tie_width, rank_and_ties
+from .ranking import tie_aware_rank, tie_width
 from .metrics import key_rank, guessing_entropy, success_rate, mtd
 from .highorder import (
     MlpaResult,
@@ -52,7 +58,6 @@ __all__ = [
     "DPAResult",
     "tie_aware_rank",
     "tie_width",
-    "rank_and_ties",
     "key_rank",
     "guessing_entropy",
     "success_rate",

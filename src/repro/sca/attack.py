@@ -123,8 +123,8 @@ class AttackCampaign:
     def fingerprint(self) -> Dict[str, object]:
         """JSON-serialisable identity of this campaign's trace function.
 
-        Keys the stored chunks of :meth:`run_checkpointed`: equal
-        fingerprints guarantee byte-identical traces for equal
+        Keys the stored chunks of a :meth:`run` given a ``runner``:
+        equal fingerprints guarantee byte-identical traces for equal
         plaintext slices.
         """
         return {"experiment": "cpa-campaign",
@@ -144,58 +144,46 @@ class AttackCampaign:
             with_dpa: bool = False,
             grid: Optional[TraceGrid] = None,
             workers: int = 1, backend: str = "auto",
-            chunk_size: int = DEFAULT_CHUNK) -> CampaignResult:
+            chunk_size: int = DEFAULT_CHUNK,
+            runner=None) -> CampaignResult:
         """Collect traces and attack.
 
         Defaults to all 256 plaintexts — the exhaustive enumeration the
         paper uses.  ``workers`` spreads the acquisition over a process
         (or thread) pool; the traces are byte-identical for any worker
         count.
+
+        ``runner``, when given, is a
+        :class:`repro.experiments.runner.CheckpointedRun` (duck-typed to
+        keep this layer free of experiment imports): each acquired chunk
+        is stored under this campaign's fingerprint, and a killed
+        campaign restarted on the same store acquires only the chunks it
+        lacks.  Noise is keyed by trace index, so resumed (and parallel)
+        acquisition is byte-identical to an uninterrupted serial run; a
+        different seeding scheme, entropy or grid keys different chunks
+        and reuses nothing.
         """
         pts = list(plaintexts) if plaintexts is not None else list(range(256))
         tele = self.telemetry
         with tele.span("sca.campaign", style=self.library.style,
                        key=self.key, n_traces=len(pts),
-                       checkpointed=False):
+                       checkpointed=runner is not None):
             with AcquisitionPool(self._acquirer_factory(grid),
                                  workers=workers, backend=backend,
                                  chunk_size=chunk_size,
                                  telemetry=tele) as pool:
-                traces = pool.acquire(pts)
-            return self._attack(pts, traces, with_dpa)
+                if runner is None:
+                    traces = pool.acquire(pts)
+                else:
+                    def process(chunk: Sequence[int],
+                                start: int) -> np.ndarray:
+                        return pool.acquire(chunk, trace_offset=start)
 
-    def run_checkpointed(self, runner, plaintexts: Optional[Sequence[int]] = None,
-                         with_dpa: bool = False,
-                         grid: Optional[TraceGrid] = None,
-                         workers: int = 1,
-                         backend: str = "auto") -> CampaignResult:
-        """Like :meth:`run`, but collect traces through a resumable runner.
-
-        ``runner`` is a :class:`repro.experiments.runner.CheckpointedRun`
-        (duck-typed to keep this layer free of experiment imports): each
-        acquired chunk is stored under this campaign's fingerprint, and
-        a killed campaign restarted on the same store acquires only the
-        chunks it lacks.  Noise is keyed by trace index, so resumed (and
-        parallel) acquisition is byte-identical to an uninterrupted
-        serial run; a different seeding scheme, entropy or grid keys
-        different chunks and reuses nothing.
-        """
-        pts = list(plaintexts) if plaintexts is not None else list(range(256))
-        tele = self.telemetry
-        with tele.span("sca.campaign", style=self.library.style,
-                       key=self.key, n_traces=len(pts),
-                       checkpointed=True):
-            with AcquisitionPool(self._acquirer_factory(grid),
-                                 workers=workers, backend=backend,
-                                 telemetry=tele) as pool:
-
-                def process(chunk: Sequence[int], start: int) -> np.ndarray:
-                    return pool.acquire(chunk, trace_offset=start)
-
-                fingerprint = self.fingerprint()
-                if grid is not None:
-                    fingerprint["grid"] = [grid.t0, grid.t1, grid.dt]
-                traces = runner.run(pts, process, fingerprint=fingerprint)
+                    fingerprint = self.fingerprint()
+                    if grid is not None:
+                        fingerprint["grid"] = [grid.t0, grid.t1, grid.dt]
+                    traces = runner.run(pts, process,
+                                        fingerprint=fingerprint)
             return self._attack(pts, traces, with_dpa)
 
     def _attack(self, pts: List[int], traces: np.ndarray,

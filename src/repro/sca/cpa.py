@@ -25,7 +25,7 @@ import numpy as np
 
 from ..errors import AttackError
 from .leakage import all_guess_hypotheses
-from .ranking import tie_aware_rank, tie_width
+from .ranking import KeyRanking
 
 
 def correlation_matrix(traces: np.ndarray,
@@ -56,45 +56,17 @@ def correlation_matrix(traces: np.ndarray,
     return rho
 
 
-@dataclass
-class CPAResult:
+@dataclass(repr=False)
+class CPAResult(KeyRanking):
     """Outcome of one CPA attack."""
 
     rho: np.ndarray            # (256, n_samples)
-    best_guess: int
     true_key: Optional[int] = None
 
     @property
     def peak_per_guess(self) -> np.ndarray:
         """max |rho| over time for each guess — the Fig. 6 ranking."""
         return np.abs(self.rho).max(axis=1)
-
-    @property
-    def succeeded(self) -> Optional[bool]:
-        if self.true_key is None:
-            return None
-        return self.best_guess == self.true_key
-
-    def rank_of_true_key(self) -> float:
-        """0.0 = the true key uniquely has the highest peak.
-
-        Tied peaks rank at the midpoint of the tie class: the flat
-        protected-trace outcome (all 256 peaks equal) ranks 127.5 for
-        any true key, instead of leaking the key byte back out through
-        a stable argsort.
-        """
-        if self.true_key is None:
-            raise AttackError("true key unknown")
-        return tie_aware_rank(self.peak_per_guess, self.true_key)
-
-    def best_guess_tie_width(self) -> int:
-        """How many guesses share the winning peak.
-
-        ``best_guess`` is an argmax; when this is > 1 that argmax was an
-        arbitrary pick among equals (256 on a perfectly flat trace set)
-        and "best" carries no information.
-        """
-        return tie_width(self.peak_per_guess)
 
     def distinguishability(self) -> float:
         """Peak margin of the true key over the best wrong guess.
@@ -111,18 +83,9 @@ class CPAResult:
             return float("inf") if peaks[self.true_key] > 0 else 1.0
         return float(peaks[self.true_key] / best_other)
 
-    def __repr__(self) -> str:
-        status = ""
-        if self.true_key is not None:
-            status = (", SUCCESS" if self.succeeded
-                      else f", rank {self.rank_of_true_key()}")
-        return (f"CPAResult(best={self.best_guess:#04x}"
-                f"{status}, peak={self.peak_per_guess.max():.4f})")
-
 
 def cpa_attack(traces: np.ndarray, plaintexts: Sequence[int],
                true_key: Optional[int] = None) -> CPAResult:
     """Run CPA with the Hamming-weight model over all 256 key guesses."""
     rho = correlation_matrix(traces, all_guess_hypotheses(plaintexts))
-    best = int(np.abs(rho).max(axis=1).argmax())
-    return CPAResult(rho=rho, best_guess=best, true_key=true_key)
+    return CPAResult(rho=rho, true_key=true_key)

@@ -5,27 +5,31 @@ predicted bit of the S-box output and subtract the partition means; the
 correct key guess shows a bias spike where wrong guesses average out.
 Kept alongside CPA because the two attacks have different statistical
 power — the resistance claim should (and does) hold for both.
+
+Both attacks here are one difference-of-means kernel: the classic
+single-bit DPA partitions on ``target_bit`` alone, Messerges' multi-bit
+DPA sums the signed differentials of all eight S-box output bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
 from ..aes.sbox import SBOX
 from ..errors import AttackError
-from .leakage import check_bytes
-from .ranking import tie_aware_rank, tie_width
+from .leakage import check_traces
+from .ranking import KeyRanking
 
 
-@dataclass
-class DPAResult:
-    """Outcome of one difference-of-means attack."""
+@dataclass(repr=False)
+class DPAResult(KeyRanking):
+    """Outcome of one difference-of-means attack (``target_bit`` -1 for
+    the multi-bit form)."""
 
     differentials: np.ndarray   # (256, n_samples)
-    best_guess: int
     target_bit: int
     true_key: Optional[int] = None
 
@@ -33,29 +37,27 @@ class DPAResult:
     def peak_per_guess(self) -> np.ndarray:
         return np.abs(self.differentials).max(axis=1)
 
-    @property
-    def succeeded(self) -> Optional[bool]:
-        if self.true_key is None:
-            return None
-        return self.best_guess == self.true_key
 
-    def rank_of_true_key(self) -> float:
-        """Tie-aware rank: ties count at their midpoint, so a flat
-        differential set ranks 127.5 regardless of the key byte."""
-        if self.true_key is None:
-            raise AttackError("true key unknown")
-        return tie_aware_rank(self.peak_per_guess, self.true_key)
+def _difference_of_means(traces: np.ndarray, plaintexts: Sequence[int],
+                         bits: Iterable[int]) -> np.ndarray:
+    """(256, n_samples) sum over ``bits`` of the per-guess differential
+    ``mean(traces | bit set) - mean(traces | bit clear)``.
 
-    def best_guess_tie_width(self) -> int:
-        """Guesses sharing the winning differential peak (argmax ties)."""
-        return tie_width(self.peak_per_guess)
-
-    def __repr__(self) -> str:
-        status = ""
-        if self.true_key is not None:
-            status = (", SUCCESS" if self.succeeded
-                      else f", rank {self.rank_of_true_key()}")
-        return f"DPAResult(best={self.best_guess:#04x}{status})"
+    ``np.mean`` sums from +0.0, so a differential is never -0.0 and the
+    one-bit sum equals the differential itself byte for byte.
+    """
+    traces, pts = check_traces(traces, plaintexts)
+    sbox = np.asarray(SBOX, dtype=np.int64)
+    accumulated = np.zeros((256, traces.shape[1]))
+    for guess in range(256):
+        hyp = sbox[pts ^ guess]
+        for bit in bits:
+            mask = ((hyp >> bit) & 1) == 1
+            if not mask.any() or mask.all():
+                continue  # degenerate partition: no information from it
+            accumulated[guess] += (traces[mask].mean(axis=0)
+                                   - traces[~mask].mean(axis=0))
+    return accumulated
 
 
 def dpa_attack(traces: np.ndarray, plaintexts: Sequence[int],
@@ -64,24 +66,10 @@ def dpa_attack(traces: np.ndarray, plaintexts: Sequence[int],
     """Single-bit difference-of-means over all 256 guesses."""
     if not 0 <= target_bit <= 7:
         raise AttackError(f"target bit out of range: {target_bit}")
-    traces = np.asarray(traces, dtype=float)
-    pts = check_bytes(plaintexts)
-    if traces.shape[0] != pts.size:
-        raise AttackError("trace/plaintext count mismatch")
-    sbox = np.asarray(SBOX, dtype=np.int64)
-    n_samples = traces.shape[1]
-    differentials = np.zeros((256, n_samples))
-    for guess in range(256):
-        bit = (sbox[pts ^ guess] >> target_bit) & 1
-        ones = bit == 1
-        zeros = ~ones
-        if not ones.any() or not zeros.any():
-            continue  # degenerate partition: no information from this guess
-        differentials[guess] = traces[ones].mean(axis=0) - \
-            traces[zeros].mean(axis=0)
-    best = int(np.abs(differentials).max(axis=1).argmax())
-    return DPAResult(differentials=differentials, best_guess=best,
-                     target_bit=target_bit, true_key=true_key)
+    return DPAResult(
+        differentials=_difference_of_means(traces, plaintexts,
+                                           (target_bit,)),
+        target_bit=target_bit, true_key=true_key)
 
 
 def multibit_dpa_attack(traces: np.ndarray, plaintexts: Sequence[int],
@@ -96,20 +84,6 @@ def multibit_dpa_attack(traces: np.ndarray, plaintexts: Sequence[int],
     classic DoM from "marginal at 256 traces" to a clean break, while
     MCML/PG-MCML still give it nothing to vote on.
     """
-    traces = np.asarray(traces, dtype=float)
-    pts = check_bytes(plaintexts)
-    if traces.shape[0] != pts.size:
-        raise AttackError("trace/plaintext count mismatch")
-    sbox = np.asarray(SBOX, dtype=np.int64)
-    accumulated = np.zeros((256, traces.shape[1]))
-    for guess in range(256):
-        hyp = sbox[pts ^ guess]
-        for bit in range(8):
-            mask = ((hyp >> bit) & 1) == 1
-            if not mask.any() or mask.all():
-                continue
-            accumulated[guess] += (traces[mask].mean(axis=0)
-                                   - traces[~mask].mean(axis=0))
-    best = int(np.abs(accumulated).max(axis=1).argmax())
-    return DPAResult(differentials=accumulated, best_guess=best,
-                     target_bit=-1, true_key=true_key)
+    return DPAResult(
+        differentials=_difference_of_means(traces, plaintexts, range(8)),
+        target_bit=-1, true_key=true_key)

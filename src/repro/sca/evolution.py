@@ -15,7 +15,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from ..errors import AttackError
-from .cpa import cpa_attack
+from .metrics import prefix_cpa
 
 
 @dataclass
@@ -23,7 +23,7 @@ class EvolutionPoint:
     n_traces: int
     true_peak: float
     wrong_envelope: float
-    rank: int
+    rank: float      # tie-aware: 127.5 on a flat trace set
 
     @property
     def escaped(self) -> bool:
@@ -47,7 +47,7 @@ class CPAEvolution:
                 escape = None
         return escape
 
-    def final_rank(self) -> int:
+    def final_rank(self) -> float:
         return self.points[-1].rank
 
     def series(self):
@@ -60,19 +60,12 @@ class CPAEvolution:
 
 def cpa_evolution(traces: np.ndarray, plaintexts: Sequence[int],
                   true_key: int, step: int = 32) -> CPAEvolution:
-    """Re-run CPA on growing prefixes of the campaign."""
-    traces = np.asarray(traces, dtype=float)
-    pts = list(plaintexts)
-    if traces.shape[0] != len(pts):
-        raise AttackError("trace/plaintext count mismatch")
+    """Re-run CPA on growing prefixes of the campaign
+    (:func:`~repro.sca.metrics.prefix_cpa`)."""
     if step < 2:
         raise AttackError("step must be at least 2")
-    counts = list(range(step, traces.shape[0] + 1, step))
-    if not counts or counts[-1] != traces.shape[0]:
-        counts.append(traces.shape[0])
     points: List[EvolutionPoint] = []
-    for n in counts:
-        result = cpa_attack(traces[:n], pts[:n], true_key=true_key)
+    for n, result in prefix_cpa(traces, plaintexts, true_key, step):
         peaks = result.peak_per_guess
         wrong = float(np.delete(peaks, true_key).max())
         points.append(EvolutionPoint(

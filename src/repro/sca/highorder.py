@@ -19,9 +19,9 @@ attack axis:
   arbitrary, unequal, or of mixed sign (exactly the per-die residual
   pattern MCML mismatch and WDDL rail imbalance produce).
 
-Both return result objects mirroring :class:`repro.sca.cpa.CPAResult`
-(tie-aware ranking included), so campaign metrics treat every attack
-uniformly.
+Both return results that share :class:`repro.sca.ranking.KeyRanking`
+with :class:`repro.sca.cpa.CPAResult` (tie-aware rank, one success
+rule), so campaign metrics treat every attack uniformly.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ import numpy as np
 from ..aes.sbox import SBOX
 from ..errors import AttackError
 from .cpa import CPAResult, cpa_attack
-from .leakage import check_bytes
-from .ranking import tie_aware_rank, tie_width
+from .leakage import check_traces
+from .ranking import KeyRanking
 
 #: Cap on samples entering the pairwise product (O(k^2) combined width).
 DEFAULT_COMBINE_SAMPLES = 48
@@ -83,12 +83,11 @@ def second_order_cpa(traces: np.ndarray, plaintexts: Sequence[int],
     return cpa_attack(combined, plaintexts, true_key=true_key)
 
 
-@dataclass
-class MlpaResult:
+@dataclass(repr=False)
+class MlpaResult(KeyRanking):
     """Outcome of one multi-linear regression attack."""
 
     r2: np.ndarray             # (256, n_samples) explained-variance ratio
-    best_guess: int
     degree: int
     true_key: Optional[int] = None
 
@@ -96,30 +95,6 @@ class MlpaResult:
     def peak_per_guess(self) -> np.ndarray:
         """max R² over time for each guess — the MLPA ranking."""
         return self.r2.max(axis=1)
-
-    @property
-    def succeeded(self) -> Optional[bool]:
-        if self.true_key is None:
-            return None
-        return self.best_guess == self.true_key
-
-    def rank_of_true_key(self) -> float:
-        """Tie-aware rank (0.0 = unique best; flat R² ranks 127.5)."""
-        if self.true_key is None:
-            raise AttackError("true key unknown")
-        return tie_aware_rank(self.peak_per_guess, self.true_key)
-
-    def best_guess_tie_width(self) -> int:
-        """Guesses sharing the winning R² (argmax ties)."""
-        return tie_width(self.peak_per_guess)
-
-    def __repr__(self) -> str:
-        status = ""
-        if self.true_key is not None:
-            status = (", SUCCESS" if self.succeeded
-                      else f", rank {self.rank_of_true_key()}")
-        return (f"MlpaResult(best={self.best_guess:#04x}{status}, "
-                f"deg={self.degree}, R2={self.peak_per_guess.max():.4f})")
 
 
 def _mlpa_basis(pts: np.ndarray, guess: int, degree: int) -> np.ndarray:
@@ -152,12 +127,7 @@ def mlpa_attack(traces: np.ndarray, plaintexts: Sequence[int],
     basis the attack degrades to degree 1 rather than overfitting
     (36 regressors on 40 traces would "explain" pure noise).
     """
-    traces = np.asarray(traces, dtype=float)
-    pts = check_bytes(list(plaintexts))
-    if traces.ndim != 2:
-        raise AttackError("traces must be 2-D (n_traces, n_samples)")
-    if traces.shape[0] != pts.size:
-        raise AttackError("trace/plaintext count mismatch")
+    traces, pts = check_traces(traces, plaintexts)
     if degree not in (1, 2):
         raise AttackError(f"MLPA degree must be 1 or 2: {degree}")
     n = traces.shape[0]
@@ -182,6 +152,4 @@ def mlpa_attack(traces: np.ndarray, plaintexts: Sequence[int],
         q = q[:, keep]
         explained = ((q.T @ t_centered) ** 2).sum(axis=0)
         r2[guess] = np.where(total > 0.0, explained / safe_total, 0.0)
-    best = int(r2.max(axis=1).argmax())
-    return MlpaResult(r2=r2, best_guess=best, degree=degree,
-                      true_key=true_key)
+    return MlpaResult(r2=r2, degree=degree, true_key=true_key)

@@ -8,12 +8,14 @@ targets and for the ablation studies.
 
 Every model and attack checks its bytes through :func:`check_bytes`:
 an index outside 0..255 would otherwise wrap around the S-box (a
-negative byte) or escape as a bare ``IndexError``.
+negative byte) or escape as a bare ``IndexError``.  Attacks that take a
+trace matrix check it against its plaintexts through
+:func:`check_traces`.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -45,6 +47,21 @@ def check_bytes(plaintexts: Sequence[int], key_guess: int = 0) -> np.ndarray:
     if pts.min() < 0 or pts.max() > 0xFF:
         raise AttackError("plaintext bytes out of range")
     return pts
+
+
+def check_traces(traces: np.ndarray, plaintexts: Sequence[int],
+                 ) -> Tuple[np.ndarray, np.ndarray]:
+    """Traces as a float (n_traces, n_samples) matrix and their
+    :func:`check_bytes`-checked plaintexts, one byte per trace row."""
+    traces = np.asarray(traces, dtype=float)
+    pts = check_bytes(plaintexts)
+    if traces.ndim != 2:
+        raise AttackError("traces must be 2-D (n_traces, n_samples)")
+    if traces.shape[0] != pts.size:
+        raise AttackError(
+            f"trace/plaintext count mismatch: {traces.shape[0]} traces vs "
+            f"{pts.size} plaintexts")
+    return traces, pts
 
 
 def hamming_weight(value: int) -> int:

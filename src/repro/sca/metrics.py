@@ -4,16 +4,22 @@ The community-standard quantities for comparing countermeasures: key
 rank after N traces, guessing entropy (average rank over campaigns),
 success rate, and measurements-to-disclosure (MTD) — the smallest trace
 count at which the attack stabilises on the correct key.
+
+Every verdict here uses the one success rule of
+:class:`repro.sca.ranking.KeyRanking`: the true key must hold the top
+score alone (tie-aware rank 0.0), so a flat or tied score vector never
+counts as a recovery, whatever the key byte.
 """
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..errors import AttackError
-from .cpa import cpa_attack
+from .cpa import CPAResult, cpa_attack
+from .leakage import check_traces
 from .ranking import tie_aware_rank
 
 
@@ -43,13 +49,36 @@ def guessing_entropy(ranks: Sequence[float]) -> float:
 
 
 def success_rate(ranks: Sequence[float], order: int = 1) -> float:
-    """Fraction of campaigns where the true key ranks within ``order``."""
+    """Fraction of campaigns where the true key ranks within ``order``.
+
+    A campaign counts at order ``o`` only when its tie-aware rank is at
+    most ``o - 1``.  At order 1 that is the success rule of
+    :class:`~repro.sca.ranking.KeyRanking`: a true key tied with one
+    other guess at the top (rank 0.5) has not been recovered.
+    """
     ranks_arr = np.asarray(ranks, dtype=float)
     if ranks_arr.size == 0:
         raise AttackError("no ranks supplied")
     if order < 1:
         raise AttackError("order must be >= 1")
-    return float((ranks_arr < order).mean())
+    return float((ranks_arr <= order - 1).mean())
+
+
+def prefix_cpa(traces: np.ndarray, plaintexts: Sequence[int],
+               true_key: int, step: int) -> Iterator[Tuple[int, CPAResult]]:
+    """``(n, CPA on the first n traces)`` every ``step`` traces.
+
+    The full trace set is always evaluated last, even when it is not a
+    multiple of ``step``: fewer traces than one step must still run CPA
+    once, not silently report "never disclosed".
+    """
+    traces, pts = check_traces(traces, plaintexts)
+    total = traces.shape[0]
+    counts = list(range(step, total + 1, step))
+    if not counts or counts[-1] != total:
+        counts.append(total)
+    for n in counts:
+        yield n, cpa_attack(traces[:n], pts[:n], true_key=true_key)
 
 
 def mtd(traces: np.ndarray, plaintexts: Sequence[int], true_key: int,
@@ -57,27 +86,18 @@ def mtd(traces: np.ndarray, plaintexts: Sequence[int], true_key: int,
     """Measurements to disclosure.
 
     Re-runs CPA on growing prefixes of the trace set (every ``step``
-    traces) and returns the smallest count from which the true key stays
-    rank 0 for ``stable_windows`` consecutive evaluations — or ``None``
-    if the attack never stabilises within the available traces (the
-    protected-logic outcome).
+    traces, see :func:`prefix_cpa`) and returns the smallest count from
+    which the attack succeeds — the true key alone at rank 0 — for
+    ``stable_windows`` consecutive evaluations, or ``None`` if it never
+    stabilises within the available traces (the protected-logic
+    outcome).
     """
-    traces = np.asarray(traces, dtype=float)
-    pts = list(plaintexts)
-    if traces.shape[0] != len(pts):
-        raise AttackError("trace/plaintext count mismatch")
     if step < 1:
         raise AttackError("step must be positive")
-    counts = list(range(step, traces.shape[0] + 1, step))
-    if not counts or counts[-1] != traces.shape[0]:
-        # Always evaluate the full trace set: fewer traces than one step
-        # must still run CPA once, not silently report "never disclosed".
-        counts.append(traces.shape[0])
     streak = 0
     candidate: Optional[int] = None
-    for n in counts:
-        result = cpa_attack(traces[:n], pts[:n], true_key=true_key)
-        if result.best_guess == true_key:
+    for n, result in prefix_cpa(traces, plaintexts, true_key, step):
+        if result.succeeded:
             if streak == 0:
                 candidate = n
             streak += 1

@@ -16,11 +16,19 @@ Every ranking in :mod:`repro.sca` — CPA, DPA, MLPA, and the standalone
 :func:`repro.sca.metrics.key_rank` — goes through this module, and the
 tie width is surfaced so a "best guess" produced by an argmax over tied
 peaks is recognisable as the coin toss it is.
+
+Success has one rule, kept here in :class:`KeyRanking`: an attack
+recovers the key only when the true key's tie-aware rank is 0.0, i.e.
+it holds a unique maximum.  A true key that merely shares the top score
+is not recovered; an argmax test would call it recovered exactly when
+its byte is the lowest of the tie class (key ``0x00`` on a flat trace
+set).  :func:`repro.sca.metrics.mtd` and
+:func:`repro.sca.metrics.success_rate` apply the same rule.
 """
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -61,8 +69,52 @@ def tie_width(scores: Sequence[float], index: int = None) -> int:
     return int(np.count_nonzero(arr == value))
 
 
-def rank_and_ties(scores: Sequence[float],
-                  index: int) -> Tuple[float, int, int]:
-    """``(tie-aware rank, tie width at index, tie width at max)``."""
-    return (tie_aware_rank(scores, index), tie_width(scores, index),
-            tie_width(scores))
+class KeyRanking:
+    """Verdicts a key-recovery result derives from its per-guess scores.
+
+    Mixed into the attack result dataclasses (declared with
+    ``repr=False``), which provide ``peak_per_guess`` — one score per
+    key guess, higher is better — and a ``true_key`` field.
+    """
+
+    @property
+    def best_guess(self) -> int:
+        """Argmax of ``peak_per_guess``: the lowest index of a top tie,
+        so see :meth:`best_guess_tie_width` before trusting it."""
+        return int(self.peak_per_guess.argmax())
+
+    @property
+    def succeeded(self) -> Optional[bool]:
+        """True only when the true key uniquely holds the top score."""
+        if self.true_key is None:
+            return None
+        return self.rank_of_true_key() == 0.0
+
+    def rank_of_true_key(self) -> float:
+        """0.0 = the true key uniquely has the highest score.
+
+        Tied scores rank at the midpoint of the tie class: the flat
+        protected-trace outcome (all 256 scores equal) ranks 127.5 for
+        any true key, instead of leaking the key byte back out through
+        a stable argsort.
+        """
+        if self.true_key is None:
+            raise AttackError("true key unknown")
+        return tie_aware_rank(self.peak_per_guess, self.true_key)
+
+    def best_guess_tie_width(self) -> int:
+        """How many guesses share the winning score.
+
+        When this is > 1 the argmax ``best_guess`` was an arbitrary pick
+        among equals (256 on a perfectly flat trace set) and "best"
+        carries no information.
+        """
+        return tie_width(self.peak_per_guess)
+
+    def __repr__(self) -> str:
+        status = ""
+        if self.true_key is not None:
+            status = (", SUCCESS" if self.succeeded
+                      else f", rank {self.rank_of_true_key()}")
+        return (f"{type(self).__name__}(best={self.best_guess:#04x}"
+                f"{status}, peak={self.peak_per_guess.max():.4f})")

@@ -98,15 +98,16 @@ class TestByteIdenticalAcrossExecution:
         path = tmp_path / "store"
         campaign = AttackCampaign(library, KEY)
         with pytest.raises(KeyboardInterrupt):
-            campaign.run_checkpointed(
-                kill_after_puts(CheckpointedRun(path, chunk_size=8), 2),
-                PTS, workers=2, backend="thread")
+            campaign.run(
+                PTS, workers=2, backend="thread",
+                runner=kill_after_puts(CheckpointedRun(path, chunk_size=8),
+                                       2))
 
         tele = Telemetry(sinks=[MemorySink()])
         runner = CheckpointedRun(path, chunk_size=8)
         resumed = AttackCampaign(library, KEY,
-                                 telemetry=tele).run_checkpointed(
-            runner, PTS, workers=4, backend="thread")
+                                 telemetry=tele).run(
+            PTS, workers=4, backend="thread", runner=runner)
         assert runner.stats.chunks_resumed == 2
         assert runner.stats.chunks_run == 3
         # Only the three missing chunks were acquired.
@@ -238,13 +239,14 @@ class TestCheckpointScheme:
         path = tmp_path / "store"
         first = AttackCampaign(library, KEY, chain=MeasurementChain(seed=1))
         with pytest.raises(KeyboardInterrupt):
-            first.run_checkpointed(
-                kill_after_puts(CheckpointedRun(path, chunk_size=8), 1),
-                pts)
+            first.run(
+                pts,
+                runner=kill_after_puts(CheckpointedRun(path, chunk_size=8),
+                                       1))
         second = AttackCampaign(library, KEY,
                                 chain=MeasurementChain(seed=2))
         runner = CheckpointedRun(path, chunk_size=8)
-        resumed = second.run_checkpointed(runner, pts)
+        resumed = second.run(pts, runner=runner)
         assert runner.stats.chunks_resumed == 0
         assert runner.stats.chunks_run == 2
         fresh = AttackCampaign(library, KEY,

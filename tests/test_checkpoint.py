@@ -167,13 +167,14 @@ class TestCampaignResume:
 
         campaign = AttackCampaign(lib, self.KEY)
         with pytest.raises(KeyboardInterrupt):
-            campaign.run_checkpointed(
-                kill_after_puts(CheckpointedRun(path, chunk_size=16), 2),
-                self.PLAINTEXTS)
+            campaign.run(
+                self.PLAINTEXTS,
+                runner=kill_after_puts(CheckpointedRun(path, chunk_size=16),
+                                       2))
 
         resumed_campaign = AttackCampaign(lib, self.KEY)
         runner = CheckpointedRun(path, chunk_size=16)
-        result = resumed_campaign.run_checkpointed(runner, self.PLAINTEXTS)
+        result = resumed_campaign.run(self.PLAINTEXTS, runner=runner)
         assert runner.stats.chunks_resumed == 2
         assert runner.stats.chunks_run == 1
 
@@ -217,9 +218,10 @@ class TestCampaignResume:
                                            n_traces=32)
 
         with pytest.raises(KeyboardInterrupt):
-            AttackCampaign(library, self.KEY).run_checkpointed(
-                kill_after_puts(CheckpointedRun(store, chunk_size=8), 2),
-                pts, workers=4, backend="thread")
+            AttackCampaign(library, self.KEY).run(
+                pts, workers=4, backend="thread",
+                runner=kill_after_puts(CheckpointedRun(store, chunk_size=8),
+                                       2))
         with pytest.raises(KeyboardInterrupt):
             fixed_vs_random_tvla(
                 netlist, key=self.KEY, n_traces=32,
@@ -229,9 +231,9 @@ class TestCampaignResume:
 
         tele = Telemetry(sinks=[MemorySink()])
         resumed = AttackCampaign(library, self.KEY,
-                                 telemetry=tele).run_checkpointed(
-            CheckpointedRun(store, chunk_size=8, telemetry=tele), pts,
-            workers=4, backend="thread")
+                                 telemetry=tele).run(
+            pts, workers=4, backend="thread",
+            runner=CheckpointedRun(store, chunk_size=8, telemetry=tele))
         assert resumed.traces.tobytes() == serial.traces.tobytes()
         assert resumed.cpa.rank_of_true_key() == \
             cpa_attack(serial.traces, pts,
@@ -259,12 +261,12 @@ class TestCampaignResume:
         lib = build_cmos_library()
         pts = self.PLAINTEXTS[:16]
         store = tmp_path / "store"
-        AttackCampaign(lib, self.KEY).run_checkpointed(
-            CheckpointedRun(store, chunk_size=8), pts)
+        AttackCampaign(lib, self.KEY).run(
+            pts, runner=CheckpointedRun(store, chunk_size=8))
         grid = TraceGrid(0.0, ns(2.0), ps(50.0))
         runner = CheckpointedRun(store, chunk_size=8)
-        coarse = AttackCampaign(lib, self.KEY).run_checkpointed(
-            runner, pts, grid=grid)
+        coarse = AttackCampaign(lib, self.KEY).run(pts, grid=grid,
+                                                   runner=runner)
         assert runner.stats.chunks_resumed == 0
         fresh = AttackCampaign(lib, self.KEY).run(pts, grid=grid)
         assert coarse.traces.tobytes() == fresh.traces.tobytes()

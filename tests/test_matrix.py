@@ -21,7 +21,6 @@ from repro.sca import (
     key_rank,
     mlpa_attack,
     mtd,
-    rank_and_ties,
     run_matrix,
     second_order_cpa,
     tie_aware_rank,
@@ -66,10 +65,6 @@ class TestTieAwareRank:
         scores = np.array([5.0, 5.0, 1.0])
         assert tie_width(scores) == 2
         assert tie_width(scores, 2) == 1
-
-    def test_rank_and_ties_triple(self):
-        rank, width, at_index = rank_and_ties(np.ones(4), 2)
-        assert rank == 1.5 and width == 4 and at_index == 4
 
     def test_validation(self):
         with pytest.raises(AttackError):

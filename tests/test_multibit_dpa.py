@@ -42,6 +42,48 @@ class TestMultibitDpa:
             multibit_dpa_attack(np.ones((4, 3)), [1, 2])
 
 
+def per_bit_differentials(traces, pts, bits):
+    """Difference of means guess by guess: one bit assigns the
+    differential, several bits add their differentials to zero."""
+    sbox = np.asarray(SBOX, dtype=np.int64)
+    pts = np.asarray(pts)
+    out = np.zeros((256, traces.shape[1]))
+    for guess in range(256):
+        for bit in bits:
+            ones = ((sbox[pts ^ guess] >> bit) & 1) == 1
+            if not ones.any() or ones.all():
+                continue
+            diff = traces[ones].mean(axis=0) - traces[~ones].mean(axis=0)
+            if len(bits) == 1:
+                out[guess] = diff
+            else:
+                out[guess] += diff
+    return out
+
+
+def _random_and_quantised():
+    traces, pts = charge_per_one_traces(n=120, seed=5)
+    # A 1.0 step leaves -0.0 and +0.0 side by side on flat samples.
+    return {"random": (traces, pts),
+            "quantised": (np.round(traces), pts)}
+
+
+class TestOneDifferenceOfMeansKernel:
+    @pytest.mark.parametrize("bit", range(8))
+    @pytest.mark.parametrize("name", ["random", "quantised"])
+    def test_single_bit_matches_per_bit_loop(self, name, bit):
+        traces, pts = _random_and_quantised()[name]
+        result = dpa_attack(traces, pts, target_bit=bit)
+        assert result.differentials.tobytes() == \
+            per_bit_differentials(traces, pts, [bit]).tobytes()
+
+    @pytest.mark.parametrize("name", ["random", "quantised"])
+    def test_multibit_matches_per_bit_loop(self, name):
+        traces, pts = _random_and_quantised()[name]
+        assert multibit_dpa_attack(traces, pts).differentials.tobytes() == \
+            per_bit_differentials(traces, pts, range(8)).tobytes()
+
+
 class TestCampaignDpa:
     def test_cmos_breaks_under_dpa(self):
         campaign = AttackCampaign(build_cmos_library(), 0x2B)

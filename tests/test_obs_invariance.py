@@ -106,23 +106,24 @@ class TestByteIdenticalWithTelemetry:
         first = Telemetry(sinks=[MemorySink()])
 
         with pytest.raises(KeyboardInterrupt):
-            AttackCampaign(library, KEY, telemetry=first).run_checkpointed(
-                kill_after_puts(CheckpointedRun(path, chunk_size=8,
-                                                telemetry=first), 2), PTS)
+            AttackCampaign(library, KEY, telemetry=first).run(
+                PTS, runner=kill_after_puts(
+                    CheckpointedRun(path, chunk_size=8, telemetry=first), 2))
         assert [s["attrs"]["resumed"] for s in first.sinks[0].spans()
                 if s["name"] == "checkpoint.chunk"] == [False, False]
 
         second = Telemetry(sinks=[MemorySink()])
         runner = CheckpointedRun(path, chunk_size=8, telemetry=second)
         resumed = AttackCampaign(library, KEY,
-                                 telemetry=second).run_checkpointed(
-            runner, PTS)
+                                 telemetry=second).run(PTS, runner=runner)
         assert runner.stats.chunks_resumed == 2
         assert np.array_equal(resumed.traces, reference)
         assert [s["attrs"]["resumed"] for s in second.sinks[0].spans()
                 if s["name"] == "checkpoint.chunk"] == [True, True, False]
         assert second.registry.counter("checkpoint.chunks_resumed").value \
             == 2
+        assert [s["attrs"]["checkpointed"] for s in second.sinks[0].spans()
+                if s["name"] == "sca.campaign"] == [True]
         validate_stream(second.sinks[0].records)
 
     def test_resume_without_telemetry_after_telemetry_run(self, style_setup,
@@ -135,11 +136,11 @@ class TestByteIdenticalWithTelemetry:
 
         tele = Telemetry(sinks=[MemorySink()])
         with pytest.raises(KeyboardInterrupt):
-            AttackCampaign(library, KEY, telemetry=tele).run_checkpointed(
-                kill_after_puts(CheckpointedRun(path, chunk_size=8,
-                                                telemetry=tele), 1), PTS)
+            AttackCampaign(library, KEY, telemetry=tele).run(
+                PTS, runner=kill_after_puts(
+                    CheckpointedRun(path, chunk_size=8, telemetry=tele), 1))
         runner = CheckpointedRun(path, chunk_size=8)
-        resumed = AttackCampaign(library, KEY).run_checkpointed(runner, PTS)
+        resumed = AttackCampaign(library, KEY).run(PTS, runner=runner)
         assert runner.stats.chunks_resumed == 1
         assert np.array_equal(resumed.traces, reference)
 
