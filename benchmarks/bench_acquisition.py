@@ -14,6 +14,13 @@ every trace on its own.  It records both rates, the
 ``sca.acquisition.simulated`` count (memo misses) and whether the
 bytes are identical.
 
+The ``shared_activity`` section measures the activity memo across dies,
+the grid's and the job service's load: CMOS and PG-MCML, 8 dies x 128
+seed-drawn traces each, acquired once with one ``ActivityMemo`` shared
+by every die's acquirer and once with a fresh acquirer (own memo) per
+die.  It records the simulations and seconds of both, whether their
+bytes are identical, and the CPU count.
+
 Also measures the observability layer (``repro.obs``) on the serial
 path: one run with a live Telemetry handle (its metrics registry
 snapshot lands in the JSON under ``telemetry``) and the no-telemetry
@@ -38,8 +45,9 @@ from conftest import run_once
 from repro.cells import build_cmos_library
 from repro.obs import Telemetry
 from repro.sca import AttackCampaign, TraceAcquirer, acquire_traces
-from repro.sca.acquisition import resolve_backend
+from repro.sca.acquisition import ActivityMemo, resolve_backend
 from repro.sca.attack import build_reduced_aes
+from repro.sca.matrix import STYLE_BUILDERS
 
 N_TRACES = 256
 WORKERS = 4
@@ -47,6 +55,10 @@ KEY = 0x2B
 #: The repeated-plaintext case: seed-drawn bytes, so most recur.
 N_REPEATED = 1024
 REPEATED_SEED = 0
+#: The shared-activity case: dies x traces per die, per style.
+SHARED_STYLES = ("cmos", "pgmcml")
+N_DIES = 8
+N_DIE_TRACES = 128
 
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RESULT_PATH = os.path.join(_REPO_ROOT, "BENCH_acquisition.json")
@@ -99,7 +111,8 @@ def _repeated_plaintexts_case(library) -> dict:
     oracle = TraceAcquirer(netlist, KEY)
     begin = time.perf_counter()
     uncached = np.array([
-        oracle.chain.measure(oracle.ideal_samples(p), trace_index=i)
+        oracle.chain.measure(oracle.compose(oracle.activity.simulate(p)),
+                             trace_index=i)
         for i, p in enumerate(pts)])
     uncached_s = time.perf_counter() - begin
 
@@ -119,6 +132,45 @@ def _repeated_plaintexts_case(library) -> dict:
         "byte_identical_to_uncached":
             memoised.tobytes() == uncached.tobytes(),
     }
+
+
+def _shared_activity_style(style: str) -> dict:
+    """Every die on one activity memo vs a fresh acquirer per die."""
+    netlist, _ = build_reduced_aes(STYLE_BUILDERS[style]())
+    rng = np.random.default_rng(REPEATED_SEED)
+    plaintexts = [[int(p) for p in rng.integers(0, 256, N_DIE_TRACES)]
+                  for _ in range(N_DIES)]
+
+    def acquire_dies(shared: bool):
+        begin = time.perf_counter()
+        memo = ActivityMemo(netlist, KEY) if shared else None
+        rows, simulated = [], 0
+        for die, pts in enumerate(plaintexts):
+            acquirer = TraceAcquirer(netlist, KEY, mismatch_seed=die,
+                                     activity=memo)
+            rows.append(acquirer.acquire(pts))
+            simulated += acquirer.simulated
+        return np.vstack(rows), simulated, time.perf_counter() - begin
+
+    shared, shared_sims, shared_s = acquire_dies(True)
+    fresh, fresh_sims, fresh_s = acquire_dies(False)
+    return {
+        "distinct_plaintexts": len(set().union(*plaintexts)),
+        "shared_simulations": shared_sims,
+        "fresh_simulations": fresh_sims,
+        "fresh_distinct_per_die": sum(len(set(p)) for p in plaintexts),
+        "shared_seconds": round(shared_s, 4),
+        "fresh_seconds": round(fresh_s, 4),
+        "speedup": round(fresh_s / shared_s, 3),
+        "byte_identical": shared.tobytes() == fresh.tobytes(),
+    }
+
+
+def _shared_activity_case() -> dict:
+    return {"cpu_count": os.cpu_count(), "dies": N_DIES,
+            "traces_per_die": N_DIE_TRACES, "seed": REPEATED_SEED,
+            **{style: _shared_activity_style(style)
+               for style in SHARED_STYLES}}
 
 
 def run_comparison():
@@ -164,6 +216,7 @@ def run_comparison():
             **_disabled_path_overhead_pct(serial_s),
         },
         "repeated_plaintexts": _repeated_plaintexts_case(library),
+        "shared_activity": _shared_activity_case(),
     }
     with open(RESULT_PATH, "w") as fh:
         json.dump(report, fh, indent=2)
@@ -185,6 +238,12 @@ def test_acquisition_parallel_equivalence_and_throughput(benchmark):
     repeated = report["repeated_plaintexts"]
     assert repeated["byte_identical_to_uncached"], repeated
     assert repeated["simulated"] == repeated["distinct_plaintexts"], repeated
+    for style in SHARED_STYLES:
+        case = report["shared_activity"][style]
+        assert case["byte_identical"], case
+        assert case["shared_simulations"] == case["distinct_plaintexts"], case
+        assert case["fresh_simulations"] == \
+            case["fresh_distinct_per_die"], case
     if (os.cpu_count() or 1) >= WORKERS:
         assert report["speedup"] >= 2.5, report
     benchmark.extra_info.update(report)

@@ -33,7 +33,7 @@ import numpy as np
 
 from ..cpu import aes_firmware
 from ..power.cpu_power import CpuLeakageModel, software_aes_traces
-from ..sca import cpa_attack
+from ..sca import CPAResult, cpa_attack
 from ..obs import default_telemetry
 from .runner import print_table
 
@@ -47,10 +47,17 @@ class ScenarioResult:
     window: str
     rank: float
     peak_rho: float
+    #: The attack's own verdict: ``CPAResult.succeeded``.
+    broken: bool
 
-    @property
-    def broken(self) -> bool:
-        return self.rank == 0
+    @classmethod
+    def from_attack(cls, name: str, window: str,
+                    attack: CPAResult) -> "ScenarioResult":
+        """Record one scenario's CPA outcome against its true key."""
+        return cls(name=name, window=window,
+                   rank=attack.rank_of_true_key(),
+                   peak_rho=float(attack.peak_per_guess[attack.true_key]),
+                   broken=bool(attack.succeeded))
 
 
 @dataclass
@@ -113,11 +120,9 @@ def run(key_byte: int = DEFAULT_KEY_BYTE,
         traces = software_aes_traces(
             lambda u=use_ise: aes_firmware(1, use_ise=u), key, plaintexts,
             model=model, cycles=cycles)
-        attack = cpa_attack(traces, pt_bytes, true_key=key_byte)
-        scenarios.append(ScenarioResult(
-            name=name, window=window_name,
-            rank=attack.rank_of_true_key(),
-            peak_rho=float(attack.peak_per_guess[key_byte])))
+        scenarios.append(ScenarioResult.from_attack(
+            name, window_name,
+            cpa_attack(traces, pt_bytes, true_key=key_byte)))
     return SoftwareAttackResult(scenarios=scenarios, key_byte=key_byte,
                                 n_traces=n_traces)
 

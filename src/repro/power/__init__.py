@@ -24,9 +24,11 @@ amplitude quantisation.
 
 from .models import BlockPowerModel, InstancePower
 from .trace import (
+    SettledActivity,
+    TransitionActivity,
     activity_current,
     differential_baseline,
-    trace_matrix,
+    driven_nets,
     wddl_baseline,
     wddl_current,
     TraceGrid,
@@ -43,9 +45,11 @@ from .preprocess import add_jitter, align, center, compress, standardize, window
 __all__ = [
     "BlockPowerModel",
     "InstancePower",
+    "SettledActivity",
+    "TransitionActivity",
     "activity_current",
     "differential_baseline",
-    "trace_matrix",
+    "driven_nets",
     "wddl_baseline",
     "wddl_current",
     "TraceGrid",

@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict
+from functools import cached_property
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -136,6 +137,50 @@ class BlockPowerModel:
 
     def residual_for(self, inst_name: str) -> float:
         return self.instances[inst_name].residual
+
+    @cached_property
+    def net_terms(self) -> Tuple[np.ndarray, np.ndarray]:
+        """``(toggle charge, residual)`` of each net's driving instance.
+
+        Both arrays are indexed by a net's position in ``netlist.nets``
+        (the index a :class:`~repro.power.trace.TransitionActivity`
+        stores) and hold zero where no modelled cell drives the net.  A
+        CMOS toggle's charge scales with the driven load relative to
+        the cell's characterisation load (its own input): bigger
+        fanout, more charge per toggle.  Cached: a die's constants.
+        """
+        netlist = self.netlist
+        position = {name: i for i, name in enumerate(netlist.nets)}
+        charges = np.zeros(len(position))
+        residuals = np.zeros(len(position))
+        for name, ip in self.instances.items():
+            inst = netlist.instances[name]
+            ref = max(inst.cell.input_cap, 1e-18)
+            for pin in inst.cell.outputs:
+                net = inst.pins[pin]
+                load = netlist.load_cap(net)
+                charges[position[net]] = \
+                    ip.toggle_charge * max(load / ref, 0.25)
+                residuals[position[net]] = ip.residual
+        return charges, residuals
+
+    @cached_property
+    def evaluation_terms(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(arrival time, residual, instance position)`` of every
+        modelled instance with a nonzero residual, in
+        :meth:`arrival_times` order.
+
+        The position indexes ``self.instances`` (the order of a
+        :class:`~repro.power.trace.SettledActivity`).  Cached: a die's
+        constants.
+        """
+        position = {name: i for i, name in enumerate(self.instances)}
+        terms = [(arrival, self.instances[name].residual, position[name])
+                 for name, arrival in self.arrival_times().items()
+                 if name in position and self.instances[name].residual != 0.0]
+        return (np.array([t for t, _, _ in terms], dtype=float),
+                np.array([r for _, r, _ in terms], dtype=float),
+                np.array([i for _, _, i in terms], dtype=np.intp))
 
     def arrival_times(self, t_apply: float = 0.0) -> Dict[str, float]:
         """Static output-arrival time per instance (inputs at t_apply).

@@ -1,8 +1,9 @@
 """Current-trace synthesis from logic activity.
 
 :func:`activity_current` converts the transition stream of an
-event-driven simulation into a sampled supply-current waveform, per the
-style-specific contribution rules of :mod:`repro.power.models`:
+event-driven simulation, held as a :class:`TransitionActivity`, into a
+sampled supply-current waveform, per the style-specific contribution
+rules of :mod:`repro.power.models`:
 
 * CMOS: each output toggle deposits its charge packet as a triangular
   pulse of width :data:`~repro.power.models.CMOS_PULSE_WIDTH` — exactly
@@ -15,23 +16,25 @@ The sampled result is intentionally *pre-measurement*: noise and the
 1 µA instrument quantisation live in :mod:`repro.power.noise` so studies
 can examine both sides of the probe.
 
-Trace composition is the hot path of every attack campaign (hundreds of
-thousands of pulse deposits per Fig. 6 run), so the pulse deposits and
-the residual level walk are batched numpy operations, and the entire
-data-independent part of a differential trace (static tails + the
-evaluation hum) is available pre-composed through
+Activity is die-independent, so it is kept as compact arrays
+(:class:`TransitionActivity`, :class:`SettledActivity`) that every die
+of a netlist shares; composing a die is array gathers from its
+:class:`BlockPowerModel`'s per-net and per-instance tables, a lexsort
+and one cumsum.  The pulse deposits are one batched accumulation, and
+the entire data-independent part of a differential trace (static tails
++ the evaluation hum) is available pre-composed through
 :func:`differential_baseline` for reuse across a whole campaign.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Mapping, Optional
 
 import numpy as np
 
 from ..errors import TraceError
-from ..netlist import SimulationTrace
+from ..netlist import GateNetlist, SimulationTrace
 from .models import (
     BlockPowerModel,
     CMOS_PULSE_WIDTH,
@@ -61,6 +64,63 @@ class TraceGrid:
 
     def index(self, t: float) -> float:
         return (t - self.t0) / self.dt
+
+
+def driven_nets(netlist: GateNetlist) -> Dict[str, int]:
+    """Position in ``netlist.nets`` of every net a physical cell drives.
+
+    A :class:`TransitionActivity` indexes nets by this position.
+    Primary inputs and pseudo-cell outputs are absent: their
+    transitions draw no supply current.
+    """
+    return {name: i for i, (name, net) in enumerate(netlist.nets.items())
+            if net.driver is not None
+            and not netlist.instances[net.driver[0]].cell.pseudo}
+
+
+@dataclass(frozen=True, eq=False)
+class TransitionActivity:
+    """The output transitions of one simulated cycle, as arrays.
+
+    Row ``i`` is the ``i``-th transition of the simulation's
+    (time, net)-ordered stream that a physical cell drives: its time,
+    its net's position in ``netlist.nets`` and the value it took.  No
+    field depends on the die, so every die of a netlist composes from
+    the same instance.
+    """
+
+    times: np.ndarray   # float64
+    nets: np.ndarray    # int32
+    values: np.ndarray  # bool
+
+    @classmethod
+    def from_trace(cls, trace: SimulationTrace,
+                   nets: Mapping[str, int]) -> "TransitionActivity":
+        """Keep the transitions of ``trace`` on the ``nets`` (see
+        :func:`driven_nets`) that a cell drove."""
+        kept = [tr for tr in trace.transitions
+                if tr.instance is not None and tr.net in nets]
+        return cls(times=np.array([tr.time for tr in kept], dtype=float),
+                   nets=np.array([nets[tr.net] for tr in kept],
+                                 dtype=np.int32),
+                   values=np.array([tr.value for tr in kept], dtype=bool))
+
+
+@dataclass(frozen=True, eq=False)
+class SettledActivity:
+    """The settled output of each modelled (non-pseudo) instance after
+    one WDDL evaluate phase, in ``netlist.instances`` order."""
+
+    values: np.ndarray  # bool
+
+    @classmethod
+    def from_values(cls, netlist: GateNetlist,
+                    net_values: Mapping[str, bool]) -> "SettledActivity":
+        """Read each instance's first output from settled net values."""
+        return cls(values=np.array(
+            [net_values[inst.pins[inst.cell.outputs[0]]]
+             for inst in netlist.instances.values()
+             if not inst.cell.pseudo], dtype=bool))
 
 
 def _deposit_triangles(samples: np.ndarray, grid: TraceGrid,
@@ -119,15 +179,31 @@ def wddl_baseline(model: BlockPowerModel, grid: TraceGrid,
     return samples
 
 
-def wddl_current(model: BlockPowerModel, values, grid: TraceGrid,
-                 include_static: bool = True,
+def _baseline_copy(model: BlockPowerModel, grid: TraceGrid,
+                   include_static: bool,
+                   baseline: Optional[np.ndarray]) -> np.ndarray:
+    """A fresh copy of the data-independent part of a WDDL or
+    differential trace: ``baseline`` when given, else composed now."""
+    if baseline is None:
+        if model.style == "wddl":
+            return wddl_baseline(model, grid, include_static)
+        return differential_baseline(model, grid, include_static)
+    if baseline.shape != (grid.n,):
+        raise TraceError(
+            f"baseline has {baseline.shape} samples, grid wants "
+            f"({grid.n},)")
+    return baseline.copy()
+
+
+def wddl_current(model: BlockPowerModel, activity: SettledActivity,
+                 grid: TraceGrid, include_static: bool = True,
                  baseline: Optional[np.ndarray] = None) -> np.ndarray:
     """Supply-current samples for one WDDL evaluate phase.
 
-    ``values`` maps instance name -> settled (single-rail) output value:
-    True means the true rail charged this cycle, False the false rail.
-    The data dependence is each instance's rail-imbalance charge, signed
-    by which rail won — added on top of the precomposed
+    ``activity`` holds each instance's settled (single-rail) output
+    value: True means the true rail charged this cycle, False the false
+    rail.  The data dependence is each instance's rail-imbalance charge,
+    signed by which rail won — added on top of the precomposed
     :func:`wddl_baseline` at the instance's static arrival time.  There
     is no transition stream: WDDL evaluates every gate exactly once per
     precharge/evaluate cycle by construction.
@@ -135,27 +211,14 @@ def wddl_current(model: BlockPowerModel, values, grid: TraceGrid,
     if model.style != "wddl":
         raise TraceError(
             f"wddl_current applies to WDDL blocks, not {model.style!r}")
-    if baseline is not None:
-        if baseline.shape != (grid.n,):
-            raise TraceError(
-                f"baseline has {baseline.shape} samples, grid wants "
-                f"({grid.n},)")
-        samples = baseline.copy()
-    else:
-        samples = wddl_baseline(model, grid, include_static)
-    times, charges = [], []
-    for inst_name, arrival in model.arrival_times().items():
-        ip = model.instances.get(inst_name)
-        if ip is None or ip.residual == 0.0:
-            continue
-        v = values.get(inst_name)
-        if v is None:
-            raise TraceError(
-                f"no settled output value for instance {inst_name!r}")
-        times.append(arrival)
-        charges.append(ip.residual if v else -ip.residual)
-    _deposit_triangles(samples, grid, np.asarray(times),
-                       np.asarray(charges), CMOS_PULSE_WIDTH)
+    if activity.values.shape != (len(model.instances),):
+        raise TraceError(
+            f"{activity.values.shape} settled values for "
+            f"{len(model.instances)} modelled instances")
+    samples = _baseline_copy(model, grid, include_static, baseline)
+    times, residuals, index = model.evaluation_terms
+    charges = np.where(activity.values[index], residuals, -residuals)
+    _deposit_triangles(samples, grid, times, charges, CMOS_PULSE_WIDTH)
     return samples
 
 
@@ -190,94 +253,52 @@ def differential_baseline(model: BlockPowerModel, grid: TraceGrid,
     return samples
 
 
-def _residual_levels(model: BlockPowerModel, trace: SimulationTrace,
+def _residual_levels(residuals: np.ndarray, activity: TransitionActivity,
                      grid: TraceGrid) -> Optional[np.ndarray]:
-    """Running mismatch-residual sum sampled on the grid (None if flat)."""
-    events = []  # (time, delta)
-    for tr in trace.transitions:
-        if tr.instance is None:
-            continue
-        ip = model.instances.get(tr.instance)
-        if ip is None or ip.residual == 0.0:
-            continue
-        events.append((tr.time, ip.residual if tr.value else -ip.residual))
-    if not events:
+    """Running mismatch-residual sum sampled on the grid (None if flat).
+
+    Each transition of a cell with a nonzero residual steps the sum by
+    +residual (output rose) or -residual (fell); the steps are summed in
+    (time, step) order.
+    """
+    steps = residuals[activity.nets]
+    moved = steps != 0.0
+    if not moved.any():
         return None
-    events.sort()
-    event_times = np.array([t for t, _ in events])
-    cumulative = np.cumsum([d for _, d in events])
-    idx = np.searchsorted(event_times, grid.times(), side="right")
+    times = activity.times[moved]
+    steps = np.where(activity.values[moved], steps[moved], -steps[moved])
+    order = np.lexsort((steps, times))
+    cumulative = np.cumsum(steps[order])
+    idx = np.searchsorted(times[order], grid.times(), side="right")
     return np.where(idx > 0, cumulative[np.maximum(idx - 1, 0)], 0.0)
 
 
-def activity_current(model: BlockPowerModel, trace: SimulationTrace,
+def activity_current(model: BlockPowerModel, activity: TransitionActivity,
                      grid: TraceGrid,
                      include_static: bool = True,
                      baseline: Optional[np.ndarray] = None) -> np.ndarray:
-    """Supply-current samples over ``grid`` for one activity trace.
+    """Supply-current samples over ``grid`` for one cycle's transitions.
 
     ``baseline``, for differential styles only, is a precomputed
     :func:`differential_baseline` (with matching ``include_static``) to
     reuse across many traces of one campaign; it is never mutated.
     """
-    netlist = model.netlist
-
     if model.style == "wddl":
         raise TraceError(
             "WDDL traces are phase-composed from settled values, not a "
             "transition stream; use wddl_current")
+    charges, residuals = model.net_terms
     if model.style == "cmos":
         if baseline is not None:
             raise TraceError("baseline reuse only applies to MCML styles")
         samples = np.zeros(grid.n)
         if include_static:
             samples += model.static_current()
-        times, charges = [], []
-        for tr in trace.transitions:
-            if tr.instance is None:
-                continue
-            ip = model.instances.get(tr.instance)
-            if ip is None:
-                continue
-            # Charge scales with the driven load relative to the cell's
-            # characterisation load (its own input): bigger fanout, more
-            # charge per toggle.
-            inst = netlist.instances[tr.instance]
-            load = netlist.load_cap(tr.net)
-            ref = max(inst.cell.input_cap, 1e-18)
-            times.append(tr.time)
-            charges.append(ip.toggle_charge * max(load / ref, 0.25))
-        _deposit_triangles(samples, grid, np.asarray(times),
-                           np.asarray(charges), CMOS_PULSE_WIDTH)
+        _deposit_triangles(samples, grid, activity.times,
+                           charges[activity.nets], CMOS_PULSE_WIDTH)
         return samples
-
-    if baseline is not None:
-        if baseline.shape != (grid.n,):
-            raise TraceError(
-                f"baseline has {baseline.shape} samples, grid wants "
-                f"({grid.n},)")
-        samples = baseline.copy()
-    else:
-        samples = differential_baseline(model, grid, include_static)
-    levels = _residual_levels(model, trace, grid)
+    samples = _baseline_copy(model, grid, include_static, baseline)
+    levels = _residual_levels(residuals, activity, grid)
     if levels is not None:
         samples += levels
     return samples
-
-
-def trace_matrix(model: BlockPowerModel, traces, grid: TraceGrid,
-                 include_static: bool = True) -> np.ndarray:
-    """Stack several activity traces into an (n_traces, n_samples) array.
-
-    For differential styles the shared data-independent baseline is
-    composed once for the whole batch.
-    """
-    traces = list(traces)
-    if not traces:
-        raise TraceError("no traces supplied")
-    baseline = None
-    if model.style != "cmos":
-        baseline = differential_baseline(model, grid, include_static)
-    rows = [activity_current(model, t, grid, include_static,
-                             baseline=baseline) for t in traces]
-    return np.vstack(rows)

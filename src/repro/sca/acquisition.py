@@ -14,14 +14,19 @@ count, chunking, or execution order:
   — every worker's :class:`BlockPowerModel` draws the same die;
 * chunks are reassembled by trace index, not completion order.
 
-:class:`TraceAcquirer` owns the per-worker hoisted state (one power
-model, one event simulator, the precomputed data-independent baseline
-for differential styles), so none of it is rebuilt per chunk.  It also
-memoises the noiseless samples per plaintext byte: the reduced AES
-takes one byte, so a die has at most 256 distinct ideal traces, and
-each is simulated and composed once per acquirer however often its
-byte recurs.  Noise and quantisation stay per trace, so the memo
-changes no output byte.
+Acquisition memoises at two levels, because the reduced AES takes one
+plaintext byte:
+
+* :class:`ActivityMemo` — the event simulation, which no die changes.
+  One memo per (netlist, key, ``t_apply``, window) simulates each
+  distinct byte once for every die and worker that shares it.
+* :class:`TraceAcquirer` — one die: its power model and precomputed
+  data-independent baseline, plus a row memo that composes each byte's
+  noiseless samples once per acquirer however often the byte recurs.
+
+Both memos are exact by construction: composition reads the same
+activity arrays in the same order, and noise and quantisation stay
+per trace, so neither changes an output byte.
 :func:`acquire_traces` is the one-shot entry point;
 :class:`AcquisitionPool` keeps a pool alive across many acquisitions
 (the checkpointed campaign path reuses one pool for every chunk).
@@ -52,9 +57,12 @@ from ..netlist import GateNetlist, LogicSimulator
 from ..power import (
     BlockPowerModel,
     MeasurementChain,
+    SettledActivity,
     TraceGrid,
+    TransitionActivity,
     activity_current,
     differential_baseline,
+    driven_nets,
     wddl_baseline,
     wddl_current,
 )
@@ -116,46 +124,118 @@ def validate_plaintexts(plaintexts: Sequence[int]) -> List[int]:
     return values
 
 
-class TraceAcquirer:
-    """One worker's end of a campaign: simulate, compose, measure.
+class ActivityMemo:
+    """The die-independent half of acquisition: simulated activity per
+    plaintext byte for one (netlist, key, ``t_apply``, window).
 
-    Owns everything that is loop-invariant across the campaign's traces
-    — the power model, the event simulator, the key stimulus, and (for
-    differential styles) the pre-composed data-independent baseline —
-    so per-chunk work is only the per-trace part.
+    The event simulation reads the netlist's timing, the key stimulus,
+    the apply time and the window, never the die (mismatch enters only
+    when a :class:`BlockPowerModel` composes).  So every die of a
+    netlist can share one memo: each distinct plaintext is simulated
+    once (``LogicSimulator.run``; ``initialize`` for WDDL) and kept as
+    compact arrays, a :class:`~repro.power.trace.TransitionActivity` or
+    :class:`~repro.power.trace.SettledActivity`.
+
+    Misses simulate one at a time under a lock (the simulator is
+    stateful), so acquirers on the thread backend can share a memo.
+    Forked process workers each get a copy.  The memo is never
+    process-wide: whoever builds acquirers for many dies of one netlist
+    hands them one memo and drops it when that netlist is done.
+    """
+
+    def __init__(self, netlist: GateNetlist, key: int, t_apply: float = 0.0,
+                 window: float = DEFAULT_WINDOW):
+        if not 0 <= key <= 0xFF:
+            raise AttackError(f"key byte out of range: {key}")
+        if not t_apply < window:
+            raise AttackError(
+                f"t_apply={t_apply:g} must fall before the capture "
+                f"window's end t1={window:g}")
+        self.netlist = netlist
+        self.key = key
+        self.t_apply = t_apply
+        self.window = window
+        self._settles = netlist.library.style == "wddl"
+        self._simulator = LogicSimulator(netlist)
+        self._nets = driven_nets(netlist)
+        self._key_bits = [(f"k{b}", bool((key >> (7 - b)) & 1))
+                          for b in range(8)]
+        self._lock = threading.RLock()
+        self._activity: Dict[int, object] = {}
+
+    def simulate(self, plaintext: int):
+        """One cycle's activity, simulated afresh (the uncached
+        reference for :meth:`get`).
+
+        Transition styles: ``reset()`` discharges every net, then key
+        and plaintext bits apply at ``t_apply``.  WDDL: ``reset()`` is
+        the precharge phase (the all-zero wave discharges every rail
+        pair) and ``initialize()`` the evaluate phase; its settled
+        single-rail values say which rail of each pair charged, and
+        each gate evaluates exactly once per cycle, so there is no
+        data-dependent transition stream to simulate.
+        """
+        bits = self._key_bits + [(f"p{b}", bool((plaintext >> (7 - b)) & 1))
+                                 for b in range(8)]
+        with self._lock:
+            sim = self._simulator
+            sim.reset()
+            if self._settles:
+                sim.initialize(dict(bits))
+                return SettledActivity.from_values(self.netlist, sim.values)
+            trace = sim.run([(self.t_apply, net, value)
+                             for net, value in bits], duration=self.window)
+        return TransitionActivity.from_trace(trace, self._nets)
+
+    def get(self, plaintext: int) -> Tuple[object, bool]:
+        """``(activity, simulated)``: ``simulated`` is True when this call
+        ran the simulation, so a caller counts its own misses even when
+        other threads grow the same memo."""
+        with self._lock:
+            activity = self._activity.get(plaintext)
+            if activity is not None:
+                return activity, False
+            activity = self._activity[plaintext] = self.simulate(plaintext)
+        return activity, True
+
+
+class TraceAcquirer:
+    """One die's end of a campaign: compose from shared activity, measure.
+
+    Owns the die — its power model and, for differential styles, the
+    pre-composed data-independent baseline — and takes the
+    die-independent activity from an :class:`ActivityMemo`, its own
+    unless ``activity`` hands it a shared one.
 
     :meth:`ideal_samples` is a pure function of the plaintext byte for
-    a given acquirer: the simulator's ``reset()`` returns to the
-    discharged die before every cycle, and the power model and baseline
-    are fixed at construction.  :meth:`acquire` therefore memoises its
-    rows per byte (at most 256 x ``grid.n`` floats).  The memo lives
-    and dies with the acquirer, so each worker keeps its own.
+    a given acquirer, so :meth:`acquire` also memoises its composed rows
+    per byte (at most 256 x ``grid.n`` floats).  That row memo lives and
+    dies with the acquirer, so each worker keeps its own.
     """
 
     def __init__(self, netlist: GateNetlist, key: int,
                  chain: Optional[MeasurementChain] = None,
                  grid: Optional[TraceGrid] = None,
-                 mismatch_seed: int = 0, t_apply: float = 0.0):
-        if not 0 <= key <= 0xFF:
-            raise AttackError(f"key byte out of range: {key}")
+                 mismatch_seed: int = 0, t_apply: float = 0.0,
+                 activity: Optional[ActivityMemo] = None):
         self.netlist = netlist
         self.key = key
         self.chain = chain if chain is not None else MeasurementChain()
         self.grid = grid if grid is not None else \
             TraceGrid(0.0, DEFAULT_WINDOW, DEFAULT_DT)
-        if not t_apply < self.grid.t1:
+        if activity is None:
+            activity = ActivityMemo(netlist, key, t_apply=t_apply,
+                                    window=self.grid.t1)
+        elif (activity.netlist is not netlist or activity.key != key
+              or activity.t_apply != t_apply
+              or activity.window != self.grid.t1):
             raise AttackError(
-                f"t_apply={t_apply:g} must fall before the capture "
-                f"window's end t1={self.grid.t1:g}")
+                "activity memo was built for another netlist, key, "
+                "t_apply or window")
+        self.activity = activity
         self.mismatch_seed = mismatch_seed
         self.t_apply = t_apply
         self.model = BlockPowerModel(netlist, seed=mismatch_seed)
-        self.simulator = LogicSimulator(netlist)
-        self._key_stimuli = [
-            (t_apply, f"k{b}", bool((key >> (7 - b)) & 1))
-            for b in range(8)]
-        self._key_inputs = {f"k{b}": bool((key >> (7 - b)) & 1)
-                            for b in range(8)}
         if self.model.style == "cmos":
             self._baseline = None
         elif self.model.style == "wddl":
@@ -163,64 +243,23 @@ class TraceAcquirer:
         else:
             self._baseline = differential_baseline(self.model, self.grid)
         self._ideal: Dict[int, np.ndarray] = {}
+        #: Simulations this acquirer ran (its misses on the shared memo).
+        self.simulated = 0
 
-    def fingerprint(self) -> Dict[str, object]:
-        """JSON-serialisable identity of this acquirer's trace function.
-
-        Two acquirers with equal fingerprints produce byte-identical
-        traces for equal ``(plaintexts, trace_offset)`` — the property
-        a content-addressed result store keys on.  Everything that
-        shapes a trace is present: the netlist identity, the key, the
-        mismatch die, the capture grid, and the measurement chain's own
-        fingerprint (entropy + seeding scheme).
-        """
-        return {
-            "netlist": self.netlist.name,
-            "style": self.model.style,
-            "key": self.key,
-            "mismatch_seed": self.mismatch_seed,
-            "t_apply": float(self.t_apply),
-            "grid": {"t0": float(self.grid.t0), "t1": float(self.grid.t1),
-                     "dt": float(self.grid.dt)},
-            "noise": self.chain.fingerprint(),
-        }
-
-    def _wddl_samples(self, plaintext: int) -> np.ndarray:
-        """One WDDL precharge/evaluate cycle.
-
-        ``reset()`` is the precharge phase — the all-zero wave has
-        discharged every rail pair (positive-monotonic gates propagate
-        it combinationally).  ``initialize()`` is the evaluate phase:
-        the settled single-rail values say which rail of each pair
-        charged, and the waveform composes analytically from the static
-        arrival profile — each gate evaluates exactly once per cycle,
-        so there is no data-dependent transition stream to simulate.
-        """
-        sim = self.simulator
-        sim.reset()
-        inputs = dict(self._key_inputs)
-        inputs.update({f"p{b}": bool((plaintext >> (7 - b)) & 1)
-                       for b in range(8)})
-        sim.initialize(inputs)
-        values = {
-            inst.name: sim.values[inst.pins[inst.cell.outputs[0]]]
-            for inst in self.netlist.instances.values()
-            if not inst.cell.pseudo}
-        return wddl_current(self.model, values, self.grid,
-                            baseline=self._baseline)
+    def compose(self, activity) -> np.ndarray:
+        """This die's pre-instrument current samples for one activity."""
+        if self.model.style == "wddl":
+            return wddl_current(self.model, activity, self.grid,
+                                baseline=self._baseline)
+        return activity_current(self.model, activity, self.grid,
+                                baseline=self._baseline)
 
     def ideal_samples(self, plaintext: int) -> np.ndarray:
-        """Pre-instrument current samples for one plaintext, simulated
-        afresh (the uncached reference for :meth:`acquire`'s memo)."""
-        if self.model.style == "wddl":
-            return self._wddl_samples(plaintext)
-        self.simulator.reset()
-        stimuli = list(self._key_stimuli)
-        stimuli += [(self.t_apply, f"p{b}",
-                     bool((plaintext >> (7 - b)) & 1)) for b in range(8)]
-        trace = self.simulator.run(stimuli, duration=self.grid.t1)
-        return activity_current(self.model, trace, self.grid,
-                                baseline=self._baseline)
+        """Pre-instrument current samples for one plaintext, composed
+        afresh (the uncached reference for :meth:`acquire`'s row memo)."""
+        activity, simulated = self.activity.get(plaintext)
+        self.simulated += simulated
+        return self.compose(activity)
 
     def acquire(self, plaintexts: Sequence[int],
                 trace_offset: int = 0) -> np.ndarray:
@@ -229,8 +268,8 @@ class TraceAcquirer:
         ``trace_offset`` is the campaign-global index of the first
         plaintext — it keys the noise, so a chunk produces the same
         bytes wherever and whenever it runs.  Each row's ideal samples
-        come from the memo, calling :meth:`ideal_samples` only for a
-        byte this acquirer has not simulated yet; the whole chunk then
+        come from the row memo, calling :meth:`ideal_samples` only for a
+        byte this acquirer has not composed yet; the whole chunk then
         goes through one
         :meth:`~repro.power.MeasurementChain.measure_block`, which is
         byte-identical to a per-trace ``measure`` loop.
@@ -271,17 +310,22 @@ def _instrumented_chunk(acquirer: TraceAcquirer, chunk_index: int,
     t0 = time.monotonic()
     collector.histogram("sca.acquisition.queue_wait_seconds").observe(
         max(0.0, t0 - t_submit))
-    memo_before = len(acquirer._ideal)
+    simulated_before = acquirer.simulated
+    composed_before = len(acquirer._ideal)
     with collector.span("sca.acquisition.chunk", chunk=chunk_index,
                         offset=trace_offset, n=len(plaintexts)):
         rows = acquirer.acquire(plaintexts, trace_offset=trace_offset)
     collector.histogram("sca.acquisition.chunk_seconds").observe(
         time.monotonic() - t0)
     collector.counter("sca.acquisition.traces").inc(len(plaintexts))
-    # Memo misses: per worker, so backend-dependent — a counter, never
-    # a span attr (span trees must match across backends).
+    # Memo misses depend on the backend and on which worker ran what
+    # first — counters, never span attrs (span trees must match across
+    # backends).  Simulations are counted by the acquirer that ran them,
+    # not from the shared memo's size, which other threads also grow.
     collector.counter("sca.acquisition.simulated").inc(
-        len(acquirer._ideal) - memo_before)
+        acquirer.simulated - simulated_before)
+    collector.counter("sca.acquisition.composed").inc(
+        len(acquirer._ideal) - composed_before)
     collector.emit_metrics()
     return rows, collector.sinks[0].records
 
@@ -374,8 +418,8 @@ class AcquisitionPool:
                 raise
         else:
             # One acquirer per thread, all built up front in this thread
-            # (LogicSimulator construction touches shared netlist caches,
-            # so it must not race).
+            # (power-model and simulator construction walk the shared
+            # netlist, so they must not race).
             acquirers: "queue.SimpleQueue" = queue.SimpleQueue()
             for _ in range(self.workers):
                 acquirers.put(self._factory())
@@ -552,14 +596,17 @@ def acquire_traces(netlist: GateNetlist, key: int,
     docstring for why.
     """
     pts = validate_plaintexts(plaintexts)
+    grid = grid if grid is not None else \
+        TraceGrid(0.0, DEFAULT_WINDOW, DEFAULT_DT)
+    if not pts:
+        return np.zeros((0, grid.n))
+    activity = ActivityMemo(netlist, key, t_apply=t_apply, window=grid.t1)
 
     def factory() -> TraceAcquirer:
         return TraceAcquirer(netlist, key, chain=chain, grid=grid,
-                             mismatch_seed=mismatch_seed, t_apply=t_apply)
+                             mismatch_seed=mismatch_seed, t_apply=t_apply,
+                             activity=activity)
 
-    if not pts:
-        return np.zeros((0, (grid if grid is not None else
-                             TraceGrid(0.0, DEFAULT_WINDOW, DEFAULT_DT)).n))
     with AcquisitionPool(factory, workers=workers, backend=backend,
                          chunk_size=chunk_size, telemetry=telemetry) as pool:
         return pool.acquire(pts, trace_offset=trace_offset)

@@ -24,7 +24,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from ..errors import AttackError
-from .leakage import all_guess_hypotheses
+from .leakage import all_guess_hypotheses, flat_columns
 from .ranking import KeyRanking
 
 
@@ -34,8 +34,9 @@ def correlation_matrix(traces: np.ndarray,
 
     ``traces`` is (n_traces, n_samples); ``hypotheses`` is
     (n_guesses, n_traces).  Returns (n_guesses, n_samples).  Constant
-    columns (zero variance) yield zero correlation rather than NaN —
-    a quantised flat trace must read as "no information", not an error.
+    columns yield zero correlation rather than NaN or a score of their
+    rounding residue (see :func:`~repro.sca.leakage.flat_columns`) — a
+    quantised flat trace must read as "no information", not an error.
     """
     traces = np.asarray(traces, dtype=float)
     hypotheses = np.asarray(hypotheses, dtype=float)
@@ -48,6 +49,7 @@ def correlation_matrix(traces: np.ndarray,
     t_centered = traces - traces.mean(axis=0, keepdims=True)
     h_centered = hypotheses - hypotheses.mean(axis=1, keepdims=True)
     t_norm = np.sqrt((t_centered ** 2).sum(axis=0))
+    t_norm[flat_columns(traces)] = 0.0
     h_norm = np.sqrt((h_centered ** 2).sum(axis=1))
     cov = h_centered @ t_centered  # (guesses, samples)
     denom = np.outer(h_norm, t_norm)

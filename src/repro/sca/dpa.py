@@ -20,7 +20,7 @@ import numpy as np
 
 from ..aes.sbox import SBOX
 from ..errors import AttackError
-from .leakage import check_traces
+from .leakage import check_traces, flat_columns
 from .ranking import KeyRanking
 
 
@@ -44,7 +44,9 @@ def _difference_of_means(traces: np.ndarray, plaintexts: Sequence[int],
     ``mean(traces | bit set) - mean(traces | bit clear)``.
 
     ``np.mean`` sums from +0.0, so a differential is never -0.0 and the
-    one-bit sum equals the differential itself byte for byte.
+    one-bit sum equals the differential itself byte for byte.  A
+    column every trace holds at one level scores 0.0 (see
+    :func:`~repro.sca.leakage.flat_columns`).
     """
     traces, pts = check_traces(traces, plaintexts)
     sbox = np.asarray(SBOX, dtype=np.int64)
@@ -57,6 +59,7 @@ def _difference_of_means(traces: np.ndarray, plaintexts: Sequence[int],
                 continue  # degenerate partition: no information from it
             accumulated[guess] += (traces[mask].mean(axis=0)
                                    - traces[~mask].mean(axis=0))
+    accumulated[:, flat_columns(traces)] = 0.0
     return accumulated
 
 

@@ -34,7 +34,7 @@ import numpy as np
 from ..aes.sbox import SBOX
 from ..errors import AttackError
 from .cpa import CPAResult, cpa_attack
-from .leakage import check_traces
+from .leakage import check_traces, flat_columns
 from .ranking import KeyRanking
 
 #: Cap on samples entering the pairwise product (O(k^2) combined width).
@@ -141,6 +141,7 @@ def mlpa_attack(traces: np.ndarray, plaintexts: Sequence[int],
             f"{degree} basis; got {n}")
     t_centered = traces - traces.mean(axis=0, keepdims=True)
     total = (t_centered ** 2).sum(axis=0)
+    total[flat_columns(traces)] = 0.0  # no variance to explain
     r2 = np.zeros((256, traces.shape[1]))
     safe_total = np.where(total > 0.0, total, 1.0)
     for guess in range(256):

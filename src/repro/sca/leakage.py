@@ -64,6 +64,18 @@ def check_traces(traces: np.ndarray, plaintexts: Sequence[int],
     return traces, pts
 
 
+def flat_columns(traces: np.ndarray) -> np.ndarray:
+    """Per sample, whether every trace holds the same value there.
+
+    Such a column carries no information about any key, whatever its
+    level.  Its computed variance need not be zero: the mean of 37
+    copies of 0.1 misses 0.1 by an ulp, so centring leaves rounding
+    residue that an attack would rank.  The attacks score these
+    columns zero by this mask instead.
+    """
+    return (traces == traces[:1]).all(axis=0)
+
+
 def hamming_weight(value: int) -> int:
     """Number of set bits of a byte (or any non-negative int)."""
     if value < 0:

@@ -55,7 +55,7 @@ from ..power.preprocess import standardize
 from ..spice.erc import erc_enabled
 from ..tech import corner as lookup_corner
 from ..units import MHz
-from .acquisition import AcquisitionPool, TraceAcquirer
+from .acquisition import ActivityMemo, AcquisitionPool, TraceAcquirer
 from .attack import build_reduced_aes
 from .cpa import cpa_attack
 from .dpa import multibit_dpa_attack
@@ -375,7 +375,13 @@ class MatrixReport:
 
 
 class _GridRunner:
-    """Shared state for one grid execution: caches + acquisition pool."""
+    """Shared state for one grid execution: caches + acquisition pool.
+
+    Every die of a (style, corner) shares one netlist and one
+    :class:`~repro.sca.acquisition.ActivityMemo`, so each distinct
+    plaintext is simulated once for all of them.  The memo is dropped
+    after the last trace set of its (style, corner) is acquired.
+    """
 
     def __init__(self, spec: MatrixSpec, telemetry, workers: int,
                  backend: str, erc: Optional[bool]):
@@ -386,6 +392,12 @@ class _GridRunner:
         self.erc = erc if erc is not None else erc_enabled()
         self._libraries: Dict[Tuple[str, str], Library] = {}
         self._netlists: Dict[Tuple[str, str], Tuple] = {}
+        self._activities: Dict[Tuple[str, str], ActivityMemo] = {}
+        #: Trace sets per (style, corner) not acquired yet.
+        self._unacquired: Dict[Tuple[str, str], set] = {}
+        for cell in spec.expand():
+            self._unacquired.setdefault((cell.style, cell.corner), set()) \
+                .update(cell.trace_key(r) for r in range(spec.repeats))
         self._tracesets: Dict[Tuple, Tuple] = {}
         self._preflighted: set = set()
         self.acquired = 0
@@ -435,6 +447,11 @@ class _GridRunner:
         except ReproError as exc:
             self._tracesets[key] = ("err", exc)
             raise
+        finally:
+            where = (cell.style, cell.corner)
+            self._unacquired[where].discard(key)
+            if not self._unacquired[where]:
+                self._activities.pop(where, None)
         self._tracesets[key] = ("ok", (pts, traces))
         self.acquired += 1
         return pts, traces
@@ -442,7 +459,11 @@ class _GridRunner:
     def _acquire(self, cell: MatrixCell, repeat: int):
         spec = self.spec
         pts = self._plaintexts(cell, repeat)
-        netlist = self.netlist(cell.style, cell.corner)
+        where = (cell.style, cell.corner)
+        netlist = self.netlist(*where)
+        if where not in self._activities:
+            self._activities[where] = ActivityMemo(netlist, spec.key)
+        activity = self._activities[where]
         chain = MeasurementChain(
             noise_sigma=cell.noise,
             seed=derive_chain_seed(spec.base_seed, cell.trace_key(repeat)))
@@ -453,7 +474,8 @@ class _GridRunner:
 
         def factory() -> TraceAcquirer:
             return TraceAcquirer(netlist, spec.key, chain=chain,
-                                 mismatch_seed=mismatch_seed)
+                                 mismatch_seed=mismatch_seed,
+                                 activity=activity)
 
         with self.tele.span("sca.matrix.acquire", style=cell.style,
                             corner=cell.corner, schedule=cell.schedule,

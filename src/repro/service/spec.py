@@ -171,25 +171,32 @@ class CampaignJobSpec:
 
     # -- worker-side construction ----------------------------------------
 
-    def build_acquirer(self, telemetry=None):
+    def build_acquirer(self, telemetry=None, activity=None):
         """The heavy part: library → netlist → acquirer.
 
         Runs on the worker (stateless: nothing but the spec crosses the
         process/host boundary).  Imported lazily so holding a spec —
         submitting, listing, gathering — never elaborates a netlist.
+        ``activity`` is an :class:`~repro.sca.acquisition.ActivityMemo`
+        of an earlier job on the same (style, corner, key): its netlist
+        and simulated activity serve this job's die too, so nothing is
+        rebuilt.
         """
         from ..cells import library_at_corner, preflight_library
         from ..spice.erc import erc_enabled
-        from ..sca.acquisition import TraceAcquirer
+        from ..sca.acquisition import ActivityMemo, TraceAcquirer
         from ..sca.attack import build_reduced_aes
 
-        base = STYLE_BUILDERS[self.style]()
-        if erc_enabled():
-            preflight_library(base, telemetry=telemetry)
-        library = library_at_corner(base, lookup_corner(self.corner))
-        netlist, _outputs = build_reduced_aes(library)
-        return TraceAcquirer(netlist, self.key, chain=self.chain(),
-                             mismatch_seed=self.mismatch_seed())
+        if activity is None:
+            base = STYLE_BUILDERS[self.style]()
+            if erc_enabled():
+                preflight_library(base, telemetry=telemetry)
+            library = library_at_corner(base, lookup_corner(self.corner))
+            netlist, _outputs = build_reduced_aes(library)
+            activity = ActivityMemo(netlist, self.key)
+        return TraceAcquirer(activity.netlist, self.key, chain=self.chain(),
+                             mismatch_seed=self.mismatch_seed(),
+                             activity=activity)
 
     # -- (de)serialisation ------------------------------------------------
 

@@ -4,9 +4,12 @@ A worker is any process, on any host, pointed at the shared ledger and
 result store.  It carries no campaign state of its own: the spec inside
 each lease reconstructs the netlist, the measurement chain, and the
 plaintext schedule, and the counter-based noise makes the chunk's bytes
-a pure function of its trace offsets.  Kill a worker at any instant and
-nothing is lost — its lease expires, the chunk requeues, and the
-replacement produces identical bytes into the same content address.
+a pure function of its trace offsets.  (The worker keeps only the last
+job's netlist and simulated activity, a cache that the next job on the
+same style, corner and key reuses byte-identically.)  Kill a worker at
+any instant and nothing is lost — its lease expires, the chunk requeues,
+and the replacement produces identical bytes into the same content
+address.
 
 The loop per lease:
 
@@ -29,7 +32,7 @@ from __future__ import annotations
 import os
 import threading
 import time
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 from ..errors import JobLeaseError, ReproError
 from ..obs import JsonlSink, NULL_TELEMETRY, Telemetry
@@ -53,6 +56,9 @@ class ServiceWorker:
         self.on_chunk = on_chunk
         self._acquirer_job: Optional[str] = None
         self._acquirer = None
+        #: (style, corner, key) of the last job served: its netlist and
+        #: activity memo serve the next job on the same netlist.
+        self._netlist_for: Optional[Tuple[str, str, int]] = None
 
     # -- heartbeats --------------------------------------------------------
 
@@ -73,12 +79,19 @@ class ServiceWorker:
     # -- the loop body -----------------------------------------------------
 
     def _acquirer_for(self, lease: Lease):
-        # One live acquirer (the netlist build is the expensive part);
-        # consecutive chunks of the same job reuse it.
+        # One live acquirer; consecutive chunks of the same job reuse it.
+        # A new job on the last job's (style, corner, key) reuses its
+        # netlist and activity memo (the netlist build and the event
+        # simulation are the expensive parts) for its own die.
         if self._acquirer_job != lease.job_id:
-            self._acquirer = lease.spec.build_acquirer(
-                telemetry=self.telemetry)
+            spec = lease.spec
+            where = (spec.style, spec.corner, spec.key)
+            shared = self._acquirer.activity \
+                if where == self._netlist_for else None
+            self._acquirer = spec.build_acquirer(telemetry=self.telemetry,
+                                                 activity=shared)
             self._acquirer_job = lease.job_id
+            self._netlist_for = where
         return self._acquirer
 
     def run_once(self) -> str:

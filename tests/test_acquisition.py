@@ -315,8 +315,8 @@ def repeated_setup(request):
     """(style, netlist, plaintexts, uncached reference) per style.
 
     96 plaintexts repeat 32 distinct bytes three times in shuffled
-    order; the reference row of trace ``i`` is a fresh
-    ``ideal_samples`` measured alone at index ``OFFSET + i``.
+    order; the reference row of trace ``i`` is a fresh simulation,
+    composed and measured alone at index ``OFFSET + i``.
     """
     builder = dict(_BUILDERS, wddl=build_wddl_library)[request.param]
     netlist, _ = build_reduced_aes(builder())
@@ -325,7 +325,7 @@ def repeated_setup(request):
     pts = [int(p) for p in rng.permutation(np.repeat(distinct, 3))]
     oracle = TraceAcquirer(netlist, KEY)
     reference = np.array([
-        oracle.chain.measure(oracle.ideal_samples(p),
+        oracle.chain.measure(oracle.compose(oracle.activity.simulate(p)),
                              trace_index=OFFSET + i)
         for i, p in enumerate(pts)])
     return request.param, netlist, pts, reference
@@ -376,3 +376,5 @@ class TestIdealSampleMemo:
         assert tele.registry.counter("sca.acquisition.traces").value == 64
         assert tele.registry.counter(
             "sca.acquisition.simulated").value == 16
+        assert tele.registry.counter(
+            "sca.acquisition.composed").value == 16

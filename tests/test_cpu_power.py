@@ -12,7 +12,7 @@ from repro.power.cpu_power import (
     CpuLeakageModel,
     software_aes_traces,
 )
-from repro.sca import cpa_attack
+from repro.sca import CPAResult, cpa_attack
 
 
 def run_snippet(source, model=None):
@@ -135,3 +135,17 @@ class TestSystemStudy:
 
     def test_surrounding_software_still_leaks(self, result):
         assert result.scenario("ISE, protected path", "full").broken
+
+    def test_shared_top_score_is_not_broken(self):
+        from repro.experiments.software_attack import ScenarioResult
+
+        rho = np.zeros((256, 3))
+        rho[[0x2B, 0x11], 1] = 0.7
+        scenario = ScenarioResult.from_attack(
+            "tie", "full", CPAResult(rho=rho, true_key=0x2B))
+        assert scenario.rank == 0.5
+        assert scenario.peak_rho == 0.7
+        assert not scenario.broken
+        rho[0x11, 1] = 0.6
+        assert ScenarioResult.from_attack(
+            "unique", "full", CPAResult(rho=rho, true_key=0x2B)).broken

@@ -12,10 +12,11 @@ from repro.power import (
     GatingSchedule,
     MeasurementChain,
     TraceGrid,
+    TransitionActivity,
     activity_current,
+    driven_nets,
     gated_block_current,
     schedule_from_sbox_events,
-    trace_matrix,
     ungated_block_current,
 )
 from repro.units import nA, ns, uA
@@ -107,6 +108,11 @@ class TestStaticCurrents:
         assert np.std(residuals) > 0.0
 
 
+def activity(nl, trace):
+    """The arrays an acquisition's activity memo keeps for ``trace``."""
+    return TransitionActivity.from_trace(trace, driven_nets(nl))
+
+
 class TestActivityCurrent:
     def grid(self):
         return TraceGrid(0.0, ns(3), 25e-12)
@@ -116,12 +122,12 @@ class TestActivityCurrent:
         sim = LogicSimulator(nl)
         sim.reset()
         trace = sim.run([(ns(0.5), "a", value)], duration=ns(3))
-        return nl, trace
+        return nl, activity(nl, trace)
 
     def test_cmos_transitions_draw_charge(self, cmos):
-        nl, trace = self.run_block(cmos)
+        nl, cycle = self.run_block(cmos)
         model = BlockPowerModel(nl)
-        samples = activity_current(model, trace, self.grid())
+        samples = activity_current(model, cycle, self.grid())
         static = model.static_current()
         assert samples.max() > static * 5
         # Charge above static equals the toggled energy / vdd, roughly.
@@ -133,13 +139,13 @@ class TestActivityCurrent:
         sim.reset()
         trace = sim.run([], duration=ns(3))
         model = BlockPowerModel(nl)
-        samples = activity_current(model, trace, self.grid())
+        samples = activity_current(model, activity(nl, trace), self.grid())
         assert samples.max() == pytest.approx(model.static_current())
 
     def test_mcml_current_nearly_flat(self, mcml):
-        nl, trace = self.run_block(mcml)
+        nl, cycle = self.run_block(mcml)
         model = BlockPowerModel(nl)
-        samples = activity_current(model, trace, self.grid())
+        samples = activity_current(model, cycle, self.grid())
         static = model.static_current()
         # Fluctuation well under 5 % of the static level.
         assert np.abs(samples - static).max() < 0.05 * static
@@ -154,27 +160,20 @@ class TestActivityCurrent:
         t_active = sim.run([(ns(0.5), "a", True)], duration=ns(3))
         sim.reset()
         t_idle = sim.run([], duration=ns(3))
-        s_active = activity_current(model, t_active, self.grid())
-        s_idle = activity_current(model, t_idle, self.grid())
+        s_active = activity_current(model, activity(nl, t_active),
+                                    self.grid())
+        s_idle = activity_current(model, activity(nl, t_idle), self.grid())
         diff = np.abs(s_active - s_idle).max()
         assert diff < uA(1.0)  # residuals only, far below Iss
 
     def test_include_static_flag(self, mcml):
-        nl, trace = self.run_block(mcml)
+        nl, cycle = self.run_block(mcml)
         model = BlockPowerModel(nl)
-        with_static = activity_current(model, trace, self.grid())
-        without = activity_current(model, trace, self.grid(),
+        with_static = activity_current(model, cycle, self.grid())
+        without = activity_current(model, cycle, self.grid(),
                                    include_static=False)
         delta = with_static - without
         assert np.allclose(delta, model.static_current(), rtol=1e-9)
-
-    def test_trace_matrix_stacks(self, cmos):
-        nl, trace = self.run_block(cmos)
-        model = BlockPowerModel(nl)
-        matrix = trace_matrix(model, [trace, trace], self.grid())
-        assert matrix.shape == (2, self.grid().n)
-        with pytest.raises(TraceError):
-            trace_matrix(model, [], self.grid())
 
     def test_arrival_times_monotone_along_chain(self, mcml):
         model = BlockPowerModel(buffer_block(mcml, 4))

@@ -4,7 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, \
+    strategies as st
 
 from repro.aes import SBOX
 from repro.errors import AttackError
@@ -319,16 +320,18 @@ def zero_information_traces(draw):
     """Plaintexts plus traces that carry no information about the key.
 
     Either every row is the same vector, or noisy rows become that
-    vector once quantised to the instrument step.  Levels are binary
-    fractions so that every column mean is exact.  A constant column
-    at, say, 0.1 still leaves rounding residue after centring, and the
-    attacks rank that residue: a known kernel defect (ROADMAP item 3)
-    that this verdict property does not cover.
+    vector once quantised to the instrument step.  Levels are arbitrary
+    multiples of the step, binary fractions or not: a constant column
+    at, say, 0.1 leaves rounding residue after centring, and an attack
+    must not rank that residue.
     """
     n = draw(st.integers(MLPA_MIN_TRACES, 96))
     n_samples = draw(st.integers(1, 5))
     pts = draw(st.lists(st.integers(0, 255), min_size=n, max_size=n))
-    step = 2.0 ** draw(st.integers(-10, 2))
+    step = draw(st.one_of(
+        st.integers(-10, 2).map(lambda e: 2.0 ** e),
+        st.sampled_from([1e-6, 3e-6, 1e-3, 0.1, 0.3]),
+        st.integers(1, 500).map(lambda k: k * 1e-6)))
     levels = np.array(draw(st.lists(st.integers(-40, 40),
                                     min_size=n_samples,
                                     max_size=n_samples))) * step
@@ -342,10 +345,19 @@ def zero_information_traces(draw):
     return pts, quantised
 
 
+def _flat_case(n, level):
+    """Random plaintexts over ``n`` rows of one constant level."""
+    rng = np.random.default_rng(n)
+    return ([int(p) for p in rng.integers(0, 256, n)],
+            np.full((n, 5), level))
+
+
 class TestZeroInformationVerdicts:
     @settings(max_examples=10, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(zero_information_traces(), st.integers(0, 7))
+    @example(case=_flat_case(37, 0.1), bit=0)
+    @example(case=_flat_case(100, 1.23e-4), bit=3)
     def test_no_attack_recovers_any_key(self, case, bit):
         pts, traces = case
         results = {
@@ -427,6 +439,9 @@ class TestScoresMatchLoopReference:
         arr = np.asarray(pts)
         t_centered = traces - traces.mean(axis=0, keepdims=True)
         total = (t_centered ** 2).sum(axis=0)
+        # A constant column explains nothing, whatever rounding residue
+        # its centring leaves (the half-flat set's columns at 0.1).
+        total[(traces == traces[0]).all(axis=0)] = 0.0
         expected = np.zeros((256, traces.shape[1]))
         for guess in range(256):
             hyp = np.asarray(SBOX)[arr ^ guess]
