@@ -56,6 +56,9 @@ class BlockPowerModel:
         self.tech = tech
         self.style = netlist.library.style
         rng = np.random.default_rng(seed)
+        self._arrivals: Dict[float, Dict[str, float]] = {}
+        self._evaluation_terms: Dict[
+            float, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self.instances: Dict[str, InstancePower] = {}
         for inst in netlist.instances.values():
             if inst.cell.pseudo:
@@ -164,23 +167,28 @@ class BlockPowerModel:
                 residuals[position[net]] = ip.residual
         return charges, residuals
 
-    @cached_property
-    def evaluation_terms(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def evaluation_terms(self, t_apply: float = 0.0,
+                         ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(arrival time, residual, instance position)`` of every
         modelled instance with a nonzero residual, in
-        :meth:`arrival_times` order.
+        :meth:`arrival_times` order, for inputs applied at ``t_apply``.
 
         The position indexes ``self.instances`` (the order of a
-        :class:`~repro.power.trace.SettledActivity`).  Cached: a die's
-        constants.
+        :class:`~repro.power.trace.SettledActivity`).  Cached per
+        ``t_apply``: a die's constants.
         """
+        cached = self._evaluation_terms.get(t_apply)
+        if cached is not None:
+            return cached
         position = {name: i for i, name in enumerate(self.instances)}
         terms = [(arrival, self.instances[name].residual, position[name])
-                 for name, arrival in self.arrival_times().items()
+                 for name, arrival in self.arrival_times(t_apply).items()
                  if name in position and self.instances[name].residual != 0.0]
-        return (np.array([t for t, _, _ in terms], dtype=float),
-                np.array([r for _, r, _ in terms], dtype=float),
-                np.array([i for _, _, i in terms], dtype=np.intp))
+        cached = self._evaluation_terms[t_apply] = (
+            np.array([t for t, _, _ in terms], dtype=float),
+            np.array([r for _, r, _ in terms], dtype=float),
+            np.array([i for _, _, i in terms], dtype=np.intp))
+        return cached
 
     def arrival_times(self, t_apply: float = 0.0) -> Dict[str, float]:
         """Static output-arrival time per instance (inputs at t_apply).
@@ -189,10 +197,12 @@ class BlockPowerModel:
         both slew when it evaluates, drawing a charge packet that is
         data-independent to first order — so its timing comes from
         static analysis, not from the (data-dependent) toggle stream.
-        Cached: the profile is a property of the netlist, not the trace.
+        Cached per ``t_apply``: the profile is a property of the
+        netlist and the apply time, not the trace.
         """
-        if getattr(self, "_arrivals", None) is not None:
-            return self._arrivals
+        cached = self._arrivals.get(t_apply)
+        if cached is not None:
+            return cached
         arrivals: Dict[str, float] = {}
         net_time: Dict[str, float] = {
             n: t_apply for n in self.netlist.primary_inputs}
@@ -208,7 +218,7 @@ class BlockPowerModel:
             arrivals[inst.name] = worst + delay
             for pin in inst.cell.outputs:
                 net_time[inst.pins[pin]] = worst + delay
-        self._arrivals = arrivals
+        self._arrivals[t_apply] = arrivals
         return arrivals
 
     def __repr__(self) -> str:

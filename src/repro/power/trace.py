@@ -153,13 +153,15 @@ def _deposit_triangles(samples: np.ndarray, grid: TraceGrid,
 
 
 def wddl_baseline(model: BlockPowerModel, grid: TraceGrid,
-                  include_static: bool = True) -> np.ndarray:
+                  include_static: bool = True,
+                  t_apply: float = 0.0) -> np.ndarray:
     """The data-independent part of a WDDL trace.
 
     Every evaluate phase charges exactly one rail of every pair — that
     constant switching count is the countermeasure.  So the baseline is
     the CMOS leakage floor plus one mean-charge packet per instance at
-    its static arrival time, identical for every trace of a campaign.
+    its static arrival time for inputs applied at ``t_apply``,
+    identical for every trace of a campaign.
     """
     if model.style != "wddl":
         raise TraceError(
@@ -168,7 +170,7 @@ def wddl_baseline(model: BlockPowerModel, grid: TraceGrid,
     if include_static:
         samples += model.static_current()
     times, charges = [], []
-    for inst_name, arrival in model.arrival_times().items():
+    for inst_name, arrival in model.arrival_times(t_apply).items():
         ip = model.instances.get(inst_name)
         if ip is None:
             continue
@@ -180,14 +182,14 @@ def wddl_baseline(model: BlockPowerModel, grid: TraceGrid,
 
 
 def _baseline_copy(model: BlockPowerModel, grid: TraceGrid,
-                   include_static: bool,
-                   baseline: Optional[np.ndarray]) -> np.ndarray:
+                   include_static: bool, baseline: Optional[np.ndarray],
+                   t_apply: float) -> np.ndarray:
     """A fresh copy of the data-independent part of a WDDL or
     differential trace: ``baseline`` when given, else composed now."""
     if baseline is None:
         if model.style == "wddl":
-            return wddl_baseline(model, grid, include_static)
-        return differential_baseline(model, grid, include_static)
+            return wddl_baseline(model, grid, include_static, t_apply)
+        return differential_baseline(model, grid, include_static, t_apply)
     if baseline.shape != (grid.n,):
         raise TraceError(
             f"baseline has {baseline.shape} samples, grid wants "
@@ -197,16 +199,18 @@ def _baseline_copy(model: BlockPowerModel, grid: TraceGrid,
 
 def wddl_current(model: BlockPowerModel, activity: SettledActivity,
                  grid: TraceGrid, include_static: bool = True,
-                 baseline: Optional[np.ndarray] = None) -> np.ndarray:
+                 baseline: Optional[np.ndarray] = None,
+                 t_apply: float = 0.0) -> np.ndarray:
     """Supply-current samples for one WDDL evaluate phase.
 
     ``activity`` holds each instance's settled (single-rail) output
     value: True means the true rail charged this cycle, False the false
     rail.  The data dependence is each instance's rail-imbalance charge,
     signed by which rail won — added on top of the precomposed
-    :func:`wddl_baseline` at the instance's static arrival time.  There
-    is no transition stream: WDDL evaluates every gate exactly once per
-    precharge/evaluate cycle by construction.
+    :func:`wddl_baseline` at the instance's static arrival time for
+    inputs applied at ``t_apply``.  There is no transition stream: WDDL
+    evaluates every gate exactly once per precharge/evaluate cycle by
+    construction.
     """
     if model.style != "wddl":
         raise TraceError(
@@ -215,24 +219,27 @@ def wddl_current(model: BlockPowerModel, activity: SettledActivity,
         raise TraceError(
             f"{activity.values.shape} settled values for "
             f"{len(model.instances)} modelled instances")
-    samples = _baseline_copy(model, grid, include_static, baseline)
-    times, residuals, index = model.evaluation_terms
+    samples = _baseline_copy(model, grid, include_static, baseline,
+                             t_apply)
+    times, residuals, index = model.evaluation_terms(t_apply)
     charges = np.where(activity.values[index], residuals, -residuals)
     _deposit_triangles(samples, grid, times, charges, CMOS_PULSE_WIDTH)
     return samples
 
 
 def differential_baseline(model: BlockPowerModel, grid: TraceGrid,
-                          include_static: bool = True) -> np.ndarray:
+                          include_static: bool = True,
+                          t_apply: float = 0.0) -> np.ndarray:
     """The data-independent part of a differential (MCML-style) trace.
 
     Constant tail currents plus the evaluation hum: when an MCML gate
     evaluates, BOTH output rails slew (one to Vdd, one to Vdd-swing)
     whatever the data, so the hum's timing comes from static arrival
-    analysis and its amplitude is constant — "power consumption almost
-    independent from the specific input patterns" (§1).  The baseline is
-    identical for every trace of a campaign, so acquisition composes it
-    once and adds only the per-trace mismatch residuals on top.
+    analysis (inputs applied at ``t_apply``) and its amplitude is
+    constant — "power consumption almost independent from the specific
+    input patterns" (§1).  The baseline is identical for every trace of
+    a campaign, so acquisition composes it once and adds only the
+    per-trace mismatch residuals on top.
     """
     if model.style == "cmos":
         raise TraceError("CMOS traces have no data-independent baseline")
@@ -242,7 +249,7 @@ def differential_baseline(model: BlockPowerModel, grid: TraceGrid,
     if include_static:
         samples += model.static_current()
     times, charges = [], []
-    for inst_name, arrival in model.arrival_times().items():
+    for inst_name, arrival in model.arrival_times(t_apply).items():
         ip = model.instances.get(inst_name)
         if ip is None or ip.style == "cmos":
             continue
@@ -297,7 +304,7 @@ def activity_current(model: BlockPowerModel, activity: TransitionActivity,
         _deposit_triangles(samples, grid, activity.times,
                            charges[activity.nets], CMOS_PULSE_WIDTH)
         return samples
-    samples = _baseline_copy(model, grid, include_static, baseline)
+    samples = _baseline_copy(model, grid, include_static, baseline, 0.0)
     levels = _residual_levels(residuals, activity, grid)
     if levels is not None:
         samples += levels

@@ -239,9 +239,11 @@ class TraceAcquirer:
         if self.model.style == "cmos":
             self._baseline = None
         elif self.model.style == "wddl":
-            self._baseline = wddl_baseline(self.model, self.grid)
+            self._baseline = wddl_baseline(self.model, self.grid,
+                                           t_apply=t_apply)
         else:
-            self._baseline = differential_baseline(self.model, self.grid)
+            self._baseline = differential_baseline(self.model, self.grid,
+                                                   t_apply=t_apply)
         self._ideal: Dict[int, np.ndarray] = {}
         #: Simulations this acquirer ran (its misses on the shared memo).
         self.simulated = 0
@@ -250,7 +252,8 @@ class TraceAcquirer:
         """This die's pre-instrument current samples for one activity."""
         if self.model.style == "wddl":
             return wddl_current(self.model, activity, self.grid,
-                                baseline=self._baseline)
+                                baseline=self._baseline,
+                                t_apply=self.t_apply)
         return activity_current(self.model, activity, self.grid,
                                 baseline=self._baseline)
 

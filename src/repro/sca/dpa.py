@@ -8,7 +8,10 @@ power — the resistance claim should (and does) hold for both.
 
 Both attacks here are one difference-of-means kernel: the classic
 single-bit DPA partitions on ``target_bit`` alone, Messerges' multi-bit
-DPA sums the signed differentials of all eight S-box output bits.
+DPA sums the signed differentials of all eight S-box output bits.  A
+partition is a function of the plaintext byte, so the kernel works on
+per-byte counts and sums (at most 256 rows) instead of the trace matrix
+once per guess.
 """
 
 from __future__ import annotations
@@ -18,9 +21,8 @@ from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
-from ..aes.sbox import SBOX
 from ..errors import AttackError
-from .leakage import check_traces, flat_columns
+from .leakage import SBOX_OUTPUTS, check_traces, class_sums, flat_columns
 from .ranking import KeyRanking
 
 
@@ -43,22 +45,34 @@ def _difference_of_means(traces: np.ndarray, plaintexts: Sequence[int],
     """(256, n_samples) sum over ``bits`` of the per-guess differential
     ``mean(traces | bit set) - mean(traces | bit clear)``.
 
-    ``np.mean`` sums from +0.0, so a differential is never -0.0 and the
-    one-bit sum equals the differential itself byte for byte.  A
-    column every trace holds at one level scores 0.0 (see
-    :func:`~repro.sca.leakage.flat_columns`).
+    A guess's partition depends on the plaintext byte alone, so the
+    kernel reads :func:`~repro.sca.leakage.class_sums` once and gets,
+    per bit, every guess's set count and set sum as products of that
+    bit of :data:`~repro.sca.leakage.SBOX_OUTPUTS` (guesses x present
+    bytes) with the class counts and sums; the clear side is the total
+    minus the set side.  A degenerate partition (no trace set, or every
+    trace) adds exactly 0, and a column every trace holds at one level
+    scores 0.0 (see :func:`~repro.sca.leakage.flat_columns`).  The
+    accumulation starts from +0.0, so no score is -0.0.
     """
     traces, pts = check_traces(traces, plaintexts)
-    sbox = np.asarray(SBOX, dtype=np.int64)
+    present, counts, sums = class_sums(traces, pts)
+    n = pts.size
+    total = sums.sum(axis=0)
+    predicted = SBOX_OUTPUTS[:, present]
     accumulated = np.zeros((256, traces.shape[1]))
-    for guess in range(256):
-        hyp = sbox[pts ^ guess]
-        for bit in bits:
-            mask = ((hyp >> bit) & 1) == 1
-            if not mask.any() or mask.all():
-                continue  # degenerate partition: no information from it
-            accumulated[guess] += (traces[mask].mean(axis=0)
-                                   - traces[~mask].mean(axis=0))
+    for bit in bits:
+        table = ((predicted >> bit) & 1).astype(float)
+        n_set = (table @ counts)[:, None]
+        set_mean = table @ sums
+        clear_mean = total - set_mean
+        # In place, so a bit holds two (256, n_samples) temporaries.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            set_mean /= n_set
+            clear_mean /= n - n_set
+        set_mean -= clear_mean
+        set_mean[((n_set == 0) | (n_set == n))[:, 0]] = 0.0
+        accumulated += set_mean
     accumulated[:, flat_columns(traces)] = 0.0
     return accumulated
 

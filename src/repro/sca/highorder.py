@@ -17,7 +17,9 @@ attack axis:
   register bits, so the regression explains significantly more variance
   (R²) than any wrong guess — even when the per-bit weights are
   arbitrary, unequal, or of mixed sign (exactly the per-die residual
-  pattern MCML mismatch and WDDL rail imbalance produce).
+  pattern MCML mismatch and WDDL rail imbalance produce).  The basis is
+  a function of the plaintext byte, so the regression is fitted on
+  per-byte class means, weighted by their counts.
 
 Both return results that share :class:`repro.sca.ranking.KeyRanking`
 with :class:`repro.sca.cpa.CPAResult` (tie-aware rank, one success
@@ -30,11 +32,11 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.linalg.lapack import dgeqp3, dorgqr
 
-from ..aes.sbox import SBOX
 from ..errors import AttackError
 from .cpa import CPAResult, cpa_attack
-from .leakage import check_traces, flat_columns
+from .leakage import SBOX_OUTPUTS, check_traces, class_sums, flat_columns
 from .ranking import KeyRanking
 
 #: Cap on samples entering the pairwise product (O(k^2) combined width).
@@ -97,22 +99,34 @@ class MlpaResult(KeyRanking):
         return self.r2.max(axis=1)
 
 
-def _mlpa_basis(pts: np.ndarray, guess: int, degree: int) -> np.ndarray:
-    """Centered monomial basis of the predicted S-box output bits.
+#: Monomials of the eight bits of a byte ``v`` at row ``v``: the bits
+#: themselves, then their 28 pairwise products (``triu_indices`` order).
+#: The first 8 columns are the degree-1 basis, all 36 the degree-2 one.
+_BITS = ((np.arange(256)[:, None] >> np.arange(8)) & 1).astype(float)
+_PAIRS = np.triu_indices(8, k=1)
+_MONOMIALS = np.concatenate(
+    [_BITS, _BITS[:, _PAIRS[0]] * _BITS[:, _PAIRS[1]]], axis=1)
 
-    Degree 1: the 8 output bits; degree 2 adds all pairwise products —
-    the multi-linear combinations of register leakages the attack is
-    named after.
+
+def _column_space(basis: np.ndarray) -> np.ndarray:
+    """Orthonormal columns spanning ``basis``, from its column-pivoted
+    QR (LAPACK ``dgeqp3``).
+
+    Pivoting orders ``|R[i, i]|`` downwards, so the rank is the count
+    above ``1e-9 * max(1, |R[0, 0]|)`` and the first that many columns
+    of Q span the basis; an unpivoted QR can meet a dependent column
+    early and build its Householder step from rounding noise.  Only
+    those reflectors are expanded (``dorgqr``); a zero basis (one
+    plaintext byte) spans nothing and is never passed to ``dorgqr``.
+    With that, both routines only ever get legal arguments, the one
+    thing their ``info`` reports.
     """
-    sbox = np.asarray(SBOX, dtype=np.int64)
-    hyp = sbox[pts ^ guess]
-    bits = ((hyp[:, None] >> np.arange(8)[None, :]) & 1).astype(float)
-    cols = [bits]
-    if degree >= 2:
-        ia, ib = np.triu_indices(8, k=1)
-        cols.append(bits[:, ia] * bits[:, ib])
-    basis = np.concatenate(cols, axis=1)
-    return basis - basis.mean(axis=0, keepdims=True)
+    factored, _, tau, _, _ = dgeqp3(basis)
+    diagonal = np.abs(np.diag(factored))
+    rank = np.count_nonzero(diagonal > 1e-9 * max(1.0, diagonal[0]))
+    if rank == 0:
+        return np.empty((basis.shape[0], 0))
+    return dorgqr(factored[:, :rank], tau[:rank])[0]
 
 
 def mlpa_attack(traces: np.ndarray, plaintexts: Sequence[int],
@@ -120,12 +134,24 @@ def mlpa_attack(traces: np.ndarray, plaintexts: Sequence[int],
                 degree: int = 2) -> MlpaResult:
     """Multi-linear power analysis over all 256 key guesses.
 
-    Per guess, project the (centered) traces onto the orthonormalised
-    bit-monomial basis and score each time sample by the explained
-    variance ratio R²; the guess whose basis explains the most variance
-    anywhere in time wins.  With too few traces to fit the degree-2
-    basis the attack degrades to degree 1 rather than overfitting
-    (36 regressors on 40 traces would "explain" pure noise).
+    Per guess, project the (centered) traces onto the column space of
+    the centered bit-monomial basis of the predicted S-box output and
+    score each time sample by the explained variance ratio R²; the
+    guess whose basis explains the most variance anywhere in time wins.
+    With too few traces to fit the degree-2 basis the attack degrades
+    to degree 1 rather than overfitting (36 regressors on 40 traces
+    would "explain" pure noise).
+
+    The basis rows depend on the plaintext byte alone, so the fit runs
+    on :func:`~repro.sca.leakage.class_sums` as a count-weighted
+    regression on class means: with ``w`` the class counts, the
+    ``<= 256``-row basis ``sqrt(w) * (F - weighted mean)`` has the
+    Gram matrix of the per-trace one, and the class sums scaled by
+    ``1 / sqrt(w)`` have its products with the traces, so their
+    projection explains the same variance.  A column-pivoted QR of that
+    basis orders its diagonal by size, so the columns kept above
+    ``1e-9 * max(1, |R[0, 0]|)`` span it even when it is rank-deficient
+    (few distinct plaintexts).
     """
     traces, pts = check_traces(traces, plaintexts)
     if degree not in (1, 2):
@@ -142,15 +168,16 @@ def mlpa_attack(traces: np.ndarray, plaintexts: Sequence[int],
     t_centered = traces - traces.mean(axis=0, keepdims=True)
     total = (t_centered ** 2).sum(axis=0)
     total[flat_columns(traces)] = 0.0  # no variance to explain
-    r2 = np.zeros((256, traces.shape[1]))
-    safe_total = np.where(total > 0.0, total, 1.0)
+    present, counts, sums = class_sums(t_centered, pts)
+    root = np.sqrt(counts)[:, None]
+    scaled_sums = sums / root
+    monomials = _MONOMIALS[:, :width]
+    explained = np.empty((256, traces.shape[1]))
     for guess in range(256):
-        basis = _mlpa_basis(pts, guess, degree)
-        # Orthonormal column space; rank-deficient bases (degenerate
-        # plaintext sets) drop their null directions via the R diagonal.
-        q, r = np.linalg.qr(basis)
-        keep = np.abs(np.diag(r)) > 1e-9 * max(1.0, np.abs(r).max())
-        q = q[:, keep]
-        explained = ((q.T @ t_centered) ** 2).sum(axis=0)
-        r2[guess] = np.where(total > 0.0, explained / safe_total, 0.0)
-    return MlpaResult(r2=r2, degree=degree, true_key=true_key)
+        basis = monomials[SBOX_OUTPUTS[guess, present]]
+        basis = root * (basis - counts @ basis / n)
+        q = _column_space(basis)
+        explained[guess] = ((q.T @ scaled_sums) ** 2).sum(axis=0)
+    explained /= np.where(total > 0.0, total, 1.0)
+    explained[:, ~(total > 0.0)] = 0.0
+    return MlpaResult(r2=explained, degree=degree, true_key=true_key)

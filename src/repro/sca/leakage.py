@@ -26,10 +26,14 @@ _HW_TABLE = np.array([bin(x).count("1") for x in range(256)], dtype=np.int64)
 _SBOX = np.asarray(SBOX, dtype=np.int64)
 _BYTES = np.arange(256, dtype=np.int64)
 
+#: ``SBOX[p ^ k]`` at ``[k, p]``: row ``k`` is key guess ``k``'s
+#: predicted S-box output for every plaintext byte.
+SBOX_OUTPUTS = _SBOX[_BYTES[:, None] ^ _BYTES].astype(np.uint8)
+
 #: HW(SBOX[p ^ k]) at ``[k, p]``: row ``k`` is key guess ``k``'s
 #: hypothesis for every plaintext byte.  Equal to :func:`hw_model`
 #: entry for entry (both are small integers in float64).
-_HW_HYPOTHESES = _HW_TABLE[_SBOX[_BYTES[:, None] ^ _BYTES]].astype(float)
+_HW_HYPOTHESES = _HW_TABLE[SBOX_OUTPUTS].astype(float)
 
 
 def check_bytes(plaintexts: Sequence[int], key_guess: int = 0) -> np.ndarray:
@@ -62,6 +66,26 @@ def check_traces(traces: np.ndarray, plaintexts: Sequence[int],
             f"trace/plaintext count mismatch: {traces.shape[0]} traces vs "
             f"{pts.size} plaintexts")
     return traces, pts
+
+
+def class_sums(traces: np.ndarray, pts: np.ndarray,
+               ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-plaintext-byte sufficient statistics of a trace matrix.
+
+    Returns ``(present, counts, sums)``: the plaintext bytes that occur
+    (ascending), how many traces carry each, and the column sums of
+    those traces, one row per present byte.  Every first-order
+    hypothesis is a function of the byte alone, so an attack that needs
+    only per-class means reads them from here: at most 256 rows,
+    whatever the trace count.  The rows of one class are added in trace
+    order, so integer-valued traces sum exactly.
+    """
+    counts = np.bincount(pts, minlength=256)
+    present = np.flatnonzero(counts)
+    counts = counts[present]
+    starts = np.concatenate(([0], np.cumsum(counts)[:-1]))
+    order = np.argsort(pts, kind="stable")
+    return present, counts, np.add.reduceat(traces[order], starts, axis=0)
 
 
 def flat_columns(traces: np.ndarray) -> np.ndarray:

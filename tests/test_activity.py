@@ -179,6 +179,42 @@ def test_settled_activity_length_checked():
         wddl_current(model, short, grid)
 
 
+# -- inputs applied later -----------------------------------------------------
+
+def test_arrival_profile_follows_its_apply_time():
+    """A model asked for two apply times answers each as a fresh one."""
+    netlist = netlist_for("mcml", "tt")
+    model = BlockPowerModel(netlist)
+    at_zero = dict(model.arrival_times(0.0))
+    later = model.arrival_times(1e-9)
+    assert later == BlockPowerModel(netlist).arrival_times(1e-9)
+    assert later["uark0"] == pytest.approx(at_zero["uark0"] + 1e-9,
+                                           rel=1e-12)
+    assert model.arrival_times(0.0) == at_zero
+    assert model.evaluation_terms(1e-9)[0] == pytest.approx(
+        model.evaluation_terms(0.0)[0] + 1e-9, rel=1e-12)
+
+
+@pytest.mark.parametrize("style", ["mcml", "wddl"])
+def test_baseline_moves_with_the_apply_time(style):
+    """Inputs applied 0.25 ns (10 samples) later put the evaluation hum,
+    and for WDDL each rail-imbalance packet, 10 samples later."""
+    netlist = netlist_for(style, "tt")
+    early = TraceAcquirer(netlist, KEY)
+    late = TraceAcquirer(netlist, KEY, t_apply=ns(0.25))
+    shift = round(ns(0.25) / DEFAULT_DT)
+    assert shift == 10
+    pairs = [(early._baseline, late._baseline)]
+    if style == "wddl":
+        pairs += [(early.ideal_samples(p), late.ideal_samples(p))
+                  for p in (0x00, 0x5A)]
+    for at_zero, shifted in pairs:
+        scale = np.abs(at_zero).max()
+        assert np.abs(shifted[shift:] - at_zero[:-shift]).max() <= \
+            1e-12 * scale
+        assert not np.array_equal(shifted, at_zero)
+
+
 # -- one memo, many dies ------------------------------------------------------
 
 def _counting(monkeypatch, method):

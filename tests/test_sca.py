@@ -31,7 +31,15 @@ from repro.sca import (
     success_rate,
     tie_width,
 )
+from repro.sca.highorder import _column_space
 from repro.sca.leakage import all_guess_hypotheses
+
+from .attack_oracles import (
+    REL_TOL,
+    max_relative_delta,
+    mlpa_r2_loop,
+    per_bit_differentials,
+)
 
 
 class TestLeakageModels:
@@ -420,7 +428,8 @@ def _reference_sets():
 
 class TestScoresMatchLoopReference:
     """Scores, evolution points and MTD equal loop references that
-    compute every guess and every prefix on their own, byte for byte."""
+    compute every guess and every prefix on their own: byte for byte,
+    except MLPA's class-sum fit, which stays within :data:`REL_TOL`."""
 
     @pytest.mark.parametrize("name", sorted(_reference_sets()))
     def test_cpa_and_second_order_rho(self, name):
@@ -435,32 +444,13 @@ class TestScoresMatchLoopReference:
     @pytest.mark.parametrize("degree", [1, 2])
     @pytest.mark.parametrize("name", sorted(_reference_sets()))
     def test_mlpa_r2(self, name, degree):
+        """Within :data:`REL_TOL` of the per-trace regression loop: the
+        class-sum fit adds in another order."""
         traces, pts = _reference_sets()[name]
-        arr = np.asarray(pts)
-        t_centered = traces - traces.mean(axis=0, keepdims=True)
-        total = (t_centered ** 2).sum(axis=0)
-        # A constant column explains nothing, whatever rounding residue
-        # its centring leaves (the half-flat set's columns at 0.1).
-        total[(traces == traces[0]).all(axis=0)] = 0.0
-        expected = np.zeros((256, traces.shape[1]))
-        for guess in range(256):
-            hyp = np.asarray(SBOX)[arr ^ guess]
-            bits = ((hyp[:, None] >> np.arange(8)[None, :]) & 1) \
-                .astype(float)
-            if degree == 2:
-                ia, ib = np.triu_indices(8, k=1)
-                bits = np.concatenate([bits, bits[:, ia] * bits[:, ib]],
-                                      axis=1)
-            basis = bits - bits.mean(axis=0, keepdims=True)
-            q, r = np.linalg.qr(basis)
-            q = q[:, np.abs(np.diag(r)) > 1e-9 * max(1.0, np.abs(r).max())]
-            explained = ((q.T @ t_centered) ** 2).sum(axis=0)
-            expected[guess] = np.where(
-                total > 0.0,
-                explained / np.where(total > 0.0, total, 1.0), 0.0)
         result = mlpa_attack(traces, pts, degree=degree)
         assert result.degree == degree
-        assert result.r2.tobytes() == expected.tobytes()
+        assert max_relative_delta(
+            result.r2, mlpa_r2_loop(traces, pts, degree)) <= REL_TOL
 
     @pytest.mark.parametrize("name", sorted(_reference_sets()))
     def test_evolution_points(self, name):
@@ -489,3 +479,72 @@ class TestScoresMatchLoopReference:
                     assert mtd(traces, pts, key, step=step,
                                stable_windows=windows) == expected
         assert compared > 0
+
+
+class TestClassSumKernels:
+    """DPA and MLPA scored from per-plaintext class sums agree with the
+    per-guess loops over the full trace matrix."""
+
+    @pytest.mark.parametrize("distinct", [16, 40])
+    def test_rank_deficient_mlpa_basis_is_projected(self, distinct):
+        """Few distinct plaintexts leave a guess's 36-column basis
+        rank-deficient.  R² must still be the projection onto the span
+        the basis has, which an unpivoted QR's diagonal does not find
+        (every guess off at 16 bytes, by up to 0.059)."""
+        pts = [i % distinct for i in range(80)]
+        traces = np.random.default_rng(0).normal(size=(80, 4))
+        result = mlpa_attack(traces, pts)
+        assert result.degree == 2
+        assert max_relative_delta(
+            result.r2, mlpa_r2_loop(traces, pts, 2)) <= REL_TOL
+
+    def test_one_plaintext_byte_spans_nothing(self):
+        """One byte leaves every guess's centred basis all zeros: its
+        column space is empty, and R² is exactly 0 everywhere."""
+        assert _column_space(np.zeros((1, 36))).shape == (1, 0)
+        traces = np.random.default_rng(0).normal(size=(18, 3))
+        r2 = mlpa_attack(traces, [7] * 18).r2
+        assert r2.tobytes() == np.zeros_like(r2).tobytes()
+
+    # Budgets from the MLPA degree-1 floor up, plaintexts drawn from
+    # pools of 1..256 bytes: small pools make degenerate DPA partitions
+    # and rank-deficient MLPA bases.  Column 0 is flat at 0.1, whose
+    # centring leaves rounding residue.
+    @settings(max_examples=15, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow,
+                                     HealthCheck.data_too_large])
+    @given(st.integers(18, 1024),
+           st.lists(st.integers(0, 255), min_size=1, max_size=256,
+                    unique=True),
+           st.integers(0, 7), st.integers(0, 2 ** 16))
+    @example(n=18, pool=[7], bit=0, seed=0)
+    @example(n=80, pool=list(range(16)), bit=3, seed=0)
+    def test_scores_match_loops_on_any_budget_and_pool(self, n, pool, bit,
+                                                       seed):
+        rng = np.random.default_rng(seed)
+        pts = [int(p) for p in rng.choice(pool, size=n)]
+        traces = rng.normal(size=(n, 5))
+        traces[:, 0] = 0.1
+        results = {
+            "dpa": (dpa_attack(traces, pts, target_bit=bit).differentials,
+                    per_bit_differentials(traces, pts, [bit])),
+            "multibit-dpa": (
+                multibit_dpa_attack(traces, pts).differentials,
+                per_bit_differentials(traces, pts, range(8))),
+            "mlpa": (mlpa_attack(traces, pts).r2,
+                     mlpa_r2_loop(traces, pts, 2 if n >= 74 else 1)),
+        }
+        for name, (got, reference) in results.items():
+            assert max_relative_delta(got[:, 1:], reference[:, 1:]) \
+                <= REL_TOL, name
+            flat = got[:, 0]
+            assert np.all(flat == 0.0) and not np.signbit(flat).any(), name
+        sbox = np.asarray(SBOX)[np.asarray(pts)[:, None] ^ np.arange(256)]
+        set_bits = (sbox[..., None] >> np.arange(8)) & 1
+        degenerate = set_bits.min(axis=0) == set_bits.max(axis=0)
+        single, multi = results["dpa"][0], results["multibit-dpa"][0]
+        assert single[degenerate[:, bit]].tobytes() == \
+            np.zeros_like(single[degenerate[:, bit]]).tobytes()
+        all_bits = degenerate.all(axis=1)
+        assert multi[all_bits].tobytes() == \
+            np.zeros_like(multi[all_bits]).tobytes()
