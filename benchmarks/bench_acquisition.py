@@ -1,11 +1,11 @@
-"""Benchmark: parallel trace acquisition vs serial, byte for byte.
+"""Benchmark: serial trace acquisition, its memos and its telemetry.
 
 Times a 256-trace fig6-style CPA campaign (CMOS target, the heaviest
-per-trace style) serially and with a 4-worker pool, proves the two
-trace matrices are byte-identical and the CPA verdict unchanged, and
-records traces/sec for both in ``BENCH_acquisition.json`` at the repo
-root.  Those plaintexts are all distinct, so the acquirer's
-ideal-sample memo never hits there.
+per-trace style) in one process and records traces/sec and the CPA
+rank in ``BENCH_acquisition.json`` at the repo root
+(``benchmarks/bench_spice.py`` re-times the same path against it).
+Those plaintexts are all distinct, so the acquirer's ideal-sample memo
+never hits there.
 
 The ``repeated_plaintexts`` section measures the memo: 1024 seed-drawn
 CMOS plaintexts (so bytes recur, as in a long campaign) acquired
@@ -23,19 +23,18 @@ bytes are identical, and the CPU count.
 
 Also measures the observability layer (``repro.obs``) on the serial
 path: one run with a live Telemetry handle (its metrics registry
-snapshot lands in the JSON under ``telemetry``) and the no-telemetry
-run time it is compared against — the disabled path must stay within
+snapshot lands in the JSON under ``telemetry``) proves instrumentation
+changes no byte.  ``enabled_overhead_pct`` is the median cost of
+enabling telemetry over alternating (disabled, enabled) campaign
+pairs, reported and not gated; the disabled path must stay within
 2 % of a run with no handles at all, which is what
-``telemetry_overhead_pct`` records.
-
-The speedup itself is machine-dependent (a single-core container can
-only demonstrate equality, not scaling), so the ≥2.5x acceptance bar
-is asserted only where at least 4 CPUs are visible; the JSON always
-records what was measured plus the cpu count it was measured on.
+``disabled_overhead_pct`` records.  The JSON records the cpu count
+it was measured on.
 """
 
 import json
 import os
+import statistics
 import time
 
 import numpy as np
@@ -45,13 +44,14 @@ from conftest import run_once
 from repro.cells import build_cmos_library
 from repro.obs import Telemetry
 from repro.sca import AttackCampaign, TraceAcquirer, acquire_traces
-from repro.sca.acquisition import ActivityMemo, resolve_backend
+from repro.sca.acquisition import ActivityMemo
 from repro.sca.attack import build_reduced_aes
 from repro.sca.matrix import STYLE_BUILDERS
 
 N_TRACES = 256
-WORKERS = 4
 KEY = 0x2B
+#: Alternating (disabled, enabled) campaign pairs behind the overhead.
+OVERHEAD_PAIRS = 5
 #: The repeated-plaintext case: seed-drawn bytes, so most recur.
 N_REPEATED = 1024
 REPEATED_SEED = 0
@@ -64,10 +64,30 @@ _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RESULT_PATH = os.path.join(_REPO_ROOT, "BENCH_acquisition.json")
 
 
-def _timed_campaign(campaign, **kwargs):
+def _timed_campaign(campaign):
     begin = time.perf_counter()
-    result = campaign.run(list(range(N_TRACES)), **kwargs)
+    result = campaign.run(list(range(N_TRACES)))
     return result, time.perf_counter() - begin
+
+
+def _enabled_overhead(library) -> dict:
+    """Cost of a live Telemetry handle on the serial campaign.
+
+    Runs after the campaigns above have warmed every import and cache.
+    Each pair times a disabled and then an enabled campaign back to
+    back, so drift on the host reaches both sides; the median pair is
+    the reported figure.
+    """
+    pairs = []
+    for _ in range(OVERHEAD_PAIRS):
+        _, disabled_s = _timed_campaign(AttackCampaign(library, KEY))
+        _, enabled_s = _timed_campaign(
+            AttackCampaign(library, KEY, telemetry=Telemetry()))
+        pairs.append(100.0 * (enabled_s / disabled_s - 1.0))
+    return {
+        "enabled_overhead_pct": round(statistics.median(pairs), 2),
+        "enabled_overhead_pairs_pct": [round(p, 2) for p in pairs],
+    }
 
 
 def _disabled_path_overhead_pct(serial_s: float) -> dict:
@@ -87,10 +107,11 @@ def _disabled_path_overhead_pct(serial_s: float) -> dict:
     for _ in range(n):
         NULL_TELEMETRY.counter("bench").inc()
     per_call_s = (time.perf_counter() - begin) / n
-    # Serial path: ~4 no-op touches per chunk (branch + span + two
-    # metric sites) + 2 per acquire call; be pessimistic and charge 8.
+    # Serial path, per 16-trace chunk: a span and a timer (each made,
+    # entered and exited) and three counter lookups with their incs —
+    # 12 no-op calls; plus the acquire call's span (charged 2).
     chunks = -(-N_TRACES // 16)
-    calls = 8 * chunks + 2
+    calls = 12 * chunks + 2
     return {
         "null_call_ns": round(per_call_s * 1e9, 2),
         "disabled_calls_charged": calls,
@@ -175,43 +196,29 @@ def _shared_activity_case() -> dict:
 
 def run_comparison():
     library = build_cmos_library()
-    serial_result, serial_s = _timed_campaign(
-        AttackCampaign(library, KEY), workers=1)
-    parallel_result, parallel_s = _timed_campaign(
-        AttackCampaign(library, KEY), workers=WORKERS)
+    serial_result, serial_s = _timed_campaign(AttackCampaign(library, KEY))
 
     # Telemetry-enabled serial run: registry numbers for the report and
     # proof that instrumentation changes nothing.
     telemetry = Telemetry()
     observed_result, observed_s = _timed_campaign(
-        AttackCampaign(library, KEY, telemetry=telemetry), workers=1)
+        AttackCampaign(library, KEY, telemetry=telemetry))
 
     report = {
         "experiment": "fig6-style CPA acquisition, cmos target",
         "n_traces": N_TRACES,
-        "workers": WORKERS,
-        "backend": resolve_backend("auto", WORKERS),
         "cpu_count": os.cpu_count(),
         "serial_seconds": round(serial_s, 4),
-        "parallel_seconds": round(parallel_s, 4),
         "serial_traces_per_sec": round(N_TRACES / serial_s, 2),
-        "parallel_traces_per_sec": round(N_TRACES / parallel_s, 2),
-        "speedup": round(serial_s / parallel_s, 3),
-        "byte_identical": bool(np.array_equal(serial_result.traces,
-                                              parallel_result.traces)),
         "cpa_rank_serial": serial_result.rank,
-        "cpa_rank_parallel": parallel_result.rank,
         "telemetry": {
             "enabled_serial_seconds": round(observed_s, 4),
             "enabled_serial_traces_per_sec": round(
                 N_TRACES / observed_s, 2),
             "byte_identical_with_telemetry": bool(np.array_equal(
                 serial_result.traces, observed_result.traces)),
-            # The serial/parallel runs above carry NULL_TELEMETRY —
-            # their time *is* the disabled path; positive means
-            # enabling telemetry cost that much.
-            "enabled_overhead_pct": round(
-                (observed_s / serial_s - 1.0) * 100.0, 2),
+            # Positive means enabling telemetry cost that much.
+            **_enabled_overhead(library),
             "registry": telemetry.registry.snapshot(),
             **_disabled_path_overhead_pct(serial_s),
         },
@@ -221,16 +228,11 @@ def run_comparison():
     with open(RESULT_PATH, "w") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
-    return report, serial_result, parallel_result
+    return report
 
 
-def test_acquisition_parallel_equivalence_and_throughput(benchmark):
-    report, serial_result, parallel_result = run_once(benchmark,
-                                                      run_comparison)
-    assert report["byte_identical"]
-    assert np.array_equal(serial_result.cpa.peak_per_guess,
-                          parallel_result.cpa.peak_per_guess)
-    assert report["cpa_rank_serial"] == report["cpa_rank_parallel"]
+def test_acquisition_memos_telemetry_and_throughput(benchmark):
+    report = run_once(benchmark, run_comparison)
     assert report["telemetry"]["byte_identical_with_telemetry"]
     assert report["telemetry"]["registry"].get("sca.acquisition.traces", {}
                                                ).get("value") == N_TRACES
@@ -244,13 +246,11 @@ def test_acquisition_parallel_equivalence_and_throughput(benchmark):
         assert case["shared_simulations"] == case["distinct_plaintexts"], case
         assert case["fresh_simulations"] == \
             case["fresh_distinct_per_die"], case
-    if (os.cpu_count() or 1) >= WORKERS:
-        assert report["speedup"] >= 2.5, report
     benchmark.extra_info.update(report)
 
 
 def main():
-    report, _, _ = run_comparison()
+    report = run_comparison()
     print(json.dumps(report, indent=2))
     print(f"\nwritten to {RESULT_PATH}")
     return report

@@ -271,7 +271,7 @@ def _serial_acquisition() -> dict:
     library = build_cmos_library()
     campaign = AttackCampaign(library, KEY)
     begin = time.perf_counter()
-    result = campaign.run(list(range(N_TRACES)), workers=1)
+    result = campaign.run(list(range(N_TRACES)))
     elapsed = time.perf_counter() - begin
     entry = {
         "n_traces": N_TRACES,

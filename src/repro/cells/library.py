@@ -20,6 +20,7 @@ paper) plus the derived quantities the paper states in prose:
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
@@ -183,6 +184,21 @@ class Library:
         """(name, area µm², delay ps) rows, Table 2 style."""
         return [(c.name, c.area_um2, c.delay_model.delay(c.input_cap) * 1e12)
                 for c in sorted(self.cells.values(), key=lambda c: c.name)]
+
+    def digest(self) -> str:
+        """Digest of what a power trace reads from this library.
+
+        Covers the name, the technology, and each cell's input
+        capacitance, delay model and power data, so two libraries of one
+        style at different corners or tail currents (which may share a
+        name) never share checkpointed traces.
+        """
+        h = hashlib.sha256(repr((self.name, self.tech)).encode())
+        for name in sorted(self.cells):
+            cell = self.cells[name]
+            h.update(repr((name, cell.input_cap, cell.delay_model,
+                           cell.power)).encode())
+        return h.hexdigest()[:16]
 
 
 def _mcml_cell(name: str, style: str, layout: LayoutModel,

@@ -289,17 +289,6 @@ class AttackError(ReproError):
     default_error_code = "E_ATTACK"
 
 
-class AcquisitionError(AttackError):
-    """Parallel trace acquisition could not complete.
-
-    Raised when the worker-pool recovery path itself fails (rebuild
-    budget exhausted with no fallback left); transient worker deaths are
-    recovered transparently and never surface as this.
-    """
-
-    default_error_code = "E_ACQUISITION"
-
-
 class CheckpointError(ReproError):
     """A checkpointed experiment run was misconfigured or got a malformed
     chunk result."""

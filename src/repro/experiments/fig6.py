@@ -60,8 +60,6 @@ def run(key: int = DEFAULT_KEY,
         mismatch_seed: int = 0,
         checkpoint_dir: Optional[str] = None,
         chunk_size: int = 32,
-        workers: int = 1,
-        backend: str = "auto",
         telemetry=None) -> Fig6Result:
     """Run the three-style CPA campaign.
 
@@ -70,11 +68,6 @@ def run(key: int = DEFAULT_KEY,
     store in that directory, and a killed run restarted with the same
     directory acquires only the missing chunks, with byte-identical
     final correlations.
-
-    ``workers`` spreads each style's acquisition over a worker pool
-    (``repro.sca.acquisition``); trace noise is keyed by trace index,
-    so any worker count produces byte-identical traces and the same
-    CPA verdicts.
     """
     results: Dict[str, CampaignResult] = {}
     for lib in (build_cmos_library(), build_mcml_library(),
@@ -86,8 +79,7 @@ def run(key: int = DEFAULT_KEY,
         if checkpoint_dir is not None:
             runner = CheckpointedRun(checkpoint_dir, chunk_size=chunk_size,
                                      telemetry=telemetry)
-        results[lib.style] = campaign.run(plaintexts, workers=workers,
-                                          backend=backend, runner=runner)
+        results[lib.style] = campaign.run(plaintexts, runner=runner)
     return Fig6Result(results=results, key=key)
 
 
@@ -101,9 +93,7 @@ class ResolutionAblation:
 def resolution_ablation(key: int = DEFAULT_KEY,
                         resolutions=(uA(1.0), uA(0.1), uA(0.01), 0.0),
                         noise_sigma: float = 0.0,
-                        mismatch_seed: int = 0,
-                        workers: int = 1,
-                        backend: str = "auto") -> ResolutionAblation:
+                        mismatch_seed: int = 0) -> ResolutionAblation:
     """Sweep the probe resolution against the PG-MCML implementation.
 
     With an impossibly ideal probe (no noise, no quantisation) the
@@ -118,7 +108,7 @@ def resolution_ablation(key: int = DEFAULT_KEY,
                                  resolution=resolution)
         campaign = AttackCampaign(lib, key, chain=chain,
                                   mismatch_seed=mismatch_seed)
-        outcome = campaign.run(workers=workers, backend=backend)
+        outcome = campaign.run()
         rows.append({
             "resolution_ua": resolution * 1e6,
             "rank": outcome.rank,

@@ -39,12 +39,10 @@ SMOKE_GRID = {
 }
 
 
-def run(spec: Optional[MatrixSpec] = None, telemetry=None,
-        workers: int = 1, backend: str = "auto") -> MatrixReport:
+def run(spec: Optional[MatrixSpec] = None, telemetry=None) -> MatrixReport:
     if spec is None:
         spec = MatrixSpec.from_dict(SMOKE_GRID)
-    return run_matrix(spec, telemetry=telemetry, workers=workers,
-                      backend=backend)
+    return run_matrix(spec, telemetry=telemetry)
 
 
 def main(grid: Optional[str] = None, report: Optional[str] = None,

@@ -62,16 +62,13 @@ def run(key: int = 0x2B, n_traces: int = 128,
         chain: Optional[MeasurementChain] = None,
         checkpoint_dir: Optional[str] = None,
         chunk_size: int = 32,
-        workers: int = 1,
-        backend: str = "auto",
         telemetry=None) -> TVLAExperiment:
     """Assess all three styles with fixed-vs-random TVLA.
 
     ``checkpoint_dir`` makes each per-style acquisition resumable (one
     result-store entry per ``chunk_size`` traces); a killed assessment
     restarted with the same directory acquires only the missing chunks
-    and yields identical t statistics.  ``workers`` spreads
-    each acquisition over a worker pool with byte-identical traces.
+    and yields identical t statistics.
     """
     rows: List[TVLAStyleRow] = []
     for build in (build_cmos_library, build_mcml_library,
@@ -84,7 +81,6 @@ def run(key: int = 0x2B, n_traces: int = 128,
                                      telemetry=telemetry)
         result = fixed_vs_random_tvla(netlist, key=key, n_traces=n_traces,
                                       chain=chain, runner=runner,
-                                      workers=workers, backend=backend,
                                       telemetry=telemetry)
         rows.append(TVLAStyleRow(
             style=library.style, n_traces=n_traces,
@@ -96,16 +92,14 @@ def run(key: int = 0x2B, n_traces: int = 128,
 
 def detection_threshold(style_builder, key: int = 0x2B,
                         counts=(16, 32, 64, 128, 256),
-                        chain: Optional[MeasurementChain] = None,
-                        workers: int = 1,
-                        backend: str = "auto") -> Optional[int]:
+                        chain: Optional[MeasurementChain] = None
+                        ) -> Optional[int]:
     """Smallest trace count at which TVLA first flags the style."""
     library = style_builder()
     netlist, _ = build_reduced_aes(library)
     for n in counts:
         result = fixed_vs_random_tvla(netlist, key=key, n_traces=n,
-                                      chain=chain, workers=workers,
-                                      backend=backend)
+                                      chain=chain)
         if result.leaks:
             return n
     return None

@@ -36,8 +36,6 @@ default 0.0 (faults windowed over t=0 are active) or call
 from __future__ import annotations
 
 import math
-import os
-import signal
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence
 
@@ -219,76 +217,6 @@ class FaultInjector:
         self.now = 0.0
         for fault in self.faults:
             fault.trips = 0
-
-
-class WorkerKillSwitch:
-    """SIGKILL forked worker processes, a bounded number of times.
-
-    Chaos testing the acquisition pool's crash recovery needs workers
-    that die *mid-campaign*, deterministically enough to assert on, and
-    never take the parent (or a thread-backend worker, which *is* the
-    parent) down with them.  The switch is created in the parent and
-    inherited by fork; :meth:`poke` is then called from worker code
-    (e.g. a :class:`~repro.sca.acquisition.TraceAcquirer` subclass at
-    the top of ``acquire``) and SIGKILLs the calling process iff
-
-    * the caller is **not** the process that built the switch (so the
-      serial path, the thread backend, and the pool's parent survive),
-    * at least ``kill_on_call`` pokes have happened in this process
-      image (lets the worker finish some chunks first), and
-    * a kill token remains.
-
-    The kill budget lives on disk as one sentinel file per kill:
-    ``os.unlink`` is atomic, so each token kills at most one process no
-    matter how many workers race for it, and replacement workers forked
-    after the budget is drained run to completion — which is exactly the
-    "campaign completes byte-identical after N crashes" scenario.
-    """
-
-    def __init__(self, path: str, kills: int = 1, kill_on_call: int = 1):
-        if kills < 0:
-            raise CircuitError(f"kills must be >= 0: {kills}")
-        if kill_on_call < 1:
-            raise CircuitError(f"kill_on_call must be >= 1: {kill_on_call}")
-        self.path = str(path)
-        self.kill_on_call = kill_on_call
-        self.parent_pid = os.getpid()
-        self.calls = 0
-        self._tokens = 0
-        self.arm(kills)
-
-    def _token(self, index: int) -> str:
-        return f"{self.path}.kill{index}"
-
-    def arm(self, kills: int) -> None:
-        """(Re)write the kill budget: one sentinel file per kill."""
-        for index in range(self._tokens):
-            try:
-                os.unlink(self._token(index))
-            except OSError:
-                pass
-        self._tokens = kills
-        for index in range(kills):
-            with open(self._token(index), "w") as handle:
-                handle.write(str(self.parent_pid))
-
-    def pending(self) -> int:
-        """Kill tokens not yet consumed."""
-        return sum(1 for index in range(self._tokens)
-                   if os.path.exists(self._token(index)))
-
-    def poke(self) -> None:
-        """Die (SIGKILL) if this is a forked worker and a token remains."""
-        self.calls += 1
-        if os.getpid() == self.parent_pid or self.calls < self.kill_on_call:
-            return
-        for index in range(self._tokens):
-            try:
-                os.unlink(self._token(index))
-            except OSError:
-                continue
-            os.kill(os.getpid(), signal.SIGKILL)
-        return
 
 
 #: Ways :func:`corrupt_jsonl_record` can damage a line.

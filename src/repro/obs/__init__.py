@@ -2,9 +2,9 @@
 
 ``repro.obs`` is the measurement substrate under every performance and
 robustness claim the flow makes: the SPICE solvers, the transient
-engine, the acquisition worker pool, and the campaign/checkpoint
-runners all accept one :class:`Telemetry` handle (explicitly threaded,
-never global) and describe what they did through it.
+engine, trace acquisition, and the campaign/checkpoint runners all
+accept one :class:`Telemetry` handle (explicitly threaded, never
+global) and describe what they did through it.
 
 The load-bearing contract — telemetry on vs off is byte-identical in
 every simulation and trace output, including kill-and-resume — is

@@ -8,10 +8,7 @@ into one JSON-friendly dict for sinks, benchmarks and tests.
 Thread safety: mutation goes through per-metric methods that are atomic
 enough under the GIL for the int/float updates used here; the registry
 itself takes a lock only on *creation* of a metric, never on update, so
-the hot path stays allocation- and lock-free.  Cross-process merging
-(fork worker pools) is explicit via :meth:`MetricsRegistry.merge` —
-worker snapshots are folded in by the parent in deterministic chunk
-order.
+the hot path stays allocation- and lock-free.
 """
 
 from __future__ import annotations
@@ -40,9 +37,6 @@ class Counter:
     def snapshot(self) -> Dict[str, Number]:
         return {"type": "counter", "value": self.value}
 
-    def merge(self, other: Dict[str, Number]) -> None:
-        self.value += other["value"]
-
 
 class Gauge:
     """A set-to-latest value (e.g. queue depth, worker count)."""
@@ -59,17 +53,12 @@ class Gauge:
     def snapshot(self) -> Dict[str, Optional[Number]]:
         return {"type": "gauge", "value": self.value}
 
-    def merge(self, other: Dict[str, Optional[Number]]) -> None:
-        if other["value"] is not None:
-            self.value = other["value"]
-
 
 class Histogram:
     """Aggregate distribution: count / total / min / max (+ mean).
 
-    No buckets and no reservoir — the aggregates are exact, bounded in
-    memory, and merge associatively across worker snapshots, which is
-    what the deterministic fork/thread reassembly needs.
+    No buckets and no reservoir — the aggregates are exact and bounded
+    in memory.
     """
 
     __slots__ = ("name", "count", "total", "min", "max")
@@ -104,22 +93,9 @@ class Histogram:
             "mean": self.mean,
         }
 
-    def merge(self, other: Dict[str, Optional[Number]]) -> None:
-        if not other["count"]:
-            return
-        self.count += int(other["count"])
-        self.total += float(other["total"])
-        if other["min"] is not None and other["min"] < self.min:
-            self.min = float(other["min"])
-        if other["max"] is not None and other["max"] > self.max:
-            self.max = float(other["max"])
-
-
-_KINDS = {"counter": Counter, "gauge": Gauge, "histogram": Histogram}
-
 
 class MetricsRegistry:
-    """Named metrics of one process (or one worker snapshot)."""
+    """Named metrics of one process."""
 
     def __init__(self):
         self._metrics: Dict[str, object] = {}
@@ -155,14 +131,3 @@ class MetricsRegistry:
         """JSON-friendly view of every metric, sorted by name."""
         return {name: self._metrics[name].snapshot()
                 for name in self.names()}
-
-    def merge(self, snapshot: Dict[str, Dict]) -> None:
-        """Fold a worker's snapshot into this registry."""
-        for name in sorted(snapshot):
-            entry = snapshot[name]
-            cls = _KINDS.get(entry.get("type"))
-            if cls is None:
-                raise ReproError(
-                    f"cannot merge metric {name!r} of unknown type "
-                    f"{entry.get('type')!r}")
-            self._get(name, cls).merge(entry)

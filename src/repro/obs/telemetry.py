@@ -1,7 +1,7 @@
 """The `Telemetry` handle: hierarchical spans + metrics + progress.
 
 One :class:`Telemetry` object is threaded *explicitly* through the
-layers it observes (solver systems, acquisition pools, campaign and
+layers it observes (solver systems, acquisition, campaign and
 checkpoint runners) — there is no global registry and no ambient
 context variable in the hot path.  Code that is handed no telemetry
 falls back to the module-level :data:`NULL_TELEMETRY` singleton, whose
@@ -16,10 +16,7 @@ Design rules, enforced by the test suite:
   byte-identical with telemetry on, off, or redirected.
 * **Deterministic trees** — span *structure* (names, nesting, order,
   attributes other than timestamps) is a pure function of the work
-  performed.  Worker-pool spans are captured per chunk in an isolated
-  collector and re-emitted by the parent in chunk-index order
-  (:meth:`Telemetry.adopt`), so fork/thread runs produce the same tree
-  as serial runs.
+  performed.
 * **Monotonic time** — ``t_start``/``t_end`` come from
   :func:`time.monotonic`; a child span's window nests inside its
   parent's (see :mod:`repro.obs.schema`).
@@ -30,7 +27,7 @@ from __future__ import annotations
 import itertools
 import threading
 import time
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Optional
 
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .sinks import MemorySink, Sink
@@ -106,10 +103,6 @@ class NullTelemetry:
 
     def timer(self, name: str) -> _NullSpan:
         return _NULL_SPAN
-
-    def adopt(self, records: Sequence[Dict],
-              extra_attrs: Optional[Dict] = None) -> None:
-        pass
 
     def emit_metrics(self) -> None:
         pass
@@ -313,71 +306,6 @@ class Telemetry:
             "t": time.monotonic(),
             "registry": self.registry.snapshot(),
         })
-
-    # -- worker reassembly ---------------------------------------------------
-
-    def collector(self) -> "Telemetry":
-        """A fresh isolated telemetry for one worker chunk.
-
-        The worker records spans/events into a private
-        :class:`MemorySink` and its own registry; the parent folds the
-        result back in deterministic order with :meth:`adopt`.
-        """
-        return Telemetry(sinks=[MemorySink()], progress=None)
-
-    def adopt(self, records: Sequence[Dict],
-              extra_attrs: Optional[Dict] = None) -> None:
-        """Re-emit a worker collector's records under the current span.
-
-        Span ids are remapped onto this telemetry's id sequence in
-        first-emitted order, worker-root spans are re-parented to the
-        caller's current span, and ``extra_attrs`` (e.g. the chunk
-        index) is merged into every adopted span — so calling ``adopt``
-        chunk-by-chunk in index order yields a tree independent of
-        worker scheduling.  Worker ``metrics`` records are merged into
-        this registry instead of being re-emitted.
-        """
-        id_map: Dict[int, int] = {}
-        parent_here = self.current_span_id()
-        for record in records:
-            kind = record.get("kind")
-            if kind == "metrics":
-                self.registry.merge(record.get("registry", {}))
-                continue
-            adopted = dict(record)
-            if kind == "span":
-                old = adopted["span_id"]
-                id_map[old] = id_map.get(old) or next(self._ids)
-                adopted["span_id"] = id_map[old]
-                old_parent = adopted.get("parent_id")
-                if old_parent is None:
-                    adopted["parent_id"] = parent_here
-                else:
-                    id_map[old_parent] = id_map.get(old_parent) \
-                        or next(self._ids)
-                    adopted["parent_id"] = id_map[old_parent]
-                if extra_attrs:
-                    attrs = dict(adopted.get("attrs") or {})
-                    attrs.update(extra_attrs)
-                    adopted["attrs"] = attrs
-            elif "span_id" in adopted:
-                old_parent = adopted.get("span_id")
-                if old_parent is None:
-                    adopted["span_id"] = parent_here
-                else:
-                    id_map[old_parent] = id_map.get(old_parent) \
-                        or next(self._ids)
-                    adopted["span_id"] = id_map[old_parent]
-            self._emit(adopted)
-
-    def drain_collector(self, collector: "Telemetry") -> List[Dict]:
-        """Finish a worker collector: metrics snapshot + its records."""
-        collector.emit_metrics()
-        sink = collector.sinks[0]
-        assert isinstance(sink, MemorySink)
-        records = sink.records
-        sink.records = []
-        return records
 
     # -- emission ------------------------------------------------------------
 

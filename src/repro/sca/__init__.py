@@ -34,7 +34,6 @@ from .acquisition import (
     AcquisitionPool,
     TraceAcquirer,
     acquire_traces,
-    resolve_backend,
     validate_plaintexts,
 )
 from .attack import AttackCampaign, CampaignResult
@@ -76,7 +75,6 @@ __all__ = [
     "AcquisitionPool",
     "TraceAcquirer",
     "acquire_traces",
-    "resolve_backend",
     "validate_plaintexts",
     "AttackCampaign",
     "CampaignResult",

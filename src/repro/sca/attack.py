@@ -12,9 +12,8 @@ One :class:`AttackCampaign` owns the full chain for one logic style:
    S-box-output model over all 256 guesses.
 
 Trace acquisition goes through :mod:`repro.sca.acquisition`: noise is
-keyed by campaign-global trace index, so campaigns parallelise over
-``workers`` and checkpoint/resume without changing a byte of the
-result.
+keyed by campaign-global trace index, so campaigns checkpoint and
+resume without changing a byte of the result.
 
 The paper's outcome to reproduce: **CMOS breaks, MCML and PG-MCML do
 not** — the black line of Fig. 6 stays inside the grey cloud.
@@ -36,7 +35,7 @@ from ..power import MeasurementChain, TraceGrid
 from ..synth import map_lut, sbox_truth_tables
 from ..synth.buffering import buffer_high_fanout
 from ..power.preprocess import standardize
-from .acquisition import DEFAULT_CHUNK, AcquisitionPool, TraceAcquirer
+from .acquisition import AcquisitionPool, TraceAcquirer
 from .cpa import CPAResult, cpa_attack
 from .dpa import DPAResult, multibit_dpa_attack
 
@@ -125,65 +124,52 @@ class AttackCampaign:
 
         Keys the stored chunks of a :meth:`run` given a ``runner``:
         equal fingerprints guarantee byte-identical traces for equal
-        plaintext slices.
+        plaintext slices.  The library digest tells corners and tail
+        currents apart, which share a style and may share a name.
         """
         return {"experiment": "cpa-campaign",
                 "style": self.library.style,
+                "library": self.library.digest(),
                 "key": self.key,
                 "mismatch_seed": self.mismatch_seed,
                 "noise": self.chain.fingerprint()}
 
-    def _acquirer_factory(self, grid: Optional[TraceGrid]):
-        def factory() -> TraceAcquirer:
-            return TraceAcquirer(self.netlist, self.key, chain=self.chain,
-                                 grid=grid,
-                                 mismatch_seed=self.mismatch_seed)
-        return factory
-
     def run(self, plaintexts: Optional[Sequence[int]] = None,
             with_dpa: bool = False,
             grid: Optional[TraceGrid] = None,
-            workers: int = 1, backend: str = "auto",
-            chunk_size: int = DEFAULT_CHUNK,
             runner=None) -> CampaignResult:
         """Collect traces and attack.
 
         Defaults to all 256 plaintexts — the exhaustive enumeration the
-        paper uses.  ``workers`` spreads the acquisition over a process
-        (or thread) pool; the traces are byte-identical for any worker
-        count.
+        paper uses.
 
         ``runner``, when given, is a
         :class:`repro.experiments.runner.CheckpointedRun` (duck-typed to
         keep this layer free of experiment imports): each acquired chunk
         is stored under this campaign's fingerprint, and a killed
         campaign restarted on the same store acquires only the chunks it
-        lacks.  Noise is keyed by trace index, so resumed (and parallel)
-        acquisition is byte-identical to an uninterrupted serial run; a
-        different seeding scheme, entropy or grid keys different chunks
-        and reuses nothing.
+        lacks.  Noise is keyed by trace index, so resumed acquisition
+        is byte-identical to an uninterrupted run; a different library,
+        seeding scheme, entropy or grid keys different chunks and reuses
+        nothing.
         """
         pts = list(plaintexts) if plaintexts is not None else list(range(256))
         tele = self.telemetry
         with tele.span("sca.campaign", style=self.library.style,
                        key=self.key, n_traces=len(pts),
                        checkpointed=runner is not None):
-            with AcquisitionPool(self._acquirer_factory(grid),
-                                 workers=workers, backend=backend,
-                                 chunk_size=chunk_size,
-                                 telemetry=tele) as pool:
-                if runner is None:
-                    traces = pool.acquire(pts)
-                else:
-                    def process(chunk: Sequence[int],
-                                start: int) -> np.ndarray:
-                        return pool.acquire(chunk, trace_offset=start)
-
-                    fingerprint = self.fingerprint()
-                    if grid is not None:
-                        fingerprint["grid"] = [grid.t0, grid.t1, grid.dt]
-                    traces = runner.run(pts, process,
-                                        fingerprint=fingerprint)
+            pool = AcquisitionPool(
+                TraceAcquirer(self.netlist, self.key, chain=self.chain,
+                              grid=grid, mismatch_seed=self.mismatch_seed),
+                telemetry=tele)
+            if runner is None:
+                traces = pool.acquire(pts)
+            else:
+                fingerprint = self.fingerprint()
+                if grid is not None:
+                    fingerprint["grid"] = [grid.t0, grid.t1, grid.dt]
+                traces = runner.run(pts, pool.acquire,
+                                    fingerprint=fingerprint)
             return self._attack(pts, traces, with_dpa)
 
     def _attack(self, pts: List[int], traces: np.ndarray,

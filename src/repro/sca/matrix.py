@@ -375,7 +375,8 @@ class MatrixReport:
 
 
 class _GridRunner:
-    """Shared state for one grid execution: caches + acquisition pool.
+    """Shared state for one grid execution: libraries, netlists, memos
+    and acquired trace sets.
 
     Every die of a (style, corner) shares one netlist and one
     :class:`~repro.sca.acquisition.ActivityMemo`, so each distinct
@@ -383,12 +384,9 @@ class _GridRunner:
     after the last trace set of its (style, corner) is acquired.
     """
 
-    def __init__(self, spec: MatrixSpec, telemetry, workers: int,
-                 backend: str, erc: Optional[bool]):
+    def __init__(self, spec: MatrixSpec, telemetry, erc: Optional[bool]):
         self.spec = spec
         self.tele = telemetry
-        self.workers = workers
-        self.backend = backend
         self.erc = erc if erc is not None else erc_enabled()
         self._libraries: Dict[Tuple[str, str], Library] = {}
         self._netlists: Dict[Tuple[str, str], Tuple] = {}
@@ -471,19 +469,14 @@ class _GridRunner:
         # every attack and budget measured on that die at that corner.
         mismatch_seed = derive_mismatch_seed(spec.base_seed, cell.style,
                                              cell.corner, repeat)
-
-        def factory() -> TraceAcquirer:
-            return TraceAcquirer(netlist, spec.key, chain=chain,
-                                 mismatch_seed=mismatch_seed,
-                                 activity=activity)
-
         with self.tele.span("sca.matrix.acquire", style=cell.style,
                             corner=cell.corner, schedule=cell.schedule,
                             n_traces=len(pts), repeat=repeat):
-            with AcquisitionPool(factory, workers=self.workers,
-                                 backend=self.backend,
-                                 telemetry=self.tele) as pool:
-                traces = pool.acquire(pts)
+            acquirer = TraceAcquirer(netlist, spec.key, chain=chain,
+                                     mismatch_seed=mismatch_seed,
+                                     activity=activity)
+            traces = AcquisitionPool(acquirer, telemetry=self.tele) \
+                .acquire(pts)
         return pts, traces
 
     def _plaintexts(self, cell: MatrixCell, repeat: int) -> List[int]:
@@ -612,18 +605,27 @@ class _GridRunner:
 
 
 def run_matrix(spec: MatrixSpec, telemetry=None, workers: int = 1,
-               backend: str = "auto",
+               backend: str = "serial",
                erc: Optional[bool] = None) -> MatrixReport:
-    """Expand ``spec`` and run every cell, returning one report.
+    """Expand ``spec`` and run every cell in this process, returning one
+    report.
 
-    ``workers``/``backend`` configure each cell's acquisition pool;
     ``erc`` overrides the REPRO_ERC preflight gate.  Cell order (and
     every seed) is a pure function of the spec, so two runs of the same
-    grid produce byte-identical trace sets.
+    grid produce byte-identical trace sets.  ``workers`` and ``backend``
+    accept only ``1`` and ``"serial"``, which existing callers pass; a
+    grid spread over processes goes through the job service
+    (``repro serve --workers N``).
     """
+    if workers != 1 or backend != "serial":
+        raise AttackError(
+            f"run_matrix acquires in one process (workers=1, "
+            f"backend='serial'), not workers={workers!r}, "
+            f"backend={backend!r}; spread a grid over processes with "
+            f"the job service: repro serve --workers N")
     tele = telemetry if telemetry is not None else NULL_TELEMETRY
     cells = spec.expand()
-    runner = _GridRunner(spec, tele, workers, backend, erc)
+    runner = _GridRunner(spec, tele, erc)
     with tele.span("sca.matrix", n_cells=len(cells),
                    styles=",".join(spec.styles),
                    attacks=",".join(spec.attacks),

@@ -97,8 +97,6 @@ def fixed_vs_random_tvla(netlist, key: int, n_traces: int = 128,
                          fixed_plaintext: int = 0x00,
                          chain=None, grid=None, mismatch_seed: int = 0,
                          seed: int = 99, runner=None,
-                         workers: int = 1,
-                         backend: str = "auto",
                          telemetry=None) -> TVLAResult:
     """Run a fixed-vs-random TVLA campaign against a reduced-AES netlist.
 
@@ -107,9 +105,8 @@ def fixed_vs_random_tvla(netlist, key: int, n_traces: int = 128,
     given, is a :class:`repro.experiments.runner.CheckpointedRun`: each
     acquired chunk is stored, and a killed campaign restarted on the
     same store acquires only the missing chunks, byte-identically.
-    ``workers`` spreads the acquisition over a worker pool; noise is
-    keyed by trace index, so any worker count (with or without a
-    runner) yields the same bytes.
+    The chunks are keyed by a digest of the netlist's library, so
+    corners and tail currents never share them.
     """
     from ..obs import NULL_TELEMETRY
     from ..power import MeasurementChain
@@ -136,32 +133,29 @@ def fixed_vs_random_tvla(netlist, key: int, n_traces: int = 128,
         interleaved.extend((f, r))
     chain = chain if chain is not None else MeasurementChain()
 
-    def factory():
-        return TraceAcquirer(netlist, key, chain=chain, grid=grid,
-                             mismatch_seed=mismatch_seed)
-
     with tele.span("sca.tvla", key=key, n_traces=n_traces,
                    fixed_plaintext=fixed_plaintext,
                    checkpointed=runner is not None) as span:
-        with AcquisitionPool(factory, workers=workers, backend=backend,
-                             telemetry=tele) as pool:
-            if runner is None:
-                traces = pool.acquire(interleaved)
-            else:
-                def process(chunk, start):
-                    return pool.acquire(chunk, trace_offset=start)
-
-                fingerprint = {"experiment": "tvla",
-                               "netlist": netlist.name, "key": key,
-                               "n_traces": n_traces,
-                               "fixed_plaintext": fixed_plaintext,
-                               "mismatch_seed": mismatch_seed,
-                               "seed": seed,
-                               "noise": chain.fingerprint()}
-                if grid is not None:
-                    fingerprint["grid"] = [grid.t0, grid.t1, grid.dt]
-                traces = runner.run(interleaved, process,
-                                    fingerprint=fingerprint)
+        pool = AcquisitionPool(
+            TraceAcquirer(netlist, key, chain=chain, grid=grid,
+                          mismatch_seed=mismatch_seed),
+            telemetry=tele)
+        if runner is None:
+            traces = pool.acquire(interleaved)
+        else:
+            fingerprint = {"experiment": "tvla",
+                           "netlist": netlist.name,
+                           "library": netlist.library.digest(),
+                           "key": key,
+                           "n_traces": n_traces,
+                           "fixed_plaintext": fixed_plaintext,
+                           "mismatch_seed": mismatch_seed,
+                           "seed": seed,
+                           "noise": chain.fingerprint()}
+            if grid is not None:
+                fingerprint["grid"] = [grid.t0, grid.t1, grid.dt]
+            traces = runner.run(interleaved, pool.acquire,
+                                fingerprint=fingerprint)
         fixed_traces = traces[0::2]
         random_traces = traces[1::2]
         t = welch_t(fixed_traces, random_traces)

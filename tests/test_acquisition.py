@@ -1,9 +1,10 @@
-"""Tests for the order-independent parallel acquisition engine.
+"""Tests for the order-independent acquisition engine.
 
 The contract under test: a campaign's trace matrix is a pure function
 of (netlist, key, chain entropy, mismatch seed, plaintexts) — the same
-bytes come out whether acquisition is serial, threaded, forked,
-chunk-shuffled, or killed and resumed from the result store.
+bytes come out however the plaintexts are chunked, in whichever order
+the chunks run, and when a campaign is killed and resumed from the
+result store.
 """
 
 from collections import Counter
@@ -23,15 +24,12 @@ from repro.netlist import LogicSimulator
 from repro.obs import MemorySink, Telemetry
 from repro.power import MeasurementChain, TraceGrid
 from repro.sca import (
-    AcquisitionPool,
     AttackCampaign,
     TraceAcquirer,
     acquire_traces,
     cpa_attack,
-    resolve_backend,
     validate_plaintexts,
 )
-from repro.sca.acquisition import _fork_available
 from repro.sca.attack import build_reduced_aes
 from repro.units import ns, ps, uA
 
@@ -52,27 +50,13 @@ def style_setup(request):
     """(style, library, netlist, serial reference matrix) per style."""
     library = _BUILDERS[request.param]()
     netlist, _ = build_reduced_aes(library)
-    serial = acquire_traces(netlist, KEY, PTS, workers=1)
+    serial = acquire_traces(netlist, KEY, PTS)
     return request.param, library, netlist, serial
 
 
 class TestByteIdenticalAcrossExecution:
-    """ISSUE acceptance: workers=1, workers=4, shuffled chunk order and
-    kill-and-resume all produce byte-identical matrices, per style."""
-
-    def test_thread_pool_matches_serial(self, style_setup):
-        _, _, netlist, serial = style_setup
-        threaded = acquire_traces(netlist, KEY, PTS, workers=4,
-                                  backend="thread", chunk_size=8)
-        assert np.array_equal(threaded, serial)
-
-    @pytest.mark.skipif(not _fork_available(),
-                        reason="fork start method unavailable")
-    def test_process_pool_matches_serial(self, style_setup):
-        _, _, netlist, serial = style_setup
-        forked = acquire_traces(netlist, KEY, PTS, workers=4,
-                                backend="process", chunk_size=8)
-        assert np.array_equal(forked, serial)
+    """Chunk size, shuffled chunk order and kill-and-resume all produce
+    byte-identical matrices, per style."""
 
     def test_shuffled_chunk_order_matches_serial(self, style_setup):
         _, _, netlist, serial = style_setup
@@ -86,11 +70,18 @@ class TestByteIdenticalAcrossExecution:
                 chunk, trace_offset=begin)
         assert np.array_equal(rows, serial)
 
-    def test_chunk_size_does_not_matter(self, style_setup):
-        _, _, netlist, serial = style_setup
-        odd = acquire_traces(netlist, KEY, PTS, workers=2,
-                             backend="thread", chunk_size=7)
-        assert np.array_equal(odd, serial)
+    def test_chunk_size_does_not_matter(self, repeated_setup):
+        """Chunk invariance, which checkpointed runs and the job service
+        rely on: slices of 1, 7, 16 and 33 traces, each acquired at its
+        own campaign offset, give the bytes of one call over the whole
+        list (and of the uncached per-trace reference)."""
+        _, netlist, pts, reference = repeated_setup
+        whole = TraceAcquirer(netlist, KEY).acquire(pts, trace_offset=OFFSET)
+        assert whole.tobytes() == reference.tobytes()
+        for size in (1, 7, 16, 33):
+            sliced = _in_slices(TraceAcquirer(netlist, KEY), pts, size,
+                                offset=OFFSET)
+            assert sliced.tobytes() == whole.tobytes(), size
 
     def test_kill_and_resume_with_workers_matches_serial(
             self, style_setup, tmp_path, kill_after_puts):
@@ -99,15 +90,14 @@ class TestByteIdenticalAcrossExecution:
         campaign = AttackCampaign(library, KEY)
         with pytest.raises(KeyboardInterrupt):
             campaign.run(
-                PTS, workers=2, backend="thread",
+                PTS,
                 runner=kill_after_puts(CheckpointedRun(path, chunk_size=8),
                                        2))
 
         tele = Telemetry(sinks=[MemorySink()])
         runner = CheckpointedRun(path, chunk_size=8)
         resumed = AttackCampaign(library, KEY,
-                                 telemetry=tele).run(
-            PTS, workers=4, backend="thread", runner=runner)
+                                 telemetry=tele).run(PTS, runner=runner)
         assert runner.stats.chunks_resumed == 2
         assert runner.stats.chunks_run == 3
         # Only the three missing chunks were acquired.
@@ -119,8 +109,7 @@ class TestByteIdenticalAcrossExecution:
 
     def test_campaign_api_rank_invariant_under_workers(self, style_setup):
         _, library, _, serial = style_setup
-        result = AttackCampaign(library, KEY).run(PTS, workers=4,
-                                                  backend="thread")
+        result = AttackCampaign(library, KEY).run(PTS)
         assert np.array_equal(result.traces, serial)
         reference = cpa_attack(serial, PTS, true_key=KEY)
         assert result.cpa.rank_of_true_key() == \
@@ -207,30 +196,6 @@ class TestValidation:
             TraceAcquirer(netlist, 0x100)
 
 
-class TestBackendResolution:
-    def test_workers_one_is_always_serial(self):
-        for backend in ("auto", "serial", "thread", "process"):
-            assert resolve_backend(backend, 1) == "serial"
-
-    def test_serial_backend_wins_over_workers(self):
-        assert resolve_backend("serial", 8) == "serial"
-
-    def test_auto_picks_a_parallel_backend(self):
-        assert resolve_backend("auto", 4) in ("process", "thread")
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(AttackError, match="unknown"):
-            resolve_backend("mpi", 4)
-
-    def test_nonpositive_workers_rejected(self):
-        with pytest.raises(AttackError):
-            resolve_backend("auto", 0)
-
-    def test_pool_rejects_bad_chunk_size(self):
-        with pytest.raises(AttackError):
-            AcquisitionPool(lambda: None, workers=2, chunk_size=0)
-
-
 class TestCheckpointScheme:
     def test_different_entropy_reuses_no_chunk(self, tmp_path,
                                                kill_after_puts):
@@ -258,6 +223,10 @@ class TestCheckpointScheme:
         netlist, _ = build_reduced_aes(library)
         out = acquire_traces(netlist, KEY, [])
         assert out.shape[0] == 0 and out.shape[1] > 0
+        # The acquirer's own grid sets the width.
+        grid = TraceGrid(0.0, ns(2.0), ps(50.0))
+        assert acquire_traces(netlist, KEY, [], grid=grid).shape == \
+            (0, grid.n)
 
 
 class TestBlockedMeasurement:
@@ -291,6 +260,14 @@ class TestBlockedMeasurement:
         assert empty.shape == (0, 8)
 
 
+def _in_slices(acquirer, pts, size, offset=0):
+    """``pts`` acquired ``size`` at a time, each slice at its offset."""
+    return np.vstack([
+        acquirer.acquire(pts[begin:begin + size],
+                         trace_offset=offset + begin)
+        for begin in range(0, len(pts), size)])
+
+
 class TestBatchedAcquisition:
     """The acquirer measures each chunk as one block; the bytes equal a
     per-trace ``measure`` loop for every block size."""
@@ -304,7 +281,7 @@ class TestBatchedAcquisition:
         per_trace = np.array([
             acquirer.chain.measure(acquirer.ideal_samples(p), trace_index=i)
             for i, p in enumerate(PTS)])
-        out = acquire_traces(netlist, KEY, PTS, chunk_size=batch)
+        out = _in_slices(TraceAcquirer(netlist, KEY), PTS, batch)
         assert out.tobytes() == per_trace.tobytes()
         assert serial.tobytes() == per_trace.tobytes()
 
@@ -350,24 +327,10 @@ class TestIdealSampleMemo:
             return original(sim, *args, **kwargs)
 
         monkeypatch.setattr(LogicSimulator, method, counted)
-        out = acquire_traces(netlist, KEY, pts, chunk_size=chunk_size,
-                             trace_offset=OFFSET)
+        out = _in_slices(TraceAcquirer(netlist, KEY), pts, chunk_size,
+                         offset=OFFSET)
         assert out.tobytes() == reference.tobytes()
         assert list(calls.values()) == [len(set(pts))]
-
-    @pytest.mark.parametrize("backend", [
-        "thread",
-        pytest.param("process", marks=pytest.mark.skipif(
-            not _fork_available(), reason="fork start method unavailable")),
-    ])
-    @pytest.mark.parametrize("chunk_size", [1, 7, 16])
-    def test_parallel_backends_match_serial(self, repeated_setup,
-                                            backend, chunk_size):
-        _, netlist, pts, reference = repeated_setup
-        out = acquire_traces(netlist, KEY, pts, workers=3,
-                             backend=backend, chunk_size=chunk_size,
-                             trace_offset=OFFSET)
-        assert out.tobytes() == reference.tobytes()
 
     def test_simulated_counter_counts_memo_misses(self):
         netlist, _ = build_reduced_aes(build_cmos_library())

@@ -27,12 +27,7 @@ from repro.power import (
 from repro.power.models import CMOS_PULSE_WIDTH
 from repro.power.trace import _deposit_triangles
 from repro.sca import AcquisitionPool, TraceAcquirer
-from repro.sca.acquisition import (
-    DEFAULT_DT,
-    DEFAULT_WINDOW,
-    ActivityMemo,
-    _fork_available,
-)
+from repro.sca.acquisition import DEFAULT_DT, DEFAULT_WINDOW, ActivityMemo
 from repro.sca.attack import build_reduced_aes
 from repro.sca.matrix import STYLE_BUILDERS
 from repro.service import JobLedger, JobQueue, ResultStore, ServiceWorker, \
@@ -251,28 +246,25 @@ def test_dies_on_one_memo_match_fresh_acquirers(style, corner_name,
     assert list(calls.values()) == [len(distinct)]
 
 
-def _die_traces(memo, backend, workers=3):
-    """Four dies' traces through pools that all share ``memo``."""
-    tele = Telemetry(sinks=[MemorySink()])
-    pts = sorted(list(range(16)) * 4)  # each byte in one 16-trace chunk
-    rows = []
-    for die in range(4):
-        def factory(die=die):
-            return TraceAcquirer(memo.netlist, KEY, mismatch_seed=die,
-                                 activity=memo)
+#: Each byte fills one 16-trace chunk.
+DIE_PTS = sorted(list(range(16)) * 4)
 
-        with AcquisitionPool(factory, workers=workers, backend=backend,
-                             telemetry=tele) as pool:
-            rows.append(pool.acquire(pts))
+
+def _die_traces(memo):
+    """Four dies' traces through campaign pools that all share ``memo``."""
+    tele = Telemetry(sinks=[MemorySink()])
+    rows = [AcquisitionPool(TraceAcquirer(memo.netlist, KEY,
+                                          mismatch_seed=die, activity=memo),
+                            telemetry=tele).acquire(DIE_PTS)
+            for die in range(4)]
     return np.vstack(rows), tele.registry
 
 
-@pytest.mark.parametrize("backend", ["serial", "thread"])
-def test_counters_split_simulation_from_composition(backend):
+def test_counters_split_simulation_from_composition():
     """4 dies x 64 traces over 16 bytes on one memo: 16 simulations,
-    64 compositions, however the threads interleave."""
+    64 compositions."""
     memo = ActivityMemo(netlist_for("cmos", "tt"), KEY)
-    _, registry = _die_traces(memo, backend)
+    _, registry = _die_traces(memo)
     assert registry.counter("sca.acquisition.traces").value == 256
     assert registry.counter("sca.acquisition.simulated").value == 16
     assert registry.counter("sca.acquisition.composed").value == 64
@@ -280,13 +272,13 @@ def test_counters_split_simulation_from_composition(backend):
 
 @pytest.mark.parametrize("style", ["pgmcml", "wddl"])
 def test_backends_agree_on_a_shared_memo(style):
+    """The campaign path on one shared memo gives the bytes of bare
+    acquirers that each simulate on their own memo."""
     netlist = netlist_for(style, "ff")
-    serial, _ = _die_traces(ActivityMemo(netlist, KEY), "serial")
-    threaded, _ = _die_traces(ActivityMemo(netlist, KEY), "thread")
-    assert threaded.tobytes() == serial.tobytes()
-    if _fork_available():
-        forked, _ = _die_traces(ActivityMemo(netlist, KEY), "process")
-        assert forked.tobytes() == serial.tobytes()
+    shared, _ = _die_traces(ActivityMemo(netlist, KEY))
+    fresh = np.vstack([TraceAcquirer(netlist, KEY, mismatch_seed=die)
+                       .acquire(DIE_PTS) for die in range(4)])
+    assert shared.tobytes() == fresh.tobytes()
 
 
 class TestMemoIdentity:
@@ -333,8 +325,7 @@ def test_grid_builds_one_memo_per_netlist_and_frees_it(monkeypatch):
     spec = matrix.MatrixSpec(styles=("pgmcml",), attacks=("cpa", "tvla"),
                              corners=("tt", "ff"), budgets=(16,),
                              repeats=2, key=KEY)
-    runner = matrix._GridRunner(spec, NULL_TELEMETRY, workers=1,
-                                backend="serial", erc=False)
+    runner = matrix._GridRunner(spec, NULL_TELEMETRY, erc=False)
     for cell in spec.expand():
         assert runner.run_cell(cell).ok
     assert [nl.library.name.split("@")[1] for nl in built] == ["tt", "ff"]

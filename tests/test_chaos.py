@@ -1,26 +1,24 @@
-"""Chaos tests: killed workers, runaway-solve budgets, ERC preflight,
-and crash-durable result-store puts.
+"""Chaos tests: runaway-solve budgets, ERC preflight, and crash-durable
+result-store puts.
 
 The fault-tolerance contract under test:
 
-* a CPA campaign whose fork workers are SIGKILLed mid-chunk completes
-  with trace bytes and key rank identical to a serial run, and the
-  requeue/rebuild is visible in telemetry;
-* a pool whose workers die systematically falls back to the thread
-  backend after a bounded number of rebuilds instead of looping;
 * runaway DC/transient solves stop at deterministic budgets with a
-  structured :class:`BudgetExhaustedError` carrying diagnostics;
+  structured :class:`BudgetExhaustedError` carrying diagnostics, and
+  the exhaustion is visible in telemetry;
 * the ERC rejects each class of malformed circuit with structured
   findings before any Newton iteration;
 * result-store puts, which hold every checkpointed chunk, survive
   crashes (fsync before rename, directory fsync after), and a failed
   put leaves no temp file and never damages earlier entries.
 
-Set ``REPRO_CHAOS_ARTIFACT=/path/out.jsonl`` to have the worker-kill
+Killed worker processes are the job service's to survive; its chaos
+tests live in ``tests/test_service.py``.
+
+Set ``REPRO_CHAOS_ARTIFACT=/path/out.jsonl`` to have the budget-exhaustion
 run leave its validated failure-telemetry JSONL behind (CI uploads it).
 """
 
-import gc
 import json
 import math
 import os
@@ -33,18 +31,14 @@ from repro.cells import build_pg_mcml_library, preflight_library
 from repro.cells.functions import function
 from repro.cells.pgmcml import PgMcmlCellGenerator
 from repro.errors import (
-    AttackError,
     BudgetExhaustedError,
     ConvergenceError,
     ErcError,
     ReproError,
 )
-from repro.faultinject import Fault, FaultInjector, WorkerKillSwitch
+from repro.faultinject import Fault, FaultInjector
 from repro.obs import MemorySink, Telemetry, validate_stream
-from repro.sca import AcquisitionPool, AttackCampaign, TraceAcquirer, \
-    acquire_traces, cpa_attack
-from repro.sca.acquisition import _FORK_ACQUIRERS, _fork_available
-from repro.sca.attack import build_reduced_aes
+from repro.sca import AttackCampaign
 from repro.service.store import ResultStore, chunk_key
 from repro.spice import Circuit, DC, SolveBudget, UNLIMITED_BUDGET, \
     check_circuit, erc_preflight, run_transient, solve_dc
@@ -55,31 +49,12 @@ from repro.synth import build_sbox_ise
 from repro.units import ns, ps
 
 KEY = 0x2B
-PTS = list(range(32))
-
-fork_only = pytest.mark.skipif(not _fork_available(),
-                               reason="fork start method unavailable")
 
 
 @pytest.fixture(scope="module")
-def campaign_setup():
-    """(library, netlist, serial reference matrix) for the kill tests."""
-    library = build_pg_mcml_library()
-    netlist, _ = build_reduced_aes(library)
-    serial = acquire_traces(netlist, KEY, PTS, workers=1)
-    return library, netlist, serial
-
-
-class _KillingAcquirer(TraceAcquirer):
-    """Acquirer that pokes a kill switch at the top of every chunk."""
-
-    kill_switch = None
-
-    def acquire(self, plaintexts, trace_offset=0, **kwargs):
-        if self.kill_switch is not None:
-            self.kill_switch.poke()
-        return super().acquire(plaintexts, trace_offset=trace_offset,
-                               **kwargs)
+def library():
+    """The PG-MCML library the campaign-start ERC tests build on."""
+    return build_pg_mcml_library()
 
 
 def _events(tele, name=None):
@@ -87,123 +62,6 @@ def _events(tele, name=None):
     if name is None:
         return records
     return [r for r in records if r["name"] == name]
-
-
-class TestWorkerCrashRecovery:
-    """Tentpole part 1: SIGKILLed fork workers, byte-identical output."""
-
-    @fork_only
-    def test_killed_worker_recovers_byte_identical(self, campaign_setup,
-                                                   tmp_path):
-        _, netlist, serial = campaign_setup
-        switch = WorkerKillSwitch(str(tmp_path / "ks"), kills=1)
-
-        def factory():
-            acquirer = _KillingAcquirer(netlist, KEY)
-            acquirer.kill_switch = switch
-            return acquirer
-
-        tele = Telemetry(sinks=[MemorySink()])
-        with AcquisitionPool(factory, workers=2, backend="process",
-                             chunk_size=8, telemetry=tele) as pool:
-            rows = pool.acquire(PTS)
-            assert pool.backend == "process"  # no fallback needed
-        assert switch.pending() == 0, "the kill switch never fired"
-        assert np.array_equal(rows, serial)
-
-        lost = _events(tele, "sca.acquisition.worker_lost")
-        rebuilt = _events(tele, "sca.acquisition.pool_rebuilt")
-        assert lost and rebuilt
-        assert lost[0]["attrs"]["requeued"] >= 1
-        assert tele.registry.counter(
-            "sca.acquisition.pool_rebuilds").value >= 1
-        validate_stream(tele.sinks[0].records)
-
-        artifact = os.environ.get("REPRO_CHAOS_ARTIFACT")
-        if artifact:
-            os.makedirs(os.path.dirname(artifact) or ".", exist_ok=True)
-            with open(artifact, "w") as handle:
-                for record in tele.sinks[0].records:
-                    handle.write(json.dumps(record) + "\n")
-
-    @fork_only
-    def test_killed_worker_campaign_key_rank_matches_serial(
-            self, campaign_setup, tmp_path):
-        _, netlist, serial = campaign_setup
-        switch = WorkerKillSwitch(str(tmp_path / "ks"), kills=1,
-                                  kill_on_call=2)
-
-        def factory():
-            acquirer = _KillingAcquirer(netlist, KEY)
-            acquirer.kill_switch = switch
-            return acquirer
-
-        with AcquisitionPool(factory, workers=2, backend="process",
-                             chunk_size=4) as pool:
-            rows = pool.acquire(PTS)
-        assert np.array_equal(rows, serial)
-        reference = cpa_attack(serial, PTS, true_key=KEY)
-        recovered = cpa_attack(rows, PTS, true_key=KEY)
-        assert recovered.rank_of_true_key() == reference.rank_of_true_key()
-
-    @fork_only
-    def test_systematic_deaths_fall_back_to_threads(self, campaign_setup,
-                                                    tmp_path):
-        """Every forked worker dies instantly: after max_pool_rebuilds
-        the pool demotes itself to threads (where the kill switch is a
-        no-op — threads share the exempt parent PID) and completes."""
-        _, netlist, serial = campaign_setup
-        switch = WorkerKillSwitch(str(tmp_path / "ks"), kills=1000)
-
-        def factory():
-            acquirer = _KillingAcquirer(netlist, KEY)
-            acquirer.kill_switch = switch
-            return acquirer
-
-        tele = Telemetry(sinks=[MemorySink()])
-        with AcquisitionPool(factory, workers=2, backend="process",
-                             chunk_size=8, telemetry=tele,
-                             max_pool_rebuilds=1) as pool:
-            rows = pool.acquire(PTS)
-            assert pool.backend == "thread"
-            assert pool._token is None
-        assert np.array_equal(rows, serial)
-        fallback = _events(tele, "sca.acquisition.backend_fallback")
-        assert fallback and fallback[0]["attrs"]["to_backend"] == "thread"
-
-    @fork_only
-    def test_registry_released_on_close(self, campaign_setup):
-        _, netlist, _ = campaign_setup
-        pool = AcquisitionPool(lambda: TraceAcquirer(netlist, KEY),
-                               workers=2, backend="process")
-        pool._ensure_started()
-        token = pool._token
-        assert token in _FORK_ACQUIRERS
-        pool.close()
-        assert token not in _FORK_ACQUIRERS
-        pool.close()  # idempotent
-
-    @fork_only
-    def test_registry_released_when_pool_is_abandoned(self, campaign_setup):
-        """A pool dropped without close() (caller crashed) must not leak
-        its acquirer in the module registry."""
-        _, netlist, _ = campaign_setup
-        pool = AcquisitionPool(lambda: TraceAcquirer(netlist, KEY),
-                               workers=2, backend="process")
-        pool._ensure_started()
-        token = pool._token
-        executor = pool._executor
-        assert token in _FORK_ACQUIRERS
-        del pool
-        gc.collect()
-        assert token not in _FORK_ACQUIRERS
-        executor.shutdown()
-
-    def test_rebuild_budget_is_validated(self, campaign_setup):
-        _, netlist, _ = campaign_setup
-        with pytest.raises(AttackError):
-            AcquisitionPool(lambda: TraceAcquirer(netlist, KEY),
-                            max_pool_rebuilds=-1)
 
 
 # -- solve budgets ------------------------------------------------------------
@@ -314,6 +172,15 @@ class TestSolveBudgets:
                      telemetry=tele)
         assert tele.registry.counter("spice.budget.dc_exhausted").value == 1
         assert _events(tele, "spice.budget.exhausted")
+        tele.emit_metrics()
+        validate_stream(tele.sinks[0].records)
+
+        artifact = os.environ.get("REPRO_CHAOS_ARTIFACT")
+        if artifact:
+            os.makedirs(os.path.dirname(artifact) or ".", exist_ok=True)
+            with open(artifact, "w") as handle:
+                for record in tele.sinks[0].records:
+                    handle.write(json.dumps(record) + "\n")
 
 
 # -- ERC ----------------------------------------------------------------------
@@ -411,20 +278,17 @@ class TestErcRules:
         monkeypatch.setenv("REPRO_ERC", "on")
         assert erc_enabled()
 
-    def test_campaign_start_runs_preflight(self, campaign_setup):
-        library, _, _ = campaign_setup
+    def test_campaign_start_runs_preflight(self, library):
         tele = Telemetry(sinks=[MemorySink()])
         AttackCampaign(library, KEY, telemetry=tele)
         assert tele.registry.counter("spice.erc.checks").value >= 3
 
-    def test_campaign_erc_opt_out(self, campaign_setup):
-        library, _, _ = campaign_setup
+    def test_campaign_erc_opt_out(self, library):
         tele = Telemetry(sinks=[MemorySink()])
         AttackCampaign(library, KEY, telemetry=tele, erc=False)
         assert tele.registry.counter("spice.erc.checks").value == 0
 
-    def test_synthesis_runs_preflight(self, campaign_setup, monkeypatch):
-        library, _, _ = campaign_setup
+    def test_synthesis_runs_preflight(self, library, monkeypatch):
         calls = []
         monkeypatch.setattr("repro.synth.sbox_unit.preflight_library",
                             lambda lib, **kw: calls.append(lib))

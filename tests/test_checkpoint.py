@@ -11,6 +11,7 @@ from repro.cells import (
     build_cmos_library,
     build_mcml_library,
     build_pg_mcml_library,
+    library_at_corner,
 )
 from repro.errors import CheckpointError
 from repro.experiments import fig6, tvla
@@ -19,7 +20,8 @@ from repro.obs import MemorySink, Telemetry
 from repro.power import TraceGrid
 from repro.sca import AttackCampaign, cpa_attack, fixed_vs_random_tvla
 from repro.sca.attack import build_reduced_aes
-from repro.units import ns, ps
+from repro.tech import corner
+from repro.units import ns, ps, uA
 
 
 def square_chunk(chunk, start):
@@ -205,9 +207,8 @@ class TestCampaignResume:
     def test_killed_campaigns_resume_in_parallel_on_one_store(
             self, style, tmp_path, kill_after_puts):
         """CPA and TVLA for one style share a store directory; each is
-        killed after 2 chunks and resumed with 4 threads.  The resumed
-        runs acquire only their missing chunks, and the telemetry
-        says so."""
+        killed after 2 chunks and resumed.  The resumed runs acquire
+        only their missing chunks, and the telemetry says so."""
         library = _BUILDERS[style]()
         netlist, _ = build_reduced_aes(library)
         store = tmp_path / "store"
@@ -219,21 +220,19 @@ class TestCampaignResume:
 
         with pytest.raises(KeyboardInterrupt):
             AttackCampaign(library, self.KEY).run(
-                pts, workers=4, backend="thread",
+                pts,
                 runner=kill_after_puts(CheckpointedRun(store, chunk_size=8),
                                        2))
         with pytest.raises(KeyboardInterrupt):
             fixed_vs_random_tvla(
                 netlist, key=self.KEY, n_traces=32,
                 runner=kill_after_puts(CheckpointedRun(store, chunk_size=8),
-                                       2),
-                workers=4, backend="thread")
+                                       2))
 
         tele = Telemetry(sinks=[MemorySink()])
         resumed = AttackCampaign(library, self.KEY,
                                  telemetry=tele).run(
-            pts, workers=4, backend="thread",
-            runner=CheckpointedRun(store, chunk_size=8, telemetry=tele))
+            pts, runner=CheckpointedRun(store, chunk_size=8, telemetry=tele))
         assert resumed.traces.tobytes() == serial.traces.tobytes()
         assert resumed.cpa.rank_of_true_key() == \
             cpa_attack(serial.traces, pts,
@@ -249,13 +248,12 @@ class TestCampaignResume:
             netlist, key=self.KEY, n_traces=32,
             runner=CheckpointedRun(store, chunk_size=8,
                                    telemetry=tvla_tele),
-            workers=4, backend="thread", telemetry=tvla_tele)
+            telemetry=tvla_tele)
         assert tvla.t_values.tobytes() == serial_tvla.t_values.tobytes()
         counters = tvla_tele.registry
         assert counters.counter("checkpoint.chunks_resumed").value == 2
         assert counters.counter("checkpoint.chunks_run").value == 2
         assert counters.counter("sca.acquisition.traces").value == 16
-
 
     def test_different_grid_reuses_no_chunk(self, tmp_path):
         lib = build_cmos_library()
@@ -295,6 +293,57 @@ class TestCampaignResume:
                 plain_cpa.results[style].traces.tobytes()
         assert [r.max_abs_t for r in assessed.rows] == \
             [r.max_abs_t for r in plain_tvla.rows]
+
+
+class TestLibraryKeysTheChunks:
+    """Campaigns on one style at another corner or tail current read
+    other datasheets, so they never resume each other's chunks."""
+
+    KEY = 0x2B
+    PLAINTEXTS = list(range(32))
+
+    def _campaign_on(self, store, library):
+        runner = CheckpointedRun(store, chunk_size=16)
+        result = AttackCampaign(library, self.KEY).run(self.PLAINTEXTS,
+                                                       runner=runner)
+        return result, runner.stats.chunks_resumed
+
+    def _assert_second_library_runs_fresh(self, tmp_path, first, second):
+        store = tmp_path / "store"
+        stored, _ = self._campaign_on(store, first)
+        result, resumed = self._campaign_on(store, second)
+        fresh = AttackCampaign(second, self.KEY).run(self.PLAINTEXTS)
+        assert resumed == 0
+        assert result.traces.tobytes() == fresh.traces.tobytes()
+        assert result.traces.tobytes() != stored.traces.tobytes()
+
+    def test_cmos_campaign_at_another_corner(self, tmp_path):
+        base = build_cmos_library()
+        self._assert_second_library_runs_fresh(
+            tmp_path, base, library_at_corner(base, corner("ff")))
+
+    def test_pgmcml_campaign_at_another_tail_current(self, tmp_path):
+        nominal = build_pg_mcml_library()
+        starved = build_pg_mcml_library(iss=uA(20))
+        assert starved.name == nominal.name
+        self._assert_second_library_runs_fresh(tmp_path, nominal, starved)
+
+    def test_pgmcml_tvla_at_another_corner(self, tmp_path):
+        base = build_pg_mcml_library()
+        tt, _ = build_reduced_aes(base)
+        ff, _ = build_reduced_aes(library_at_corner(base, corner("ff")))
+        assert tt.name == ff.name
+        store = tmp_path / "store"
+        stored = fixed_vs_random_tvla(
+            tt, key=self.KEY, n_traces=32,
+            runner=CheckpointedRun(store, chunk_size=16))
+        runner = CheckpointedRun(store, chunk_size=16)
+        result = fixed_vs_random_tvla(ff, key=self.KEY, n_traces=32,
+                                      runner=runner)
+        fresh = fixed_vs_random_tvla(ff, key=self.KEY, n_traces=32)
+        assert runner.stats.chunks_resumed == 0
+        assert result.t_values.tobytes() == fresh.t_values.tobytes()
+        assert result.t_values.tobytes() != stored.t_values.tobytes()
 
 
 class TestTelemetryEdgeCases:

@@ -228,6 +228,18 @@ class TestMatrixSpec:
 
 
 class TestRunMatrix:
+    def test_serial_keywords_are_the_only_accepted_values(self):
+        """``workers=1, backend="serial"`` is the default; anything else
+        points at the job service instead of running."""
+        spec = MatrixSpec(styles=("cmos",), attacks=("cpa",),
+                          budgets=(16,), repeats=2)
+        plain = run_matrix(spec, erc=False)
+        explicit = run_matrix(spec, workers=1, backend="serial", erc=False)
+        assert explicit.to_dict() == plain.to_dict()
+        for knobs in ({"workers": 2}, {"backend": "thread"}):
+            with pytest.raises(AttackError, match="repro serve"):
+                run_matrix(spec, erc=False, **knobs)
+
     def test_acquisition_dedupe_across_attacks(self):
         spec = MatrixSpec(styles=("cmos",), attacks=("cpa", "dpa", "mlpa"),
                           budgets=(32,), repeats=1)

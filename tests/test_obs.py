@@ -1,9 +1,8 @@
 """Unit tests for the repro.obs observability layer.
 
-Covers the metric primitives and their associative merge, the sinks
-(including the append-only JSONL contract), span nesting and worker
-reassembly on the Telemetry handle, and the record/stream schema
-validation that CI runs against real traces.
+Covers the metric primitives, the sinks (including the append-only
+JSONL contract), span nesting on the Telemetry handle, and the
+record/stream schema validation that CI runs against real traces.
 """
 
 import io
@@ -72,25 +71,6 @@ class TestMetrics:
         with pytest.raises(ReproError):
             reg.gauge("x")
 
-    def test_merge_is_associative_over_chunks(self):
-        """Merging worker snapshots chunk-by-chunk equals one big run."""
-        whole = MetricsRegistry()
-        for v in range(10):
-            whole.counter("n").inc()
-            whole.histogram("h").observe(float(v))
-        merged = MetricsRegistry()
-        for lo, hi in ((0, 3), (3, 7), (7, 10)):
-            worker = MetricsRegistry()
-            for v in range(lo, hi):
-                worker.counter("n").inc()
-                worker.histogram("h").observe(float(v))
-            merged.merge(worker.snapshot())
-        assert merged.snapshot() == whole.snapshot()
-
-    def test_merge_unknown_type_raises(self):
-        with pytest.raises(ReproError):
-            MetricsRegistry().merge({"x": {"type": "exotic", "value": 1}})
-
 
 # -- sinks --------------------------------------------------------------------
 
@@ -157,7 +137,6 @@ class TestTelemetry:
             s.set("k", "v")
         NULL_TELEMETRY.counter("c").inc()
         NULL_TELEMETRY.histogram("h").observe(1.0)
-        NULL_TELEMETRY.adopt([{"kind": "span"}])
         assert NULL_TELEMETRY.span("a") is NULL_TELEMETRY.span("b")
         assert isinstance(NULL_TELEMETRY, NullTelemetry)
 
@@ -198,38 +177,6 @@ class TestTelemetry:
         # The other thread's span must NOT be parented to this thread's
         # root — each thread has its own stack.
         assert spans["child-thread"]["parent_id"] is None
-
-    def test_collector_adopt_reassembles_deterministically(self):
-        def make_chunk(i):
-            collector = Telemetry(sinks=[MemorySink()])
-            with collector.span("chunk.work", index=i):
-                collector.counter("done").inc()
-            collector.emit_metrics()
-            return collector.sinks[0].records
-
-        tele = Telemetry(sinks=[MemorySink()])
-        with tele.span("parent"):
-            # "Workers" finish out of order; parent adopts in chunk order.
-            chunks = {i: make_chunk(i) for i in (2, 0, 1)}
-            for i in (0, 1, 2):
-                tele.adopt(chunks[i], extra_attrs={"chunk": i})
-        forest = span_tree(tele.sinks[0].records)
-        children = forest[0]["children"]
-        assert [c["attrs"]["chunk"] for c in children] == [0, 1, 2]
-        assert [c["attrs"]["index"] for c in children] == [0, 1, 2]
-        assert tele.registry.counter("done").value == 3
-
-    def test_adopt_remaps_event_span_refs(self):
-        collector = Telemetry(sinks=[MemorySink()])
-        with collector.span("w"):
-            collector.event("ev")
-        tele = Telemetry(sinks=[MemorySink()])
-        tele.adopt(collector.sinks[0].records)
-        records = tele.sinks[0].records
-        ev = next(r for r in records if r["kind"] == "event")
-        sp = next(r for r in records if r["kind"] == "span")
-        assert ev["span_id"] == sp["span_id"]
-        validate_stream(records)
 
     def test_timer_observes_into_histogram(self):
         tele = Telemetry()

@@ -4,8 +4,7 @@ The ISSUE contract: every simulation and trace artefact is byte-identical
 with telemetry disabled, enabled in memory, or redirected to a JSONL
 file — including kill-and-resume campaigns — for all three cell styles.
 These tests prove it, and additionally pin the structural determinism of
-the span trees (serial, threaded, and forked acquisition reassemble to
-the same tree).
+the acquisition span tree (one child span per chunk, in index order).
 
 Set ``REPRO_OBS_TRACE_ARTIFACT=/path/out.jsonl`` to have the pgmcml
 equivalence run leave its validated JSONL trace behind (CI uploads it as
@@ -33,7 +32,6 @@ from repro.obs import (
     validate_stream,
 )
 from repro.sca import AttackCampaign, acquire_traces
-from repro.sca.acquisition import _fork_available
 from repro.sca.attack import build_reduced_aes
 from repro.spice import Circuit, Pulse, run_transient
 from repro.units import ns, ps
@@ -53,24 +51,15 @@ def style_setup(request):
     """(style, library, netlist, reference matrix with NO telemetry)."""
     library = _BUILDERS[request.param]()
     netlist, _ = build_reduced_aes(library)
-    reference = acquire_traces(netlist, KEY, PTS, workers=1)
+    reference = acquire_traces(netlist, KEY, PTS)
     return request.param, library, netlist, reference
-
-
-def _strip_root_env(forest):
-    """Drop attrs that legitimately vary with execution strategy."""
-    for root in forest:
-        for key in ("backend", "workers"):
-            root["attrs"].pop(key, None)
-    return forest
 
 
 class TestByteIdenticalWithTelemetry:
     def test_memory_telemetry_changes_nothing(self, style_setup):
         style, _, netlist, reference = style_setup
         tele = Telemetry(sinks=[MemorySink()])
-        observed = acquire_traces(netlist, KEY, PTS, workers=1,
-                                  telemetry=tele)
+        observed = acquire_traces(netlist, KEY, PTS, telemetry=tele)
         assert np.array_equal(observed, reference)
         assert tele.registry.counter("sca.acquisition.traces").value == \
             len(PTS)
@@ -81,9 +70,7 @@ class TestByteIdenticalWithTelemetry:
         style, _, netlist, reference = style_setup
         path = tmp_path / f"{style}.jsonl"
         tele = Telemetry(sinks=[JsonlSink(path)])
-        observed = acquire_traces(netlist, KEY, PTS, workers=2,
-                                  backend="thread", chunk_size=8,
-                                  telemetry=tele)
+        observed = acquire_traces(netlist, KEY, PTS, telemetry=tele)
         tele.emit_metrics()
         tele.close()
         assert np.array_equal(observed, reference)
@@ -146,33 +133,34 @@ class TestByteIdenticalWithTelemetry:
 
 
 class TestSpanTreeDeterminism:
-    """Serial, threaded, and forked acquisition produce the SAME span
-    tree (names, nesting, order, attrs) once timestamps and ids are
-    stripped — workers reassemble by chunk index."""
+    """Acquisition's span tree (names, nesting, order, attrs) is a pure
+    function of the work: one child span per 16-trace chunk, in index
+    order at its campaign-global offset."""
 
-    def _tree(self, netlist, workers, backend):
-        tele = Telemetry(sinks=[MemorySink()])
-        acquire_traces(netlist, KEY, PTS, workers=workers, backend=backend,
-                       chunk_size=8, telemetry=tele)
-        return _strip_root_env(span_tree(tele.sinks[0].records))
-
-    def test_serial_vs_thread_trees_identical(self, style_setup):
+    def test_chunks_are_children_in_index_order(self, style_setup):
         _, _, netlist, _ = style_setup
-        serial = self._tree(netlist, workers=1, backend="serial")
-        threaded = self._tree(netlist, workers=4, backend="thread")
-        assert serial == threaded
-        chunks = serial[0]["children"]
+        (root,) = span_tree(_acquisition_records(netlist))
+        assert root["name"] == "sca.acquisition.acquire"
+        assert root["attrs"] == {"traces": len(PTS), "chunks": 2,
+                                 "chunk_size": 16}
+        chunks = root["children"]
         assert [c["name"] for c in chunks] == \
-            ["sca.acquisition.chunk"] * 3
-        assert [c["attrs"]["chunk"] for c in chunks] == [0, 1, 2]
+            ["sca.acquisition.chunk"] * 2
+        assert [c["attrs"] for c in chunks] == [
+            {"chunk": 0, "offset": 3, "n": 16},
+            {"chunk": 1, "offset": 19, "n": len(PTS) - 16}]
 
-    @pytest.mark.skipif(not _fork_available(),
-                        reason="fork start method unavailable")
-    def test_fork_tree_identical_too(self, style_setup):
+    def test_tree_repeats_exactly(self, style_setup):
         _, _, netlist, _ = style_setup
-        serial = self._tree(netlist, workers=1, backend="serial")
-        forked = self._tree(netlist, workers=4, backend="process")
-        assert serial == forked
+        first, second = (span_tree(_acquisition_records(netlist))
+                         for _ in range(2))
+        assert first == second
+
+
+def _acquisition_records(netlist):
+    tele = Telemetry(sinks=[MemorySink()])
+    acquire_traces(netlist, KEY, PTS, trace_offset=3, telemetry=tele)
+    return tele.sinks[0].records
 
 
 class TestTransientInvariance:

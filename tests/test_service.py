@@ -61,13 +61,13 @@ from repro.service import (
 )
 from repro.service.ledger import decode_line, encode_record
 from repro.service.store import chunk_key
-from repro.sca.acquisition import _fork_available
 
 KEY = 0x2B
 SPEC = CampaignJobSpec(style="cmos", budget=32, key=KEY, chunk_size=8)
 
-fork_only = pytest.mark.skipif(not _fork_available(),
-                               reason="fork start method unavailable")
+fork_only = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="fork start method unavailable")
 
 
 @pytest.fixture(scope="module")
