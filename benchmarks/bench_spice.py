@@ -11,11 +11,15 @@ at the repo root:
 * an 8-buffer PG-MCML chain (~80 devices), the headline: the batched
   EKV evaluation amortises dispatch across the device axis and must be
   ≥3× faster than the loop;
-* 256 per-trace buffer testbenches (pulse polarity driven by the
-  plaintext's low bit) marched through the lockstep batched transient
-  engine at batch sizes 1 / 8 / 32 — batch=1 is the serial oracle, the
-  batched chunks must match it to ≤1e-9 V and batch=32 must be ≥4×
-  faster;
+* 256 PG-MCML buffer testbenches (pulse polarity from the lane index's
+  low bit) marched through the lockstep batched transient engine at
+  batch sizes 1 / 8 / 32 — batch=1 is the serial oracle, the batched
+  chunks must match it to ≤1e-9 V and batch=32 must be ≥4× faster;
+* Fig. 3, the batched engine's production caller: the full 9-point
+  tail-current sweep as one batched call (``fig3.run``) against 18
+  serial ``characterize_mcml_cell`` runs, timed, with every simulated
+  ``Fig3Point`` value (27) and every lane's delay, swing and supply
+  current (54) held to ≤1e-12 relative of the serial path;
 * the bank/sparse crossover: PG-MCML buffer chains of 1 to 64 cells
   (4 to 382 unknowns) under both assemblies, with the sparse/bank time
   ratio and the largest voltage difference per size, next to the
@@ -48,9 +52,18 @@ import numpy as np
 import pytest
 from conftest import run_once
 
-from repro.cells import build_cmos_library, build_pg_mcml_library
+from repro.cells import (
+    McmlCellGenerator,
+    build_cmos_library,
+    build_pg_mcml_library,
+    characterize_mcml_cell,
+    mcml_testbench,
+    measure_mcml_cell,
+    solve_bias,
+)
 from repro.cells.functions import function
 from repro.cells.pgmcml import PgMcmlCellGenerator
+from repro.experiments import fig3
 from repro.sca import AttackCampaign
 import repro.spice.dc as dc
 from repro.spice import Circuit, run_transient_batch
@@ -70,6 +83,12 @@ KEY = 0x2B
 BATCH_TRACES = 256
 BATCH_SIZES = (1, 8, 32)
 BATCH_STEPS = 64
+
+#: The Fig. 3 values the batched call must reproduce (the rest of a
+#: ``Fig3Point`` is the sweep input and the area model).
+FIG3_FIELDS = ("delay_fo1", "delay_fo4", "swing")
+#: What ``measure_mcml_cell`` reads from each of Fig. 3's 18 lanes.
+FIG3_LANE_FIELDS = ("delay", "swing", "iss")
 
 #: Buffer-chain lengths of the bank/sparse crossover (4 to 382 unknowns).
 CROSSOVER_CELLS = (1, 2, 4, 8, 16, 32, 64)
@@ -199,16 +218,16 @@ def _crossover_case() -> dict:
     }
 
 
-def build_trace_lane(plaintext: int):
-    """One PG-MCML buffer testbench for one acquisition trace.
+def build_buffer_lane(lane: int):
+    """One PG-MCML buffer testbench of the 256-lane batch.
 
-    The differential input pulse's polarity is the plaintext's low bit
+    The differential input pulse's polarity is the lane index's low bit
     — every lane shares the template's topology and stimulus
     breakpoints (the lockstep requirements), only stimulus values
-    differ, exactly like a campaign's per-plaintext testbenches.
+    differ.
     """
     circuit, window = build_chain(1)
-    if plaintext & 1:
+    if lane & 1:
         sources = {s.name: s for s in circuit.vsources}
         p, n = sources["vin_p"], sources["vin_n"]
         p.stimulus, n.stimulus = n.stimulus, p.stimulus
@@ -225,7 +244,7 @@ def _batched_transient_case() -> dict:
     lanes = []
     window = None
     for i in range(BATCH_TRACES):
-        circuit, window = build_trace_lane(i)
+        circuit, window = build_buffer_lane(i)
         lanes.append(circuit)
     dt = window / BATCH_STEPS
     timings = {}
@@ -251,7 +270,7 @@ def _batched_transient_case() -> dict:
                 for ref, res in zip(oracle, results)
                 for node in ref.voltages))
     return {
-        "case": f"batched_acquisition_{BATCH_TRACES}",
+        "case": f"batched_buffer_lanes_{BATCH_TRACES}",
         "traces": BATCH_TRACES,
         "steps": BATCH_STEPS,
         "assembly": "bank",
@@ -263,6 +282,67 @@ def _batched_transient_case() -> dict:
         "speedup_batch8": round(timings[1] / timings[8], 3),
         "speedup_batch32": round(timings[1] / timings[32], 3),
         "max_voltage_delta_vs_serial": worst,
+    }
+
+
+def _rel_delta(got: float, want: float) -> float:
+    return abs(got - want) / abs(want) if want else abs(got)
+
+
+def _agreement(pairs) -> dict:
+    """Count and worst relative difference over (batched, serial) pairs."""
+    pairs = list(pairs)
+    return {
+        "values": len(pairs),
+        "bit_identical": sum(got == want for got, want in pairs),
+        "max_rel_delta": max(_rel_delta(got, want) for got, want in pairs),
+    }
+
+
+def _fig3_case() -> dict:
+    """Fig. 3's sweep: one batched call against the serial path.
+
+    Bias points are solved (and cached) before either timer starts, so
+    both times are testbench building, transients and measurement.  The
+    serial side is ``characterize_mcml_cell`` per lane; the batched side
+    is ``fig3.run`` and, for the per-lane comparison, the same
+    testbenches measured after one ``run_transient_batch`` call.
+    """
+    sweep = fig3.DEFAULT_SWEEP
+    fn = function("BUF")
+    generators = [McmlCellGenerator(sizing=solve_bias(iss).sizing)
+                  for iss in sweep]
+    begin = time.perf_counter()
+    serial = [characterize_mcml_cell(fn, gen, fanout=fanout)
+              for gen in generators for fanout in (1, 4)]
+    serial_s = time.perf_counter() - begin
+    begin = time.perf_counter()
+    batched = fig3.run(sweep)
+    batched_s = time.perf_counter() - begin
+    benches = [mcml_testbench(fn, gen, fanout=fanout)
+               for gen in generators for fanout in (1, 4)]
+    results = run_transient_batch([b.circuit for b in benches],
+                                  tstop=benches[0].window, dt=benches[0].dt,
+                                  record=benches[0].record)
+    lanes = [measure_mcml_cell(b, r) for b, r in zip(benches, results)]
+    reference = [fig3.Fig3Point(iss=iss, delay_fo1=fo1.delay,
+                                delay_fo4=fo4.delay, swing=fo1.swing,
+                                area_um2=fig3.buffer_area_um2(iss))
+                 for iss, fo1, fo4 in zip(sweep, serial[0::2], serial[1::2])]
+    return {
+        "sweep_ua": [round(iss * 1e6, 6) for iss in sweep],
+        "lanes": len(serial),
+        "serial_seconds": round(serial_s, 4),
+        "batched_seconds": round(batched_s, 4),
+        "speedup": round(serial_s / batched_s, 3),
+        "points": _agreement(
+            (getattr(got, field), getattr(want, field))
+            for got, want in zip(batched.points, reference)
+            for field in FIG3_FIELDS),
+        "lane_values": _agreement(
+            (getattr(got, field), getattr(want, field))
+            for got, want in zip(lanes, serial)
+            for field in FIG3_LANE_FIELDS),
     }
 
 
@@ -290,7 +370,13 @@ def _serial_acquisition() -> dict:
 
 
 def run_comparison():
-    report = {
+    """The non-slow report; the slow ``sparse`` section already in
+    ``BENCH_spice.json`` is kept."""
+    report = {}
+    if os.path.exists(RESULT_PATH):
+        with open(RESULT_PATH) as fh:
+            report = json.load(fh)
+    report.update({
         "experiment": "device-bank vs reference-loop MNA assembly",
         "cpu_count": os.cpu_count(),
         "transients": [
@@ -299,8 +385,9 @@ def run_comparison():
         ],
         "crossover": _crossover_case(),
         "batched": _batched_transient_case(),
+        "fig3": _fig3_case(),
         "acquisition": _serial_acquisition(),
-    }
+    })
     with open(RESULT_PATH, "w") as fh:
         json.dump(report, fh, indent=2)
         fh.write("\n")
@@ -319,6 +406,9 @@ def test_bank_assembly_speedup_and_equivalence(benchmark):
     batched = report["batched"]
     assert batched["speedup_batch32"] >= 4.0, batched
     assert batched["max_voltage_delta_vs_serial"] <= 1e-9, batched
+    fig3_case = report["fig3"]
+    assert fig3_case["points"]["max_rel_delta"] <= 1e-12, fig3_case
+    assert fig3_case["lane_values"]["max_rel_delta"] <= 1e-12, fig3_case
     acq = report["acquisition"]
     assert acq["cpa_rank"] == 0, acq
     if "reference_cpa_rank" in acq:

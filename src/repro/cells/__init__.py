@@ -31,9 +31,12 @@ from .cmos import CmosCellGenerator
 from .bias import BiasPoint, solve_bias
 from .characterize import (
     CellMeasurement,
+    CellTestbench,
     characterize_mcml_cell,
     characterize_mcml_dff,
+    mcml_testbench,
     measure_leakage,
+    measure_mcml_cell,
 )
 from .montecarlo import (
     McmlMonteCarloResult,
@@ -73,6 +76,9 @@ __all__ = [
     "CellMeasurement",
     "characterize_mcml_cell",
     "characterize_mcml_dff",
+    "CellTestbench",
+    "mcml_testbench",
+    "measure_mcml_cell",
     "measure_leakage",
     "McmlMonteCarloResult",
     "mc_buffer_residual",

@@ -5,17 +5,26 @@ stimulate one input with a differential pulse while holding the others at
 sensitising values, simulate the transient, and measure the differential
 propagation delay, output swing, and supply current — plus DC leakage in
 active and sleep modes.
+
+A measurement is two halves around one transient: the wired testbench
+(:func:`mcml_testbench`) and a measurer of the simulated
+:class:`~repro.spice.transient.TransientResult`
+(:func:`measure_mcml_cell`).  :func:`characterize_mcml_cell` runs one
+testbench; Fig. 3 builds all of its testbenches and simulates them in
+one batch.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..errors import CharacterizationError
 from ..spice import (
     DC,
+    Circuit,
     Pulse,
+    TransientResult,
     differential_delay,
 )
 # Characterisation goes through the backend seam: the dispatch pair
@@ -82,11 +91,49 @@ WIRE_CAP_BASE = 0.8e-15
 WIRE_CAP_PER_FANOUT = 0.7e-15
 
 
-def characterize_mcml_cell(fn: CellFunction, generator: McmlCellGenerator,
-                           fanout: int = 1, tech: Technology = TECH90,
-                           dt: float = ps(0.5),
-                           window: float = ns(0.8)) -> CellMeasurement:
-    """Measure delay/swing/current of a generated MCML or PG-MCML cell.
+@dataclass(frozen=True)
+class CellTestbench:
+    """A cell wired for one delay measurement, and what to read back."""
+
+    circuit: Circuit
+    cell_name: str
+    toggled_pin: str
+    inputs: Tuple[str, str]
+    outputs: Tuple[str, str]
+    vdd_net: str
+    window: float
+    dt: float
+
+    @property
+    def record(self) -> List[str]:
+        """The nodes the measurement reads."""
+        return [*self.inputs, *self.outputs, self.vdd_net]
+
+
+def _bias_rails(ckt: Circuit, cell, sizing, tech: Technology,
+                awake: bool = True) -> None:
+    """Supply, bias and (PG-MCML) sleep-signal sources."""
+    ckt.v("vdd", cell.vdd_net, tech.vdd)
+    ckt.v("vvn", cell.vn_net, sizing.vn)
+    ckt.v("vvp", cell.vp_net, sizing.vp)
+    if cell.has_sleep:
+        ckt.v("vsleep", cell.sleep_net, tech.vdd if awake else 0.0)
+
+
+def _toggle(ckt: Circuit, name: str, nets: Tuple[str, str], vlo: float,
+            vhi: float, window: float) -> None:
+    """A differential pulse that flips ``nets`` at mid-window."""
+    edge = ps(10)
+    half = window / 2
+    ckt.v(f"{name}_p", nets[0], Pulse(vlo, vhi, half, edge, edge, window, 0.0))
+    ckt.v(f"{name}_n", nets[1], Pulse(vhi, vlo, half, edge, edge, window, 0.0))
+
+
+def mcml_testbench(fn: CellFunction, generator: McmlCellGenerator,
+                   fanout: int = 1, tech: Technology = TECH90,
+                   dt: float = ps(0.5),
+                   window: float = ns(0.8)) -> CellTestbench:
+    """Wire a generated MCML or PG-MCML cell for a delay measurement.
 
     The toggling input gets a differential pulse; each output rail is
     loaded with ``fanout`` buffer inputs plus the routing capacitance.
@@ -97,35 +144,47 @@ def characterize_mcml_cell(fn: CellFunction, generator: McmlCellGenerator,
             + WIRE_CAP_BASE + WIRE_CAP_PER_FANOUT * fanout)
     cell = generator.build(fn, load_cap=load)
     ckt = cell.circuit
-
+    _bias_rails(ckt, cell, sizing, tech)
     vhi, vlo = sizing.input_high(tech), sizing.input_low(tech)
-    ckt.v("vdd", cell.vdd_net, tech.vdd)
-    ckt.v("vvn", cell.vn_net, sizing.vn)
-    ckt.v("vvp", cell.vp_net, sizing.vp)
-    if cell.has_sleep:
-        ckt.v("vsleep", cell.sleep_net, tech.vdd)
-
-    edge = ps(10)
-    half = window / 2
-    in_p, in_n = cell.input_nets[pin]
-    ckt.v("vstim_p", in_p, Pulse(vlo, vhi, half, edge, edge, window, 0.0))
-    ckt.v("vstim_n", in_n, Pulse(vhi, vlo, half, edge, edge, window, 0.0))
+    _toggle(ckt, "vstim", cell.input_nets[pin], vlo, vhi, window)
     for other, value in side.items():
         o_p, o_n = cell.input_nets[other]
         ckt.v(f"vside_{other.lower()}_p", o_p, DC(vhi if value else vlo))
         ckt.v(f"vside_{other.lower()}_n", o_n, DC(vlo if value else vhi))
+    return CellTestbench(circuit=ckt, cell_name=fn.name, toggled_pin=pin,
+                         inputs=cell.input_nets[pin],
+                         outputs=cell.output_nets[out],
+                         vdd_net=cell.vdd_net, window=window, dt=dt)
 
-    result = run_transient(ckt, tstop=window, dt=dt,
-                           record=[in_p, in_n, *cell.output_nets[out],
-                                   cell.vdd_net])
-    out_p, out_n = cell.output_nets[out]
+
+def measure_mcml_cell(bench: CellTestbench,
+                      result: TransientResult) -> CellMeasurement:
+    """Delay, swing and supply current of one simulated testbench."""
+    in_p, in_n = bench.inputs
+    out_p, out_n = bench.outputs
+    half = bench.window / 2
     delay = differential_delay(result, in_p, in_n, out_p, out_n,
                                after=half * 0.9)
-    diff = result.differential(out_p, out_n)
-    swing = diff.settle_value(0.1)
-    iss = result.current("vdd").average(t0=window * 0.75)
-    return CellMeasurement(cell_name=fn.name, delay=delay, swing=abs(swing),
-                           iss=iss, toggled_pin=pin)
+    swing = result.differential(out_p, out_n).settle_value(0.1)
+    iss = result.current("vdd").average(t0=bench.window * 0.75)
+    return CellMeasurement(cell_name=bench.cell_name, delay=delay,
+                           swing=abs(swing), iss=iss,
+                           toggled_pin=bench.toggled_pin)
+
+
+def _simulate(bench: CellTestbench) -> CellMeasurement:
+    result = run_transient(bench.circuit, tstop=bench.window, dt=bench.dt,
+                           record=bench.record)
+    return measure_mcml_cell(bench, result)
+
+
+def characterize_mcml_cell(fn: CellFunction, generator: McmlCellGenerator,
+                           fanout: int = 1, tech: Technology = TECH90,
+                           dt: float = ps(0.5),
+                           window: float = ns(0.8)) -> CellMeasurement:
+    """Measure delay/swing/current of a generated MCML or PG-MCML cell
+    (see :func:`mcml_testbench`)."""
+    return _simulate(mcml_testbench(fn, generator, fanout, tech, dt, window))
 
 
 def characterize_mcml_dff(generator: McmlCellGenerator,
@@ -138,37 +197,20 @@ def characterize_mcml_dff(generator: McmlCellGenerator,
     """
     from .functions import function  # local import avoids a cycle
 
-    fn = function("DFF")
     sizing = generator.sizing
-    load = generator.input_capacitance()
-    cell = generator.build(fn, load_cap=load)
+    cell = generator.build(function("DFF"),
+                           load_cap=generator.input_capacitance())
     ckt = cell.circuit
-
+    _bias_rails(ckt, cell, sizing, tech)
     vhi, vlo = sizing.input_high(tech), sizing.input_low(tech)
-    ckt.v("vdd", cell.vdd_net, tech.vdd)
-    ckt.v("vvn", cell.vn_net, sizing.vn)
-    ckt.v("vvp", cell.vp_net, sizing.vp)
-    if cell.has_sleep:
-        ckt.v("vsleep", cell.sleep_net, tech.vdd)
-
     d_p, d_n = cell.input_nets["D"]
     ckt.v("vd_p", d_p, DC(vhi))
     ckt.v("vd_n", d_n, DC(vlo))
-    edge = ps(10)
-    half = window / 2
-    ck_p, ck_n = cell.input_nets["CK"]
-    ckt.v("vck_p", ck_p, Pulse(vlo, vhi, half, edge, edge, window, 0.0))
-    ckt.v("vck_n", ck_n, Pulse(vhi, vlo, half, edge, edge, window, 0.0))
-
-    q_p, q_n = cell.output_nets["Q"]
-    result = run_transient(ckt, tstop=window, dt=dt,
-                           record=[ck_p, ck_n, q_p, q_n, cell.vdd_net])
-    delay = differential_delay(result, ck_p, ck_n, q_p, q_n,
-                               after=half * 0.9)
-    swing = abs(result.differential(q_p, q_n).settle_value(0.1))
-    iss = result.current("vdd").average(t0=window * 0.75)
-    return CellMeasurement(cell_name="DFF", delay=delay, swing=swing,
-                           iss=iss, toggled_pin="CK")
+    _toggle(ckt, "vck", cell.input_nets["CK"], vlo, vhi, window)
+    return _simulate(CellTestbench(
+        circuit=ckt, cell_name="DFF", toggled_pin="CK",
+        inputs=cell.input_nets["CK"], outputs=cell.output_nets["Q"],
+        vdd_net=cell.vdd_net, window=window, dt=dt))
 
 
 def measure_leakage(fn: CellFunction, generator: McmlCellGenerator,
@@ -176,15 +218,11 @@ def measure_leakage(fn: CellFunction, generator: McmlCellGenerator,
     """DC supply current with static inputs, optionally in sleep mode."""
     sizing = generator.sizing
     cell = generator.build(fn)
-    ckt = cell.circuit
-    ckt.v("vdd", cell.vdd_net, tech.vdd)
-    ckt.v("vvn", cell.vn_net, sizing.vn)
-    ckt.v("vvp", cell.vp_net, sizing.vp)
-    if cell.has_sleep:
-        ckt.v("vsleep", cell.sleep_net, 0.0 if asleep else tech.vdd)
-    elif asleep:
+    if asleep and not cell.has_sleep:
         raise CharacterizationError(
             f"{fn.name}: conventional MCML has no sleep mode")
+    ckt = cell.circuit
+    _bias_rails(ckt, cell, sizing, tech, awake=not asleep)
     vhi, vlo = sizing.input_high(tech), sizing.input_low(tech)
     for pin in fn.inputs:
         in_p, in_n = cell.input_nets[pin]

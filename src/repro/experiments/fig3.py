@@ -7,6 +7,9 @@ and saturates at high currents ("increasing the bias current above
 
 (b) power-delay and area-delay products — the area-delay optimum the
 paper picks sits near 50 µA, which is where the whole library is biased.
+
+Every point is one buffer topology at two loads, so the whole sweep is
+one batch of same-topology transients through the simulator backend.
 """
 
 from __future__ import annotations
@@ -16,10 +19,12 @@ from typing import List, Sequence
 
 from ..cells import (
     McmlCellGenerator,
-    characterize_mcml_cell,
     function,
+    mcml_testbench,
+    measure_mcml_cell,
     solve_bias,
 )
+from ..spice.backend.dispatch import run_transient_batch
 from ..tech import TECH90
 from ..units import uA
 from ..obs import default_telemetry
@@ -82,13 +87,29 @@ class Fig3Result:
 
 
 def run(sweep: Sequence[float] = DEFAULT_SWEEP) -> Fig3Result:
-    points: List[Fig3Point] = []
+    """Measure the buffer at every tail current, at FO1 and FO4.
+
+    The testbenches go to the backend in sweep order, FO1 then FO4 at
+    each point, as one :func:`run_transient_batch` call: one lockstep
+    transient on the internal engine, one run per circuit on an external
+    simulator.  Each value equals :func:`characterize_mcml_cell`'s to
+    1e-12 relative (``tests/test_experiments.py``).
+    """
     fn = function("BUF")
+    benches = []
     for iss in sweep:
-        bias = solve_bias(iss)
-        generator = McmlCellGenerator(sizing=bias.sizing)
-        fo1 = characterize_mcml_cell(fn, generator, fanout=1)
-        fo4 = characterize_mcml_cell(fn, generator, fanout=4)
+        generator = McmlCellGenerator(sizing=solve_bias(iss).sizing)
+        benches += [mcml_testbench(fn, generator, fanout=fanout)
+                    for fanout in (1, 4)]
+    if not benches:
+        return Fig3Result(points=[])
+    results = run_transient_batch([bench.circuit for bench in benches],
+                                  tstop=benches[0].window,
+                                  dt=benches[0].dt, record=benches[0].record)
+    measured = [measure_mcml_cell(bench, result)
+                for bench, result in zip(benches, results)]
+    points: List[Fig3Point] = []
+    for iss, fo1, fo4 in zip(sweep, measured[0::2], measured[1::2]):
         points.append(Fig3Point(
             iss=iss, delay_fo1=fo1.delay, delay_fo4=fo4.delay,
             swing=fo1.swing, area_um2=buffer_area_um2(iss)))

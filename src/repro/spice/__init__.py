@@ -15,8 +15,11 @@ package replaces those proprietary tools for cell-level work:
   damping and gmin stepping;
 * :mod:`repro.spice.recovery` — the convergence-recovery ladder (gmin,
   source stepping, pseudo-transient) with per-strategy diagnostics;
-* :mod:`repro.spice.transient` — fixed-step backward-Euler/trapezoidal
-  transient analysis with local step-halving retry on Newton failures;
+* :mod:`repro.spice.transient` — fixed-step backward-Euler transient
+  analysis with local step-halving retry on Newton failures;
+* :mod:`repro.spice.batch` — the same transient marched in lockstep over
+  same-topology circuits (Fig. 3's buffer sweep) with one stacked
+  solve per Newton iteration;
 * :mod:`repro.spice.waveform` — waveform storage and measurements
   (crossings, delays, averages, charge integrals);
 * :mod:`repro.spice.stimulus` — DC / pulse / PWL / clock stimuli.

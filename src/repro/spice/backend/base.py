@@ -21,9 +21,10 @@ on machines without the binary — callers that can degrade do so through
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from ...errors import BackendError
+from ..batch import run_transient_batch as _internal_run_transient_batch
 from ..circuit import Circuit
 from ..dc import OperatingPoint
 from ..dc import solve_dc as _internal_solve_dc
@@ -58,7 +59,9 @@ class SimulatorBackend:
       current;
     * ``run_transient`` returns a :class:`TransientResult` whose
       ``source_currents`` follow the same sign convention, on whatever
-      time grid the engine produced (callers resample when comparing).
+      time grid the engine produced (callers resample when comparing);
+    * ``run_transient_batch`` returns one such result per circuit, in
+      order.  The default runs :meth:`run_transient` once per circuit.
 
     Extra keyword arguments beyond this contract (``guess``, recovery
     ``policy``, solve ``budget`` …) are internal-engine specifics;
@@ -88,6 +91,15 @@ class SimulatorBackend:
                       telemetry=None, **kwargs) -> TransientResult:
         raise NotImplementedError
 
+    def run_transient_batch(self, circuits: Sequence[Circuit], tstop: float,
+                            dt: float, record: Optional[Sequence[str]] = None,
+                            telemetry=None) -> List[TransientResult]:
+        """Same-topology transients sharing ``tstop``, ``dt`` and
+        ``record``: one :meth:`run_transient` per circuit, in order."""
+        return [self.run_transient(circuit, tstop, dt, record=record,
+                                   telemetry=telemetry)
+                for circuit in circuits]
+
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name})"
 
@@ -97,8 +109,10 @@ class InternalBackend(SimulatorBackend):
 
     A thin delegation layer: same functions, same defaults, same
     telemetry threading — byte-identical to calling
-    :func:`repro.spice.solve_dc` / :func:`repro.spice.run_transient`
-    directly, which is what the dispatch seam's equivalence tests pin.
+    :func:`repro.spice.solve_dc` / :func:`repro.spice.run_transient` /
+    :func:`repro.spice.run_transient_batch` directly, which is what the
+    dispatch seam's equivalence tests pin.  Batches go through the
+    lockstep engine.
     """
 
     name = "internal"
@@ -117,6 +131,13 @@ class InternalBackend(SimulatorBackend):
                       telemetry=None, **kwargs) -> TransientResult:
         return _internal_run_transient(circuit, tstop, dt, record=record,
                                        telemetry=telemetry, **kwargs)
+
+    def run_transient_batch(self, circuits: Sequence[Circuit], tstop: float,
+                            dt: float, record: Optional[Sequence[str]] = None,
+                            telemetry=None) -> List[TransientResult]:
+        return _internal_run_transient_batch(circuits, tstop, dt,
+                                             record=record,
+                                             telemetry=telemetry)
 
 
 def get_backend(name: str, **options) -> SimulatorBackend:

@@ -1,9 +1,9 @@
 """Backend selection and graceful degradation.
 
-The rest of the system asks for simulation through two functions with
-the internal engine's exact signatures (:func:`solve_dc`,
-:func:`run_transient`); *which* engine answers is decided here, once
-per process, from (in priority order):
+The rest of the system asks for simulation through functions with the
+internal engine's exact signatures (:func:`solve_dc`,
+:func:`run_transient`, :func:`run_transient_batch`); *which* engine
+answers is decided here, once per process, from (in priority order):
 
 1. an explicit :func:`set_default_backend` call (the CLI's
    ``--backend`` flag, tests);
@@ -24,7 +24,7 @@ the external engine (the CI oracle job).
 from __future__ import annotations
 
 import os
-from typing import Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 from ...errors import BackendUnavailableError
 from ...obs import NULL_TELEMETRY
@@ -125,3 +125,12 @@ def run_transient(circuit: Circuit, tstop: float, dt: float,
     chosen = backend if backend is not None else default_backend(telemetry)
     return chosen.run_transient(circuit, tstop, dt, record=record,
                                 telemetry=telemetry, **kwargs)
+
+
+def run_transient_batch(circuits: Sequence[Circuit], tstop: float, dt: float,
+                        record: Optional[Sequence[str]] = None,
+                        telemetry=None) -> List[TransientResult]:
+    """Backend-routed same-topology transients: one lockstep call on the
+    internal engine, one run per circuit on an external simulator."""
+    return default_backend(telemetry).run_transient_batch(
+        circuits, tstop, dt, record=record, telemetry=telemetry)

@@ -254,8 +254,7 @@ class NgspiceBackend(SimulatorBackend):
         from ...errors import CircuitError
 
         tele = telemetry if telemetry is not None else NULL_TELEMETRY
-        _reject_unknown(kwargs, ("method", "ic", "max_step_halvings",
-                                 "be_fallback", "detect_ringing", "on_step",
+        _reject_unknown(kwargs, ("ic", "max_step_halvings", "on_step",
                                  "budget"))
         if tstop <= 0.0 or dt <= 0.0:
             raise CircuitError("tstop and dt must be positive")

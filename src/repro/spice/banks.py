@@ -432,10 +432,12 @@ class BankAssembly:
         return [bank.lane_params(grouped[cls])
                 for cls, bank in zip(self.bank_classes, self.banks)]
 
-    def accumulate_batch(self, f: np.ndarray, jac: Optional[np.ndarray],
+    def accumulate_batch(self, f: np.ndarray, jac: np.ndarray,
                          volts_full: np.ndarray, h: float,
                          params: Optional[list] = None) -> None:
-        """Batched :meth:`accumulate` over ``(B, n + F)`` packed voltages.
+        """Batched :meth:`accumulate` over ``(B, n + F)`` packed voltages:
+        residuals into ``f`` ``(B, n)`` and Jacobians into ``jac``
+        ``(B, n, n)``.
 
         ``params`` is a per-bank list of lane-stacked parameter arrays
         (or ``None`` to reuse the template's snapshot).  Loop entries
@@ -444,13 +446,10 @@ class BankAssembly:
         """
         for k, bank in enumerate(self.banks):
             p = None if params is None else params[k]
-            if jac is None:
-                bank.plan.add_flows_batch(f, bank.flows(volts_full, p))
-            else:
-                flows, derivs = bank.flows_and_derivs(volts_full, h, p)
-                bank.plan.add_flows_batch(f, flows)
-                if derivs is not None:
-                    bank.plan.add_derivs_batch(jac, derivs)
+            flows, derivs = bank.flows_and_derivs(volts_full, h, p)
+            bank.plan.add_flows_batch(f, flows)
+            if derivs is not None:
+                bank.plan.add_derivs_batch(jac, derivs)
 
     def fixed_totals_batch(self, volts_full: np.ndarray,
                            params: Optional[list] = None) -> np.ndarray:

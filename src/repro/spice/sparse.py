@@ -22,7 +22,7 @@ Newton iteration.  This module extends the PR 4 bank scatter plans
   frozen pattern and index plans: pattern construction, RCM bandwidth
   permutation, coordinate canonicalisation, and every deposit-position
   plan are computed once per circuit and shared by all Newton
-  iterations, time steps, and batch lanes.  The COLAMD fill-reducing
+  iterations and time steps.  The COLAMD fill-reducing
   ordering itself is recomputed inside each factorization — it is
   linear-ish in ``nnz`` and measured to be negligible next to the
   numeric factor, whereas a bandwidth (RCM) ordering alone produces
@@ -251,29 +251,6 @@ class SparseAssembly:
                     if i >= 0:
                         data[posmat[m][k]] += (pert[m] - base[m]) / h
 
-    def accumulate_batch(self, f: np.ndarray, data: Optional[np.ndarray],
-                         volts_full: np.ndarray, h: float,
-                         params: Optional[list] = None) -> None:
-        """Batched :meth:`accumulate`: ``f`` is ``(A, n)``, ``data`` is
-        ``(A, nnz)`` lane-stacked data vectors.  Loop entries are not
-        supported on the batch axis (the batch engine rejects them)."""
-        for k, (bank, jpos) in enumerate(zip(self.banks.banks,
-                                             self._bank_pos)):
-            p = None if params is None else params[k]
-            plan = bank.plan
-            if data is None:
-                plan.add_flows_batch(f, bank.flows(volts_full, p))
-                continue
-            flows, derivs = bank.flows_and_derivs(volts_full, h, p)
-            plan.add_flows_batch(f, flows)
-            if derivs is not None and jpos.size:
-                nb = data.shape[0]
-                flat = derivs.reshape(nb, -1)
-                w = plan.j_sgn * flat[:, plan.j_col]
-                rows = np.arange(nb)[:, None] * data.shape[1] + jpos
-                data += np.bincount(rows.ravel(), weights=w.ravel(),
-                                    minlength=data.size).reshape(data.shape)
-
     # -- solve ---------------------------------------------------------------
 
     def solve(self, data: np.ndarray,
@@ -307,21 +284,6 @@ class SparseAssembly:
             dense = self.matrix(data_reg).toarray()
             y, *_ = np.linalg.lstsq(dense, rhs[self._perm], rcond=None)
             return self._unpermute(y), 1
-
-    def solve_batch(self, datas: np.ndarray,
-                    rhs: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-        """Per-lane :meth:`solve` over ``(A, nnz)`` data stacks.
-
-        Returns ``(dx, singular_events)`` with shapes ``(A, n)`` /
-        ``(A,)``.  Every lane shares the canonical pattern, so the
-        one-time ordering amortises across the whole batch.
-        """
-        nb = datas.shape[0]
-        dx = np.empty((nb, self.n))
-        singular = np.zeros(nb, dtype=int)
-        for a in range(nb):
-            dx[a], singular[a] = self.solve(datas[a], rhs[a])
-        return dx, singular
 
     def _unpermute(self, y: np.ndarray) -> np.ndarray:
         dx = np.empty_like(y)

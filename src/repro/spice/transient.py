@@ -1,7 +1,7 @@
 """Fixed-step transient analysis.
 
-Capacitors (explicit and MOSFET parasitics) are handled by companion
-models: backward Euler by default, trapezoidal on request.  The time grid
+Capacitors (explicit and MOSFET parasitics) are handled by backward-Euler
+companion models, the one integration method.  The time grid
 is a regular ``dt`` grid augmented with every stimulus breakpoint so sharp
 source edges land exactly on a step.
 
@@ -41,8 +41,6 @@ class TransientStats:
     retried_intervals: int = 0
     halvings: int = 0
     max_subdivision_depth: int = 0
-    be_fallback_steps: int = 0
-    ringing_fallback_steps: int = 0
 
 
 class TransientResult:
@@ -89,16 +87,16 @@ class _CompanionCaps:
     vector ``System.full_volts`` builds, so each Newton ``extra`` call is
     a handful of array operations instead of a Python loop over entries.
     The companion Jacobian is constant over a time step (it only depends
-    on ``geq = factor*c/dt`` and the node incidence), so
+    on ``geq = c/dt`` and the node incidence), so
     :meth:`make_extra` builds it once and the closure reuses it across
     Newton iterations.
 
     Commit discipline: :meth:`step_currents` computes the per-entry
-    companion currents of a candidate accepted step *without* touching
-    state; :meth:`commit_currents` stores exactly one such vector as the
-    new ``_i_prev``.  The transient engine calls ``commit_currents``
-    exactly once per accepted step, whichever method the step ends up
-    using (see the ringing path in ``advance_interval``).
+    companion currents of an accepted step *without* touching state;
+    :meth:`commit_currents` stores exactly one such vector as the new
+    ``_i_prev``, which :meth:`fixed_node_currents` reads for the source
+    currents.  The transient engine calls ``commit_currents`` exactly
+    once per accepted step.
     """
 
     def __init__(self, system: System, circuit: Circuit):
@@ -111,8 +109,7 @@ class _CompanionCaps:
                 continue  # both ends fixed: no effect on unknowns
             self.entries.append((ia, a if ia < 0 else None,
                                  ib, b if ib < 0 else None, c))
-        self.all_caps = circuit.linear_capacitances()
-        self._i_prev: Optional[np.ndarray] = None  # per-entry, for trapezoidal
+        self._i_prev = np.zeros(len(self.entries))  # last step's currents
         # Flat packed-vector indices: unknown -> its row, fixed -> n + pos.
         n = system.n
 
@@ -172,33 +169,26 @@ class _CompanionCaps:
             self._sp_for = sp_asm
         return self._sp_pos
 
-    def start(self) -> None:
-        self._i_prev = np.zeros(len(self.entries))
-
     def _v_diff(self, x: np.ndarray, fixed: Dict[str, float]) -> np.ndarray:
         """Per-entry voltage across each capacitor (a minus b)."""
         v = self.system.full_volts(x, fixed)
         return v[self.ja] - v[self.jb]
 
     def make_extra(self, x_prev: np.ndarray, fixed_prev: Dict[str, float],
-                   fixed_now: Dict[str, float], dt: float, method: str,
-                   n: int):
+                   fixed_now: Dict[str, float], dt: float, n: int):
         """Build the Newton ``extra`` callback for one time step."""
         if self.system.assembly == "loop":
             return self._make_extra_loop(x_prev, fixed_prev, fixed_now, dt,
-                                         method, n)
+                                         n)
         if self.system.assembly == "sparse":
             return self._make_extra_sparse(x_prev, fixed_prev, fixed_now,
-                                           dt, method, n)
+                                           dt, n)
         if not self.entries:
             f0 = np.zeros(n)
             j0 = np.zeros((n, n))
             return lambda x: (f0, j0)
         v_prev = self._v_diff(x_prev, fixed_prev)
-        i_prev = self._i_prev if self._i_prev is not None else np.zeros(
-            len(self.entries))
-        factor = 1.0 if method == "be" else 2.0
-        geq = factor * self.cvec / dt
+        geq = self.cvec / dt
         # The companion Jacobian never changes within the step: stamp it
         # once and let every Newton iteration reuse it (`newton` adds it
         # to the device Jacobian without mutating it).
@@ -211,13 +201,10 @@ class _CompanionCaps:
         s_extra = self._s_extra
         system = self.system
         ja, jb = self.ja, self.jb
-        trap = method == "trap"
 
         def extra(x: np.ndarray):
             v = system.full_volts(x, fixed_now, tail_now)
             i_now = geq * ((v[ja] - v[jb]) - v_prev)
-            if trap:
-                i_now = i_now - i_prev
             return s_extra @ i_now, jac
 
         return extra
@@ -225,7 +212,7 @@ class _CompanionCaps:
     def _make_extra_sparse(self, x_prev: np.ndarray,
                            fixed_prev: Dict[str, float],
                            fixed_now: Dict[str, float], dt: float,
-                           method: str, n: int):
+                           n: int):
         """Sparse-mode ``extra``: the Jacobian is a constant nnz data
         vector over the canonical pattern, the residual deposits with
         bincounts — no (n, E) or (n, n) dense arrays anywhere."""
@@ -235,10 +222,7 @@ class _CompanionCaps:
             d0 = np.zeros(nnz)
             return lambda x: (f0, d0)
         v_prev = self._v_diff(x_prev, fixed_prev)
-        i_prev = self._i_prev if self._i_prev is not None else np.zeros(
-            len(self.entries))
-        factor = 1.0 if method == "be" else 2.0
-        geq = factor * self.cvec / dt
+        geq = self.cvec / dt
         stamp = np.concatenate([geq[self._ua], geq[self._ub],
                                 -geq[self._both], -geq[self._both]])
         data = np.bincount(self._sparse_positions(), weights=stamp,
@@ -248,13 +232,10 @@ class _CompanionCaps:
         ja, jb = self.ja, self.jb
         rows_a, rows_b = self._rows_a, self._rows_b
         ua, ub = self._ua, self._ub
-        trap = method == "trap"
 
         def extra(x: np.ndarray):
             v = system.full_volts(x, fixed_now, tail_now)
             i_now = geq * ((v[ja] - v[jb]) - v_prev)
-            if trap:
-                i_now = i_now - i_prev
             f = np.bincount(rows_a, weights=i_now[ua], minlength=n)
             f -= np.bincount(rows_b, weights=i_now[ub], minlength=n)
             return f, data
@@ -263,8 +244,7 @@ class _CompanionCaps:
 
     def _make_extra_loop(self, x_prev: np.ndarray,
                          fixed_prev: Dict[str, float],
-                         fixed_now: Dict[str, float], dt: float, method: str,
-                         n: int):
+                         fixed_now: Dict[str, float], dt: float, n: int):
         """Reference per-entry ``extra`` (``assembly="loop"``), kept
         verbatim from the pre-bank engine."""
 
@@ -275,20 +255,15 @@ class _CompanionCaps:
             volt(ia, na, x_prev, fixed_prev) - volt(ib, nb, x_prev, fixed_prev)
             for ia, na, ib, nb, _ in self.entries
         ])
-        i_prev = self._i_prev if self._i_prev is not None else np.zeros(
-            len(self.entries))
-        factor = 1.0 if method == "be" else 2.0
 
         def extra(x: np.ndarray):
             f = np.zeros(n)
             jac = np.zeros((n, n))
             for k, (ia, na, ib, nb, c) in enumerate(self.entries):
-                geq = factor * c / dt
+                geq = c / dt
                 v_now = (volt(ia, na, x, fixed_now)
                          - volt(ib, nb, x, fixed_now))
                 i_now = geq * (v_now - v_prev[k])
-                if method == "trap":
-                    i_now -= i_prev[k]
                 if ia >= 0:
                     f[ia] += i_now
                     jac[ia, ia] += geq
@@ -305,40 +280,24 @@ class _CompanionCaps:
 
     def step_currents(self, x: np.ndarray, x_prev: np.ndarray,
                       fixed_now: Dict[str, float],
-                      fixed_prev: Dict[str, float], dt: float,
-                      method: str) -> np.ndarray:
-        """Per-entry companion currents of a candidate accepted step.
+                      fixed_prev: Dict[str, float],
+                      dt: float) -> np.ndarray:
+        """Per-entry companion currents of an accepted step.
 
-        Pure: reads ``_i_prev`` (for the trapezoidal history term) but
-        never writes it — pass the result to :meth:`commit_currents`
-        once the step is final.
+        Pure: never writes ``_i_prev`` — pass the result to
+        :meth:`commit_currents`.
         """
-        factor = 1.0 if method == "be" else 2.0
-        i_prev = self._i_prev if self._i_prev is not None else np.zeros(
-            len(self.entries))
-        geq = factor * self.cvec / dt
-        i_new = geq * (self._v_diff(x, fixed_now)
-                       - self._v_diff(x_prev, fixed_prev))
-        if method == "trap":
-            i_new = i_new - i_prev
-        return i_new
+        geq = self.cvec / dt
+        return geq * (self._v_diff(x, fixed_now)
+                      - self._v_diff(x_prev, fixed_prev))
 
     def commit_currents(self, i_new: np.ndarray) -> None:
         """Store the accepted step's currents; call exactly once per step."""
         self._i_prev = i_new
 
-    def commit(self, x: np.ndarray, x_prev: np.ndarray,
-               fixed_now: Dict[str, float], fixed_prev: Dict[str, float],
-               dt: float, method: str) -> None:
-        """Record per-entry currents after a converged step (trapezoidal)."""
-        self.commit_currents(self.step_currents(x, x_prev, fixed_now,
-                                                fixed_prev, dt, method))
-
     def fixed_node_currents(self, fixed_names: Sequence[str]) -> Dict[str, float]:
         """Capacitor current drawn out of each fixed node at the last step."""
         totals = {name: 0.0 for name in fixed_names}
-        if self._i_prev is None:
-            return totals
         for k, (ia, na, ib, nb, _) in enumerate(self.entries):
             if ia < 0 and na in totals:
                 totals[na] += self._i_prev[k]
@@ -375,48 +334,10 @@ def _time_grid(tstop: float, dt: float, breakpoints: Sequence[float]) -> np.ndar
     return grid[keep]
 
 
-#: Ringing-detector floors: entries below ``RINGING_REL_FLOOR`` times the
-#: trace's own peak companion-current magnitude are numerical noise, and
-#: ``RINGING_ABS_FLOOR`` guards the all-(near-)zero trace.  The floor is
-#: *relative* on purpose: an absolute cutoff (the old 1e-12 A) classified
-#: any trace whose alternating currents sat entirely at floor scale —
-#: femtofarad caps on millivolt swings — as non-ringing.
-RINGING_REL_FLOOR = 1e-6
-RINGING_ABS_FLOOR = 1e-30
-
-
-def _ringing_mask(i_new: np.ndarray, i_old: np.ndarray) -> np.ndarray:
-    """Elementwise ringing mask over the trailing capacitor-entry axis.
-
-    Accepts ``(E,)`` serial vectors and ``(B, E)`` batched stacks alike;
-    the floor reduction is per trace (``axis=-1``), so the batched
-    detector is the serial detector applied row by row — bit for bit.
-    """
-    a_new, a_old = np.abs(i_new), np.abs(i_old)
-    scale = np.maximum(a_new.max(axis=-1, keepdims=True),
-                       a_old.max(axis=-1, keepdims=True))
-    floor = np.maximum(RINGING_REL_FLOOR * scale, RINGING_ABS_FLOOR)
-    mask = (a_new > floor) & (a_old > floor)
-    alternating = (i_new * i_old < 0.0) & (a_new > 0.95 * a_old)
-    return mask & alternating
-
-
-def _trap_ringing(i_new: Optional[np.ndarray],
-                  i_old: Optional[np.ndarray]) -> bool:
-    """Detect trapezoidal ringing: sign-alternating, non-decaying
-    companion currents (the classic trap artefact on sharp edges)."""
-    if i_new is None or i_old is None or i_new.size == 0:
-        return False
-    return bool(np.any(_ringing_mask(i_new, i_old)))
-
-
 def run_transient(circuit: Circuit, tstop: float, dt: float,
                   record: Optional[Sequence[str]] = None,
-                  method: str = "be",
                   ic: Optional[OperatingPoint] = None,
                   max_step_halvings: int = 8,
-                  be_fallback: bool = True,
-                  detect_ringing: bool = False,
                   on_step: Optional[Callable[[float], None]] = None,
                   telemetry=None,
                   budget: Optional[SolveBudget] = None) -> TransientResult:
@@ -429,10 +350,6 @@ def run_transient(circuit: Circuit, tstop: float, dt: float,
         canonicalised (ground aliases fold to ``"0"``); a name that is
         not a node of the circuit raises :class:`CircuitError` instead
         of silently recording 0.0.
-    method:
-        ``"be"`` (backward Euler, default — robust) or ``"trap"``
-        (trapezoidal — second order, used by the oscillation-sensitive
-        characterisation tests).
     ic:
         Initial operating point; computed with :func:`solve_dc` at t=0
         when omitted.
@@ -440,14 +357,6 @@ def run_transient(circuit: Circuit, tstop: float, dt: float,
         On a failed Newton step the engine locally halves the step and
         retries, down to ``dt / 2**max_step_halvings``.  Substeps are
         internal: results stay aligned to the base grid.
-    be_fallback:
-        When a trapezoidal substep still fails at the minimum step size,
-        retry it once with backward Euler before giving up.
-    detect_ringing:
-        After each converged trapezoidal step, check the capacitor
-        companion currents for sign-alternating non-decaying ringing and
-        redo the step with backward Euler when found (off by default —
-        it damps legitimate oscillations too).
     on_step:
         Callback invoked with the target time before every Newton solve
         attempt (including retries) — the fault-injection hook.
@@ -468,19 +377,16 @@ def run_transient(circuit: Circuit, tstop: float, dt: float,
     """
     if tstop <= 0.0 or dt <= 0.0:
         raise CircuitError("tstop and dt must be positive")
-    if method not in ("be", "trap"):
-        raise CircuitError(f"unknown integration method {method!r}")
     if max_step_halvings < 0:
         raise CircuitError("max_step_halvings must be >= 0")
     tele = telemetry if telemetry is not None else NULL_TELEMETRY
     budget = budget if budget is not None else SolveBudget.from_env()
     with tele.span("spice.transient.run", circuit=circuit.name,
-                   tstop=tstop, dt=dt, method=method) as span:
+                   tstop=tstop, dt=dt) as span:
         system = System(circuit, telemetry=tele)
         op = ic if ic is not None else solve_dc(circuit, t=0.0, system=system,
                                                 budget=budget)
         caps = _CompanionCaps(system, circuit)
-        caps.start()
 
         if record is not None:
             # Unknown names used to silently record 0.0 (the old
@@ -524,11 +430,11 @@ def run_transient(circuit: Circuit, tstop: float, dt: float,
 
         def solve_substep(t_next: float, sub: float, x_cur: np.ndarray,
                           fixed_cur: Dict[str, float],
-                          fixed_next: Dict[str, float], use_method: str):
+                          fixed_next: Dict[str, float]):
             if on_step is not None:
                 on_step(t_next)
             extra = caps.make_extra(x_cur, fixed_cur, fixed_next, sub,
-                                    use_method, system.n)
+                                    system.n)
             return system.newton(fixed_next, x_cur, gmin=0.0, extra=extra)
 
         def exhaust(limit: str, t_next: float) -> None:
@@ -561,10 +467,9 @@ def run_transient(circuit: Circuit, tstop: float, dt: float,
                 t_next = pending[-1]
                 sub = t_next - t_cur
                 fixed_next = circuit.fixed_nodes(t_next)
-                use_method = method
                 try:
                     x_new = solve_substep(t_next, sub, x_cur, fixed_cur,
-                                          fixed_next, method)
+                                          fixed_next)
                 except BudgetExhaustedError:
                     raise
                 except ConvergenceError as err:
@@ -582,46 +487,14 @@ def run_transient(circuit: Circuit, tstop: float, dt: float,
                         stats.max_subdivision_depth = max(
                             stats.max_subdivision_depth, len(pending))
                         continue
-                    if method == "trap" and be_fallback:
-                        try:
-                            x_new = solve_substep(t_next, sub, x_cur, fixed_cur,
-                                                  fixed_next, "be")
-                            use_method = "be"
-                            stats.be_fallback_steps += 1
-                        except ConvergenceError:
-                            raise ConvergenceError(
-                                f"transient step to t={t_next:.6g} s failed "
-                                f"after {max_step_halvings} halvings and a "
-                                f"backward-Euler fallback",
-                                iterations=err.iterations,
-                                residual=err.residual) from err
-                    else:
-                        raise ConvergenceError(
-                            f"transient step to t={t_next:.6g} s failed after "
-                            f"{max_step_halvings} halvings "
-                            f"(smallest step {sub:.3g} s)",
-                            iterations=err.iterations,
-                            residual=err.residual) from err
-                # Exactly one commit_currents per accepted step: compute
-                # candidate companion currents without touching _i_prev,
-                # decide which solution the step keeps, then commit once.
-                i_cand = caps.step_currents(x_new, x_cur, fixed_next,
-                                            fixed_cur, sub, use_method)
-                if (detect_ringing and use_method == "trap"
-                        and _trap_ringing(i_cand, caps._i_prev)):
-                    try:
-                        x_be = solve_substep(t_next, sub, x_cur, fixed_cur,
-                                             fixed_next, "be")
-                    except ConvergenceError:
-                        # BE redo failed: keep the converged trap step.
-                        caps.commit_currents(i_cand)
-                    else:
-                        x_new = x_be
-                        caps.commit_currents(caps.step_currents(
-                            x_new, x_cur, fixed_next, fixed_cur, sub, "be"))
-                        stats.ringing_fallback_steps += 1
-                else:
-                    caps.commit_currents(i_cand)
+                    raise ConvergenceError(
+                        f"transient step to t={t_next:.6g} s failed after "
+                        f"{max_step_halvings} halvings "
+                        f"(smallest step {sub:.3g} s)",
+                        iterations=err.iterations,
+                        residual=err.residual) from err
+                caps.commit_currents(caps.step_currents(
+                    x_new, x_cur, fixed_next, fixed_cur, sub))
                 pending.pop()
                 t_cur, x_cur, fixed_cur = t_next, x_new, fixed_next
                 stats.steps_taken += 1
@@ -642,8 +515,6 @@ def run_transient(circuit: Circuit, tstop: float, dt: float,
         span.set("steps_taken", stats.steps_taken)
         span.set("newton_failures", stats.newton_failures)
         span.set("halvings", stats.halvings)
-        span.set("be_fallback_steps", stats.be_fallback_steps)
-        span.set("ringing_fallback_steps", stats.ringing_fallback_steps)
         _note_transient(tele, stats)
     return TransientResult(grid, voltages, currents, stats=stats)
 
@@ -657,9 +528,3 @@ def _note_transient(tele, stats: TransientStats) -> None:
             stats.newton_failures)
     if stats.halvings:
         tele.counter("spice.transient.halvings").inc(stats.halvings)
-    if stats.be_fallback_steps:
-        tele.counter("spice.transient.be_fallbacks").inc(
-            stats.be_fallback_steps)
-    if stats.ringing_fallback_steps:
-        tele.counter("spice.transient.ringing_fallbacks").inc(
-            stats.ringing_fallback_steps)

@@ -5,7 +5,10 @@ its unknown count; the per-device ``"loop"`` reference is the oracle
 both are compared against.  ``forced_assembly`` replaces the selector
 for the duration of a ``with`` block, so every ``System`` built inside
 it — directly, or by ``solve_dc`` / ``run_transient`` /
-``run_transient_batch`` — uses the named assembly.
+``run_transient_batch`` — uses the named assembly.  Batch lanes are
+dense banks only: under ``"sparse"`` or ``"loop"`` a
+``run_transient_batch`` call falls back to serial runs on that
+assembly.
 """
 
 from unittest import mock

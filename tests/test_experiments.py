@@ -6,8 +6,17 @@ the full tables, these tests assert the shape.
 
 import pytest
 
-from repro.experiments import fig5, fig6, table1, table3
+from repro.cells import (
+    McmlCellGenerator,
+    characterize_mcml_cell,
+    function,
+    solve_bias,
+)
+from repro.experiments import fig3, fig5, fig6, table1, table3
 from repro.experiments.table3 import PAPER_TABLE3
+from repro.spice import batch
+from repro.spice.backend import InternalBackend, SimulatorBackend, dispatch
+from repro.units import uA
 
 
 class TestTable1:
@@ -77,6 +86,75 @@ class TestTable3:
 
     def test_duty_measured(self, result):
         assert 0.005 < result.measured_duty < 0.05
+
+
+class TestFig3:
+    """Fig. 3's one batched backend call against the serial path."""
+
+    #: Includes 250 µA, whose FO4 lane is the one batched lane that
+    #: differs from serial (by 4e-16 relative in its swing).
+    SWEEP = (uA(10), uA(50), uA(250))
+
+    def test_batched_sweep_equals_serial_characterisation(self, monkeypatch):
+        marches = []
+
+        def spy(bs, *args):
+            marches.append(len(bs.circuits))
+            return march(bs, *args)
+
+        march = batch._march
+        monkeypatch.setattr(batch, "_march", spy)
+        result = fig3.run(self.SWEEP)
+        # One lockstep march over every lane: no per-circuit loop and no
+        # whole-batch serial fallback.
+        assert marches == [2 * len(self.SWEEP)]
+        assert [p.iss for p in result.points] == list(self.SWEEP)
+        fn = function("BUF")
+        for point in result.points:
+            generator = McmlCellGenerator(sizing=solve_bias(point.iss).sizing)
+            fo1 = characterize_mcml_cell(fn, generator, fanout=1)
+            fo4 = characterize_mcml_cell(fn, generator, fanout=4)
+            serial = fig3.Fig3Point(
+                iss=point.iss, delay_fo1=fo1.delay, delay_fo4=fo4.delay,
+                swing=fo1.swing, area_um2=fig3.buffer_area_um2(point.iss))
+            for field in ("iss", "delay_fo1", "delay_fo4", "swing",
+                          "area_um2"):
+                assert getattr(point, field) == pytest.approx(
+                    getattr(serial, field), rel=1e-12, abs=0.0), field
+
+    def test_sweep_goes_through_the_backend_seam(self):
+        class Recording(SimulatorBackend):
+            """Delegates to the internal engine, one call at a time."""
+
+            name = "recording"
+
+            def __init__(self):
+                self.inner = InternalBackend()
+                self.transients = []
+
+            def probe(self):
+                return self.inner.probe()
+
+            def solve_dc(self, circuit, t=0.0, telemetry=None, **kwargs):
+                return self.inner.solve_dc(circuit, t=t,
+                                           telemetry=telemetry, **kwargs)
+
+            def run_transient(self, circuit, tstop, dt, record=None,
+                              telemetry=None, **kwargs):
+                self.transients.append(circuit.name)
+                return self.inner.run_transient(
+                    circuit, tstop, dt, record=record, telemetry=telemetry,
+                    **kwargs)
+
+        backend = Recording()
+        sweep = self.SWEEP[:2]
+        dispatch.set_default_backend(backend)
+        try:
+            result = fig3.run(sweep)
+        finally:
+            dispatch.reset_default_backend()
+        assert len(backend.transients) == 2 * len(sweep)
+        assert len(result.points) == len(sweep)
 
 
 class TestFig5:

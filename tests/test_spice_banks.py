@@ -6,7 +6,9 @@ floating-point rounding (the issue's bound is 1e-12; in practice the
 two agree to ~1e-15 because both evaluate the same EKV arithmetic with
 the same forward-difference step).  It also pins the size rule that
 gives a ``System`` the dense banks below ``SPARSE_MIN_UNKNOWNS`` unknowns
-and the sparse assembly from there on.
+and the sparse assembly from there on, and the batched engine's
+response to it: dense lanes march in lockstep, sparse-size lanes run
+serially.
 """
 
 import numpy as np
@@ -16,6 +18,8 @@ from hypothesis import given, settings, strategies as st
 from repro.cells.functions import function
 from repro.cells.mcml import McmlCellGenerator
 from repro.cells.pgmcml import PgMcmlCellGenerator
+from repro.errors import CircuitError
+from repro.obs import MemorySink, Telemetry
 from repro.spice import Circuit, run_transient, run_transient_batch, solve_dc
 from repro.spice.batch import BatchSystem
 from repro.spice.dc import SPARSE_MIN_UNKNOWNS, System
@@ -249,9 +253,22 @@ class TestAssemblySelection:
         (SPARSE_MIN_UNKNOWNS, "sparse"),
     ])
     def test_batch_lanes_follow_the_template(self, unknowns, assembly):
+        """Bank-size lanes march in lockstep; a template that selects
+        the sparse assembly sends every lane to the serial engine with
+        a ``spice.batch.fallback`` event.  Either way the lanes equal
+        the serial run."""
         lanes = [resistor_ladder(unknowns, pulse=True) for _ in range(2)]
-        assert BatchSystem(lanes).system.assembly == assembly
-        batched = run_transient_batch(lanes, 4e-10, 2e-11)
+        if assembly == "sparse":
+            with pytest.raises(CircuitError, match="sparse assembly"):
+                BatchSystem(lanes)
+        else:
+            assert BatchSystem(lanes).system.assembly == "bank"
+        sink = MemorySink()
+        batched = run_transient_batch(lanes, 4e-10, 2e-11,
+                                      telemetry=Telemetry(sinks=[sink]))
+        fallbacks = [r for r in sink.records
+                     if r.get("name") == "spice.batch.fallback"]
+        assert len(fallbacks) == (1 if assembly == "sparse" else 0)
         serial = run_transient(resistor_ladder(unknowns, pulse=True),
                                4e-10, 2e-11)
         for got in batched:

@@ -1,4 +1,4 @@
-"""The lockstep batched transient engine vs the serial oracle (PR 7).
+"""The lockstep batched transient engine vs the serial oracle.
 
 The contract: :func:`repro.spice.run_transient_batch` simulates B
 same-topology circuits in one stack of block-diagonal Newton solves and
@@ -7,16 +7,12 @@ waveforms to ≤1e-12 (in practice ~1e-16; the only difference is batched
 BLAS rounding), the time grid bit-for-bit, and every control-flow
 statistic exactly at B=1.  When the batch axis cannot apply the engine
 must *fall back* to the serial path, never fail, and a lane that
-diverges mid-flight falls out of the batch alone.
+diverges mid-flight falls out of the batch alone.  Each lane counts as
+one transient run in telemetry, whichever path finished it.
 
-Also pins this PR's two bugfixes:
-
-* the time grid is built from integer step indices (``k * dt``), so a
-  tstop/dt ratio like 1e-9/1e-11 yields exactly 101 samples with the
-  last one exactly ``tstop`` — no cumulative float drift (satellite 1);
-* the trapezoidal ringing detector's current floor is *relative* to the
-  per-trace current scale, so floor-scale alternating currents are
-  still classified as ringing (satellite 2).
+Also pins the drift-free time grid: it is built from integer step
+indices (``k * dt``), so a tstop/dt ratio like 1e-9/1e-11 yields exactly
+101 samples with the last one exactly ``tstop``.
 """
 
 import numpy as np
@@ -41,13 +37,7 @@ from repro.spice import (
     run_transient,
     run_transient_batch,
 )
-from repro.spice.transient import (
-    RINGING_ABS_FLOOR,
-    RINGING_REL_FLOOR,
-    _ringing_mask,
-    _time_grid,
-    _trap_ringing,
-)
+from repro.spice.transient import _time_grid
 from repro.tech import TECH90
 
 
@@ -139,17 +129,11 @@ def assert_batch_matches_serial(circuits, tstop, dt, tol=1e-12, **kw):
                                         - b.source_currents[name])))
             assert delta <= tol, (name, delta)
     if len(circuits) == 1:
-        s, b = serial[0].stats, batch[0].stats
-        assert (s.steps_taken, s.newton_failures, s.halvings,
-                s.retried_intervals, s.be_fallback_steps,
-                s.ringing_fallback_steps) == \
-               (b.steps_taken, b.newton_failures, b.halvings,
-                b.retried_intervals, b.be_fallback_steps,
-                b.ringing_fallback_steps)
+        assert serial[0].stats == batch[0].stats
     return serial, batch
 
 
-# -- satellite 1: drift-free time grid ---------------------------------------
+# -- drift-free time grid -----------------------------------------------------
 
 class TestTimeGridExactness:
     def test_integer_ratio_grid_is_exact(self):
@@ -197,74 +181,16 @@ class TestTimeGridExactness:
         assert grid[-1] == 1e-9
 
 
-# -- satellite 2: relative-floor ringing detector ----------------------------
-
-class TestRingingDetector:
-    def test_floor_scale_alternation_is_ringing(self):
-        # Magnitudes below the old absolute floor (1e-12 A) but genuinely
-        # alternating: the relative floor must classify this as ringing.
-        i_new = np.array([1e-13, -1e-13, 5e-14])
-        i_old = np.array([-1e-13, 1e-13, -5e-14])
-        assert _trap_ringing(i_new, i_old)
-
-    def test_tiny_component_on_large_trace_is_not_ringing(self):
-        # An alternating current 8 orders below the trace's dominant
-        # current is numerical noise, not oscillation.
-        i_new = np.array([1e-3, 1e-11])
-        i_old = np.array([1e-3, -1e-11])
-        assert not _trap_ringing(i_new, i_old)
-
-    def test_decaying_alternation_is_not_ringing(self):
-        i_new = np.array([1e-13])
-        i_old = np.array([-1e-12])
-        assert not _trap_ringing(i_new, i_old)
-
-    def test_true_zero_currents_are_not_ringing(self):
-        zeros = np.zeros(4)
-        assert not _trap_ringing(zeros, zeros)
-        assert not _trap_ringing(np.zeros(0), np.zeros(0))
-        assert not _trap_ringing(None, None)
-
-    def test_floor_is_relative_to_each_trace(self):
-        # Same alternating component: masked on the lane with a large
-        # dominant current, flagged on the lane without one.
-        i_new = np.array([[1e-3, 1e-11], [0.0, 1e-11]])
-        i_old = np.array([[1e-3, -1e-11], [0.0, -1e-11]])
-        mask = _ringing_mask(i_new, i_old)
-        assert not mask[0].any()
-        assert mask[1].any()
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=50, deadline=None, derandomize=True)
-    def test_batched_mask_matches_serial_rows_bitwise(self, seed):
-        """Per-trace detection on a (B, E) stack is bit-for-bit the
-        serial detector applied row by row (same inputs in, same
-        booleans out)."""
-        rng = np.random.default_rng(seed)
-        shape = (int(rng.integers(1, 9)), int(rng.integers(1, 13)))
-        scale = 10.0 ** rng.integers(-14, 0, size=(shape[0], 1))
-        i_new = rng.uniform(-1.0, 1.0, shape) * scale
-        i_old = rng.uniform(-1.0, 1.0, shape) * scale
-        batched = _ringing_mask(i_new, i_old)
-        for b in range(shape[0]):
-            assert np.array_equal(batched[b], _ringing_mask(i_new[b],
-                                                            i_old[b]))
-            assert bool(batched[b].any()) == _trap_ringing(i_new[b],
-                                                           i_old[b])
-
-
-# -- satellite 4: batched == serial property suite ---------------------------
+# -- batched == serial property suite -----------------------------------------
 
 class TestBatchedEquivalenceRC:
     @given(st.integers(0, 2**32 - 1),
-           st.sampled_from([1, 3, 16]),
-           st.sampled_from(["be", "trap"]))
+           st.sampled_from([1, 3, 16]))
     @settings(max_examples=12, deadline=None, derandomize=True)
-    def test_rc_lanes_match(self, seed, nb, method):
+    def test_rc_lanes_match(self, seed, nb):
         rng = np.random.default_rng(seed)
         lanes = rc_lanes(rng.integers(0, 2**31, size=nb))
-        assert_batch_matches_serial(lanes, tstop=4e-9, dt=1e-10,
-                                    method=method, detect_ringing=True)
+        assert_batch_matches_serial(lanes, tstop=4e-9, dt=1e-10)
 
     def test_ragged_lane_count(self):
         # A lane count that is not a tidy power of two (the "ragged
@@ -273,9 +199,8 @@ class TestBatchedEquivalenceRC:
             assert_batch_matches_serial(rc_lanes(range(nb)),
                                         tstop=2e-9, dt=1e-10)
 
-    def test_single_lane_full_stat_parity_with_ringing(self):
-        assert_batch_matches_serial(rc_lanes([11]), tstop=4e-9, dt=2e-10,
-                                    method="trap", detect_ringing=True)
+    def test_single_lane_full_stat_parity(self):
+        assert_batch_matches_serial(rc_lanes([11]), tstop=4e-9, dt=2e-10)
 
 
 class TestBatchedEquivalenceCells:
@@ -292,8 +217,7 @@ class TestBatchedEquivalenceCells:
         nb = int(rng.choice([1, 3]))
         lanes = [cell_lane(style, sleep_on, s, self.WINDOW)
                  for s in rng.integers(0, 2**31, size=nb)]
-        assert_batch_matches_serial(lanes, tstop=self.WINDOW, dt=self.DT,
-                                    method="trap", detect_ringing=True)
+        assert_batch_matches_serial(lanes, tstop=self.WINDOW, dt=self.DT)
 
     @pytest.mark.parametrize("style,sleep_on", [("cmos", True),
                                                 ("mcml", True),
@@ -308,7 +232,7 @@ class TestBatchedEquivalenceCells:
         lanes = [cell_lane("pgmcml", True, seed, self.WINDOW)
                  for seed in range(3)]
         serial, batch = assert_batch_matches_serial(
-            lanes, tstop=self.WINDOW, dt=self.DT, method="be")
+            lanes, tstop=self.WINDOW, dt=self.DT)
         for s, b in zip(serial, batch):
             assert s.stats.steps_taken == b.stats.steps_taken
             assert s.stats.newton_failures == b.stats.newton_failures
@@ -327,16 +251,6 @@ def _events(sink, name):
 
 
 class TestSerialFallback:
-    def test_on_step_hook_falls_back(self):
-        tele, sink = _batch_telemetry()
-        seen = []
-        results = run_transient_batch(
-            rc_lanes([1, 2]), 2e-9, 1e-10,
-            on_step=seen.append, telemetry=tele)
-        assert len(results) == 2 and seen
-        events = _events(sink, "spice.batch.fallback")
-        assert events and events[0]["attrs"]["reason"] == "on_step-hook"
-
     def test_mismatched_topology_falls_back(self):
         a = rc_lane()
         b = rc_lane()
@@ -380,8 +294,6 @@ class TestSerialFallback:
         with pytest.raises(CircuitError):
             run_transient_batch(rc_lanes([1]), tstop=0.0, dt=1e-10)
         with pytest.raises(CircuitError):
-            run_transient_batch(rc_lanes([1]), 1e-9, 1e-10, method="gear")
-        with pytest.raises(CircuitError):
             run_transient_batch(rc_lanes([1]), 1e-9, 1e-10,
                                 max_step_halvings=-1)
         with pytest.raises(CircuitError):
@@ -414,6 +326,8 @@ class TestLaneIsolation:
         assert len(events) == 1 and events[0]["attrs"]["lane"] == 1
         for s, r in zip(serial, results):
             assert np.array_equal(s.voltages["out"], r.voltages["out"])
+        # The retried lane is counted by its serial run, and only there.
+        assert tele.counter("spice.transient.runs").value == 3
 
     def test_serial_retry_error_is_normative(self, monkeypatch):
         from repro.spice import batch as batch_mod
@@ -474,3 +388,19 @@ class TestBatchKnob:
         assert tele.counter("spice.batch.lanes").value == 3
         assert tele.counter("spice.batch.lockstep_solves").value > 0
         assert tele.counter("spice.batch.lockstep_iterations").value > 0
+
+    def test_finished_lanes_count_as_transient_runs(self):
+        counted = {}
+        for engine in ("serial", "batch"):
+            tele, _ = _batch_telemetry()
+            if engine == "serial":
+                for ckt in rc_lanes([1, 2, 3]):
+                    run_transient(ckt, 2e-9, 1e-10, telemetry=tele)
+            else:
+                run_transient_batch(rc_lanes([1, 2, 3]), 2e-9, 1e-10,
+                                    telemetry=tele)
+            counted[engine] = tuple(
+                tele.counter(f"spice.transient.{name}").value
+                for name in ("runs", "steps_accepted", "halvings"))
+        assert counted["batch"] == counted["serial"]
+        assert counted["serial"][0] == 3

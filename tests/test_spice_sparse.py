@@ -7,9 +7,10 @@ and factors with SuperLU instead of LAPACK.  The contract proven here:
 
 * **entry-for-entry Jacobian identity** — densifying the sparse data
   vector reproduces the bank Jacobian exactly (same bincount sums);
-* **solution equivalence** — DC operating points, transient waveforms,
-  and lockstep-batched waveforms agree across ``bank`` / ``loop`` /
-  ``sparse`` to ≤1e-9 for all three library styles, sleep on and off;
+* **solution equivalence** — DC operating points and transient
+  waveforms agree across ``bank`` / ``loop`` / ``sparse`` to ≤1e-9 for
+  all three library styles, sleep on and off; batched lanes whose
+  template selects the sparse assembly run serially and match too;
 * **identical control flow** — the Newton iteration counts and recovery
   ladder attempts of a PG-MCML buffer chain are byte-identical across
   assemblies (pinned as a regression reference);
@@ -45,7 +46,7 @@ from repro.cells.pgmcml import PgMcmlCellGenerator
 from repro.errors import CircuitError, ConvergenceError, SynthesisError
 from repro.faultinject import Fault, FaultInjector
 from repro.netlist import LogicSimulator
-from repro.obs import Telemetry
+from repro.obs import MemorySink, Telemetry
 from repro.spice import (
     Circuit,
     DC,
@@ -307,6 +308,20 @@ class TestTransientEquivalence:
             np.testing.assert_allclose(got.voltages[node],
                                        ref.voltages[node], atol=1e-9)
 
+    @staticmethod
+    def sparse_batch(circuits, tstop, dt):
+        """``run_transient_batch`` under the sparse assembly, checking
+        that the batch fell back to serial runs."""
+        sink = MemorySink()
+        with forced_assembly("sparse"):
+            results = run_transient_batch(circuits, tstop=tstop, dt=dt,
+                                          telemetry=Telemetry(sinks=[sink]))
+        fallbacks = [r for r in sink.records
+                     if r.get("name") == "spice.batch.fallback"]
+        assert len(fallbacks) == 1
+        assert "sparse assembly" in fallbacks[0]["attrs"]["reason"]
+        return results
+
     def test_batched_sparse_matches_serial_bank(self):
         def lanes(n):
             out = []
@@ -322,8 +337,7 @@ class TestTransientEquivalence:
         with forced_assembly("bank"):
             serial = [run_transient(c, tstop=5e-9, dt=0.5e-10)
                       for c in lanes(4)]
-        with forced_assembly("sparse"):
-            batched = run_transient_batch(lanes(4), tstop=5e-9, dt=0.5e-10)
+        batched = self.sparse_batch(lanes(4), tstop=5e-9, dt=0.5e-10)
         for ref, got in zip(serial, batched):
             np.testing.assert_array_equal(got.time, ref.time)
             for node in ref.voltages:
@@ -337,8 +351,7 @@ class TestTransientEquivalence:
         with forced_assembly("bank"):
             serial = [run_transient(c, tstop=32e-12, dt=1e-12)
                       for c in lanes(3)]
-        with forced_assembly("sparse"):
-            batched = run_transient_batch(lanes(3), tstop=32e-12, dt=1e-12)
+        batched = self.sparse_batch(lanes(3), tstop=32e-12, dt=1e-12)
         for ref, got in zip(serial, batched):
             for node in ref.voltages:
                 np.testing.assert_allclose(got.voltages[node],
@@ -420,22 +433,6 @@ class TestSparseAssemblyUnit:
         monkeypatch.setattr(sparse_mod, "_DENSE_LSTSQ_LIMIT", 1)
         with pytest.raises(ConvergenceError, match="singular"):
             asm.solve(np.zeros(asm.nnz), np.zeros(asm.n))
-
-    def test_solve_batch_matches_scalar_solve(self):
-        ckt, sys_, asm = self._small()
-        fixed = ckt.fixed_nodes(0.0)
-        rng = np.random.default_rng(3)
-        datas, rhss = [], []
-        for _ in range(3):
-            x = 0.6 + 0.05 * rng.standard_normal(sys_.n)
-            f, data = sys_.residual_and_jacobian(x, fixed, 1e-9)
-            datas.append(data)
-            rhss.append(-f)
-        dx_b, sing_b = asm.solve_batch(np.stack(datas), np.stack(rhss))
-        for lane in range(3):
-            dx, sing = asm.solve(datas[lane], rhss[lane])
-            np.testing.assert_array_equal(dx_b[lane], dx)
-            assert sing_b[lane] == sing
 
     def test_empty_system(self):
         ckt = Circuit("allfixed")

@@ -36,15 +36,6 @@ class TestRCStep:
         res = run_transient(rc_circuit(), tstop=ns(8), dt=ps(20))
         assert res.wave("out").v[-1] == pytest.approx(1.0, abs=0.01)
 
-    def test_trapezoidal_matches_be(self):
-        res_be = run_transient(rc_circuit(), tstop=ns(4), dt=ps(20),
-                               method="be")
-        res_tr = run_transient(rc_circuit(), tstop=ns(4), dt=ps(20),
-                               method="trap")
-        v_be = res_be.wave("out").value_at(ns(2.2))
-        v_tr = res_tr.wave("out").value_at(ns(2.2))
-        assert v_be == pytest.approx(v_tr, abs=0.02)
-
     def test_source_current_charges_cap(self):
         # Integral of supply current equals the charge C*V delivered.
         ckt = rc_circuit(r=1e3, c=1e-12)
@@ -67,9 +58,6 @@ class TestRCStep:
     def test_bad_parameters(self):
         with pytest.raises(CircuitError):
             run_transient(rc_circuit(), tstop=0.0, dt=ps(1))
-        with pytest.raises(CircuitError):
-            run_transient(rc_circuit(), tstop=ns(1), dt=ps(1),
-                          method="gear")
 
 
 class TestBreakpoints:
@@ -102,22 +90,11 @@ class TestTransientStats:
         assert stats.newton_failures == 0
         assert stats.retried_intervals == 0
         assert stats.halvings == 0
-        assert stats.be_fallback_steps == 0
 
     def test_bad_halving_budget_rejected(self):
         with pytest.raises(CircuitError):
             run_transient(rc_circuit(), tstop=ns(1), dt=ps(50),
                           max_step_halvings=-1)
-
-    def test_ringing_detection_runs(self):
-        # A smooth RC charge has no trap ringing: the detector must not
-        # perturb the solution.
-        plain = run_transient(rc_circuit(), tstop=ns(4), dt=ps(20),
-                              method="trap")
-        res = run_transient(rc_circuit(), tstop=ns(4), dt=ps(20),
-                            method="trap", detect_ringing=True)
-        assert res.wave("out").v[-1] == pytest.approx(
-            plain.wave("out").v[-1], abs=1e-9)
 
 
 class TestRCDivider:
@@ -190,61 +167,41 @@ class TestRecordValidation:
         assert len(res.wave("out").v) == len(res.time)
 
 
-class TestTrapRingingCommit:
-    @staticmethod
-    def ringing_circuit():
-        # tau = 100 us vs dt = 50 ns is harmless; what matters is
-        # dt >> 2*tau at the trap scale: R*C = 100 ns, dt = 50 ns with a
-        # 1 ps edge makes the companion currents alternate undamped.
-        ckt = Circuit()
-        ckt.v("vin", "in", Pulse(0.0, 1.0, ns(1), ps(1), ps(1), ns(200)))
-        ckt.resistor("r1", "in", "out", 1e5)
-        ckt.capacitor("c1", "out", "0", 1e-12)
-        return ckt
+class TestCompanionCommit:
+    """The companion currents behind the source-current record are
+    committed exactly once per accepted step, never for a rejected
+    solve."""
 
-    def test_ringing_fallback_triggers_on_falling_edge(self):
-        # The rising edge starts from zero companion current (no
-        # alternation possible); the falling edge flips a live current
-        # and trips the detector exactly once.
-        plain = run_transient(self.ringing_circuit(), tstop=ns(400),
-                              dt=ns(50), method="trap")
-        res = run_transient(self.ringing_circuit(), tstop=ns(400), dt=ns(50),
-                            method="trap", detect_ringing=True)
-        assert plain.stats.ringing_fallback_steps == 0
-        assert res.stats.ringing_fallback_steps == 1
-        # The BE redo actually replaced the trap step after the edge.
-        assert abs(res.wave("out").value_at(ns(250))
-                   - plain.wave("out").value_at(ns(250))) > 0.05
+    @staticmethod
+    def counted_commits(monkeypatch):
+        from repro.spice import transient as tr
+
+        commits = []
+        original = tr._CompanionCaps.commit_currents
+
+        def counting(self, i_new):
+            commits.append(1)
+            return original(self, i_new)
+
+        monkeypatch.setattr(tr._CompanionCaps, "commit_currents", counting)
+        return commits
 
     def test_exactly_one_commit_per_accepted_step(self, monkeypatch):
-        """The ringing path used to commit twice (trap then BE) against
-        an already-updated history; pin one commit per accepted step."""
-        from repro.spice import transient as tr
-
-        commits = []
-        original = tr._CompanionCaps.commit_currents
-
-        def counting(self, i_new):
-            commits.append(1)
-            return original(self, i_new)
-
-        monkeypatch.setattr(tr._CompanionCaps, "commit_currents", counting)
-        res = run_transient(self.ringing_circuit(), tstop=ns(400), dt=ns(50),
-                            method="trap", detect_ringing=True)
-        assert res.stats.ringing_fallback_steps >= 1
+        commits = self.counted_commits(monkeypatch)
+        res = run_transient(rc_circuit(), tstop=ns(4), dt=ps(20))
         assert len(commits) == res.stats.steps_taken
 
-    def test_exactly_one_commit_without_ringing(self, monkeypatch):
-        from repro.spice import transient as tr
+    def test_halved_step_commits_only_what_it_accepts(self, monkeypatch):
+        from repro.faultinject import Fault, FaultInjector
 
-        commits = []
-        original = tr._CompanionCaps.commit_currents
-
-        def counting(self, i_new):
-            commits.append(1)
-            return original(self, i_new)
-
-        monkeypatch.setattr(tr._CompanionCaps, "commit_currents", counting)
-        res = run_transient(rc_circuit(), tstop=ns(4), dt=ps(20),
-                            method="trap")
+        ckt = rc_circuit()
+        injector = FaultInjector(ckt, [Fault("r1", "oscillate",
+                                             t_start=ns(2), t_stop=ns(2.1),
+                                             magnitude=1e-3, trip_limit=1)])
+        commits = self.counted_commits(monkeypatch)
+        with injector:
+            res = run_transient(ckt, tstop=ns(4), dt=ps(20),
+                                on_step=injector.set_time)
+        assert res.stats.newton_failures >= 1
+        assert res.stats.halvings >= 1
         assert len(commits) == res.stats.steps_taken
