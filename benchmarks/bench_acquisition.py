@@ -21,6 +21,15 @@ by every die's acquirer and once with a fresh acquirer (own memo) per
 die.  It records the simulations and seconds of both, whether their
 bytes are identical, and the CPU count.
 
+The ``event_sim`` section measures the lane-parallel event simulation
+that serves every activity-memo miss: per style and corner (tt, ff,
+ss), all 256 plaintexts of key 0x3C simulated one at a time on the heap
+simulator (``ActivityMemo.simulate``) against one ``prefetch`` on a
+fresh memo (the compiled plan, one lane pass and the heap re-runs of
+the lanes it flags).  It records both times, the fallback lanes, how
+many of the 256 activities are byte-identical to the heap's, and the
+CPU count; the test asserts all 256 are.
+
 Also measures the observability layer (``repro.obs``) on the serial
 path: one run with a live Telemetry handle (its metrics registry
 snapshot lands in the JSON under ``telemetry``) proves instrumentation
@@ -41,12 +50,13 @@ import numpy as np
 import pytest
 from conftest import run_once
 
-from repro.cells import build_cmos_library
+from repro.cells import build_cmos_library, library_at_corner
 from repro.obs import Telemetry
 from repro.sca import AttackCampaign, TraceAcquirer, acquire_traces
 from repro.sca.acquisition import ActivityMemo
 from repro.sca.attack import build_reduced_aes
 from repro.sca.matrix import STYLE_BUILDERS
+from repro.tech import corner
 
 N_TRACES = 256
 KEY = 0x2B
@@ -59,6 +69,10 @@ REPEATED_SEED = 0
 SHARED_STYLES = ("cmos", "pgmcml")
 N_DIES = 8
 N_DIE_TRACES = 128
+#: The event-simulation case: every byte of one key per style x corner.
+EVENT_SIM_KEY = 0x3C
+EVENT_SIM_STYLES = ("cmos", "mcml", "pgmcml", "wddl")
+EVENT_SIM_CORNERS = ("tt", "ff", "ss")
 
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RESULT_PATH = os.path.join(_REPO_ROOT, "BENCH_acquisition.json")
@@ -108,10 +122,11 @@ def _disabled_path_overhead_pct(serial_s: float) -> dict:
         NULL_TELEMETRY.counter("bench").inc()
     per_call_s = (time.perf_counter() - begin) / n
     # Serial path, per 16-trace chunk: a span and a timer (each made,
-    # entered and exited) and three counter lookups with their incs —
-    # 12 no-op calls; plus the acquire call's span (charged 2).
+    # entered and exited) and two counter lookups with their incs —
+    # 10 no-op calls; plus the acquire call's span (charged 2) and its
+    # two counters (4).
     chunks = -(-N_TRACES // 16)
-    calls = 12 * chunks + 2
+    calls = 10 * chunks + 6
     return {
         "null_call_ns": round(per_call_s * 1e9, 2),
         "disabled_calls_charged": calls,
@@ -194,6 +209,55 @@ def _shared_activity_case() -> dict:
                for style in SHARED_STYLES}}
 
 
+def _same_activity(a, b) -> bool:
+    """Byte-identical activity arrays (same dtypes, same bytes)."""
+    fields = ("times", "nets", "values") if hasattr(a, "times") \
+        else ("values",)
+    return all(getattr(a, f).dtype == getattr(b, f).dtype
+               and getattr(a, f).tobytes() == getattr(b, f).tobytes()
+               for f in fields)
+
+
+def _event_sim_corner(style: str, corner_name: str) -> dict:
+    """256 heap simulations against one lane-parallel prefetch."""
+    netlist, _ = build_reduced_aes(library_at_corner(
+        STYLE_BUILDERS[style](), corner(corner_name)))
+    oracle = ActivityMemo(netlist, EVENT_SIM_KEY)
+    begin = time.perf_counter()
+    heap = [oracle.simulate(p) for p in range(256)]
+    heap_s = time.perf_counter() - begin
+    memo = ActivityMemo(netlist, EVENT_SIM_KEY)
+    begin = time.perf_counter()
+    memo.prefetch(range(256))
+    lanes_s = time.perf_counter() - begin
+    return {
+        "heap_ms": round(1e3 * heap_s, 2),
+        "lane_pass_ms": round(1e3 * lanes_s, 2),
+        "speedup": round(heap_s / lanes_s, 2),
+        "fallback_lanes": memo.fallbacks,
+        "identical": sum(_same_activity(memo.get(p)[0], heap[p])
+                         for p in range(256)),
+    }
+
+
+def _event_sim_case() -> dict:
+    return {"cpu_count": os.cpu_count(), "key": EVENT_SIM_KEY,
+            "plaintexts": 256,
+            **{f"{style}-{corner_name}": _event_sim_corner(style,
+                                                           corner_name)
+               for style in EVENT_SIM_STYLES
+               for corner_name in EVENT_SIM_CORNERS}}
+
+
+def assert_event_sim_exact(case: dict) -> None:
+    """Every (style, corner) gave all 256 activities of the heap."""
+    for style in EVENT_SIM_STYLES:
+        for corner_name in EVENT_SIM_CORNERS:
+            row = case[f"{style}-{corner_name}"]
+            assert row["identical"] == case["plaintexts"], \
+                (style, corner_name, row)
+
+
 def run_comparison():
     library = build_cmos_library()
     serial_result, serial_s = _timed_campaign(AttackCampaign(library, KEY))
@@ -224,6 +288,7 @@ def run_comparison():
         },
         "repeated_plaintexts": _repeated_plaintexts_case(library),
         "shared_activity": _shared_activity_case(),
+        "event_sim": _event_sim_case(),
     }
     with open(RESULT_PATH, "w") as fh:
         json.dump(report, fh, indent=2)
@@ -246,6 +311,7 @@ def test_acquisition_memos_telemetry_and_throughput(benchmark):
         assert case["shared_simulations"] == case["distinct_plaintexts"], case
         assert case["fresh_simulations"] == \
             case["fresh_distinct_per_die"], case
+    assert_event_sim_exact(report["event_sim"])
     benchmark.extra_info.update(report)
 
 

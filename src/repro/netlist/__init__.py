@@ -8,6 +8,7 @@ the static timing numbers reported in Table 3.
 
 from .graph import GateNetlist, Instance, Net
 from .logicsim import LogicSimulator, Transition, SimulationTrace
+from .lanes import LaneSimulator, LaneTrace
 from .timing import static_timing, TimingReport, wire_delay
 from .vcd import write_vcd, read_vcd
 from .sdf import annotate_delays, write_sdf, read_sdf
@@ -25,6 +26,8 @@ __all__ = [
     "LogicSimulator",
     "Transition",
     "SimulationTrace",
+    "LaneSimulator",
+    "LaneTrace",
     "static_timing",
     "TimingReport",
     "wire_delay",

@@ -10,6 +10,12 @@ The simulator uses inertial-style delay: if an instance re-evaluates
 before its previously scheduled output change has matured, the stale
 event is superseded (narrow glitches inside one cell delay are
 swallowed, as real gates do).
+
+Trace campaigns simulate many input vectors of one netlist through
+:class:`~repro.netlist.lanes.LaneSimulator`, one lane per vector.  This
+heap-driven simulator is that pass's oracle, and its per-lane fallback
+where events of one instant meet in an order only the heap's sequence
+counter decides.
 """
 
 from __future__ import annotations

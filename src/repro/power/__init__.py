@@ -29,6 +29,7 @@ from .trace import (
     activity_current,
     differential_baseline,
     driven_nets,
+    settled_nets,
     wddl_baseline,
     wddl_current,
     TraceGrid,
@@ -50,6 +51,7 @@ __all__ = [
     "activity_current",
     "differential_baseline",
     "driven_nets",
+    "settled_nets",
     "wddl_baseline",
     "wddl_current",
     "TraceGrid",

@@ -29,7 +29,7 @@ the entire data-independent part of a differential trace (static tails
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional
+from typing import Dict, List, Mapping, Optional
 
 import numpy as np
 
@@ -106,6 +106,13 @@ class TransitionActivity:
                    values=np.array([tr.value for tr in kept], dtype=bool))
 
 
+def settled_nets(netlist: GateNetlist) -> List[str]:
+    """The first output net of each modelled (non-pseudo) instance, in
+    ``netlist.instances`` order: what a :class:`SettledActivity` holds."""
+    return [inst.pins[inst.cell.outputs[0]]
+            for inst in netlist.instances.values() if not inst.cell.pseudo]
+
+
 @dataclass(frozen=True, eq=False)
 class SettledActivity:
     """The settled output of each modelled (non-pseudo) instance after
@@ -118,9 +125,7 @@ class SettledActivity:
                     net_values: Mapping[str, bool]) -> "SettledActivity":
         """Read each instance's first output from settled net values."""
         return cls(values=np.array(
-            [net_values[inst.pins[inst.cell.outputs[0]]]
-             for inst in netlist.instances.values()
-             if not inst.cell.pseudo], dtype=bool))
+            [net_values[net] for net in settled_nets(netlist)], dtype=bool))
 
 
 def _deposit_triangles(samples: np.ndarray, grid: TraceGrid,

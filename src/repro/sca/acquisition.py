@@ -23,7 +23,8 @@ plaintext byte:
 
 * :class:`ActivityMemo` — the event simulation, which no die changes.
   One memo per (netlist, key, ``t_apply``, window) simulates each
-  distinct byte once for every die that shares it.
+  distinct byte once for every die that shares it, all of a call's
+  missing bytes in one lane-parallel pass.
 * :class:`TraceAcquirer` — one die: its power model and precomputed
   data-independent baseline, plus a row memo that composes each byte's
   noiseless samples once per acquirer however often the byte recurs.
@@ -45,7 +46,7 @@ import numpy as np
 
 from ..errors import AttackError
 from ..obs import NULL_TELEMETRY
-from ..netlist import GateNetlist, LogicSimulator
+from ..netlist import GateNetlist, LaneSimulator, LogicSimulator
 from ..power import (
     BlockPowerModel,
     MeasurementChain,
@@ -55,6 +56,7 @@ from ..power import (
     activity_current,
     differential_baseline,
     driven_nets,
+    settled_nets,
     wddl_baseline,
     wddl_current,
 )
@@ -101,15 +103,21 @@ class ActivityMemo:
     the apply time and the window, never the die (mismatch enters only
     when a :class:`BlockPowerModel` composes).  So every die of a
     netlist can share one memo: each distinct plaintext is simulated
-    once (``LogicSimulator.run``; ``initialize`` for WDDL) and kept as
-    compact arrays, a :class:`~repro.power.trace.TransitionActivity` or
+    once and kept as compact arrays, a
+    :class:`~repro.power.trace.TransitionActivity` or
     :class:`~repro.power.trace.SettledActivity`.
 
-    Misses simulate one at a time under a lock: the simulator is
-    stateful, and acquirers on several threads may share one memo.  The
-    memo is never process-wide: whoever builds acquirers for many dies
-    of one netlist hands them one memo and drops it when that netlist
-    is done.
+    Misses are simulated together: :meth:`prefetch` runs every byte a
+    call lacks as one lane of a :class:`~repro.netlist.LaneSimulator`
+    pass (``settle`` for WDDL), and re-runs only the lanes that pass
+    flags on the heap simulator (:meth:`simulate`, counted in
+    :attr:`fallbacks`).  Netlists the pass cannot run (sequential
+    cells, cells wider than eight inputs) simulate each byte on the
+    heap.  Either way the arrays are byte-identical to :meth:`simulate`.
+    The memo works under a lock, because the heap simulator is stateful
+    and acquirers on several threads may share one memo.  It is never
+    process-wide: whoever builds acquirers for many dies of one netlist
+    hands them one memo and drops it when that netlist is done.
     """
 
     def __init__(self, netlist: GateNetlist, key: int, t_apply: float = 0.0,
@@ -129,12 +137,17 @@ class ActivityMemo:
         self._nets = driven_nets(netlist)
         self._key_bits = [(f"k{b}", bool((key >> (7 - b)) & 1))
                           for b in range(8)]
+        # Compiled on the first miss; False when the heap runs each byte.
+        self._lanes = None
         self._lock = threading.RLock()
         self._activity: Dict[int, object] = {}
+        #: Lanes re-run on the heap simulator because of the order hazard.
+        self.fallbacks = 0
 
     def simulate(self, plaintext: int):
-        """One cycle's activity, simulated afresh (the uncached
-        reference for :meth:`get`).
+        """One cycle's activity, simulated afresh on the heap simulator:
+        the reference for :meth:`prefetch`'s lane pass and its per-lane
+        fallback.
 
         Transition styles: ``reset()`` discharges every net, then key
         and plaintext bits apply at ``t_apply``.  WDDL: ``reset()`` is
@@ -156,16 +169,53 @@ class ActivityMemo:
                              for net, value in bits], duration=self.window)
         return TransitionActivity.from_trace(trace, self._nets)
 
+    def prefetch(self, plaintexts: Sequence[int]) -> int:
+        """Simulate every byte of ``plaintexts`` the memo lacks, in one
+        lane-parallel pass; returns how many bytes that was."""
+        with self._lock:
+            missing = [p for p in dict.fromkeys(plaintexts)
+                       if p not in self._activity]
+            if missing:
+                self._activity.update(zip(missing, self._simulate(missing)))
+        return len(missing)
+
+    def _simulate(self, plaintexts: List[int]) -> List[object]:
+        """The activities of ``plaintexts``, none of them memoised."""
+        if self._lanes is None:
+            names = [name for name, _ in self._key_bits] + \
+                [f"p{b}" for b in range(8)]
+            self._lanes = (LaneSimulator(self.netlist)
+                           if LaneSimulator.supports(self.netlist, names)
+                           else False)
+        if not self._lanes:
+            return [self.simulate(p) for p in plaintexts]
+        n = len(plaintexts)
+        inputs = {name: (1 << n) - 1 if value else 0
+                  for name, value in self._key_bits}
+        for b in range(8):
+            inputs[f"p{b}"] = sum(1 << i for i, p in enumerate(plaintexts)
+                                  if (p >> (7 - b)) & 1)
+        if self._settles:
+            settled = self._lanes.settle(inputs, n,
+                                         settled_nets(self.netlist))
+            return [SettledActivity(values=row.copy()) for row in settled]
+        trace = self._lanes.run(inputs, n, self.t_apply, self.window,
+                                self._nets)
+        activities: List[object] = []
+        for i, plaintext in enumerate(plaintexts):
+            if (trace.fallback >> i) & 1:
+                self.fallbacks += 1
+                activities.append(self.simulate(plaintext))
+            else:
+                activities.append(TransitionActivity(*trace.lane(i)))
+        return activities
+
     def get(self, plaintext: int) -> Tuple[object, bool]:
         """``(activity, simulated)``: ``simulated`` is True when this call
         ran the simulation, so a caller counts its own misses even when
         other acquirers grow the same memo."""
-        with self._lock:
-            activity = self._activity.get(plaintext)
-            if activity is not None:
-                return activity, False
-            activity = self._activity[plaintext] = self.simulate(plaintext)
-        return activity, True
+        simulated = self.prefetch([plaintext])
+        return self._activity[plaintext], bool(simulated)
 
 
 class TraceAcquirer:
@@ -217,6 +267,13 @@ class TraceAcquirer:
         #: Simulations this acquirer ran (its misses on the shared memo).
         self.simulated = 0
 
+    def prefetch(self, plaintexts: Sequence[int]) -> int:
+        """Simulate, in one pass, the bytes of ``plaintexts`` the memo
+        lacks; returns how many, also added to :attr:`simulated`."""
+        simulated = self.activity.prefetch(plaintexts)
+        self.simulated += simulated
+        return simulated
+
     def compose(self, activity) -> np.ndarray:
         """This die's pre-instrument current samples for one activity."""
         if self.model.style == "wddl":
@@ -239,16 +296,18 @@ class TraceAcquirer:
 
         ``trace_offset`` is the campaign-global index of the first
         plaintext — it keys the noise, so a chunk produces the same
-        bytes wherever and whenever it runs.  Each row's ideal samples
-        come from the row memo, calling :meth:`ideal_samples` only for a
-        byte this acquirer has not composed yet; the whole chunk then
-        goes through one
-        :meth:`~repro.power.MeasurementChain.measure_block`, which is
-        byte-identical to a per-trace ``measure`` loop.
+        bytes wherever and whenever it runs.  The bytes this acquirer
+        has not composed yet are simulated first, in one
+        :meth:`prefetch`.  Each row's ideal samples then come from the
+        row memo, calling :meth:`ideal_samples` only for a byte this
+        acquirer has not composed yet; the whole chunk then goes through
+        one :meth:`~repro.power.MeasurementChain.measure_block`, which
+        is byte-identical to a per-trace ``measure`` loop.
         """
         pts = validate_plaintexts(plaintexts)
         samples = np.empty((len(pts), self.grid.n))
         memo = self._ideal
+        self.prefetch([p for p in pts if p not in memo])
         for i, plaintext in enumerate(pts):
             row = memo.get(plaintext)
             if row is None:
@@ -261,9 +320,12 @@ class AcquisitionPool:
     """One campaign's acquisition: a :class:`TraceAcquirer` stepped
     serially through the plaintexts in chunks of :data:`DEFAULT_CHUNK`.
 
-    Each chunk runs at its campaign-global offset under its own
-    ``sca.acquisition.chunk`` span, and counts its traces, the
-    simulations it ran and the rows it composed on the campaign's
+    The whole campaign's missing bytes are simulated first, in one
+    lane-parallel pass, and counted on ``sca.acquisition.simulated``;
+    the lanes that pass re-ran on the heap simulator are counted on
+    ``sca.acquisition.heap_fallbacks``.  Each chunk then runs at its
+    campaign-global offset under its own ``sca.acquisition.chunk`` span,
+    and counts its traces and the rows it composed on the campaign's
     telemetry.  The bytes equal one ``acquirer.acquire`` call over the
     whole list.  Parallel, crash-tolerant campaigns go through the job
     service's worker processes (``repro serve``), not through this
@@ -281,10 +343,21 @@ class AcquisitionPool:
         if not pts:
             # The acquirer's own grid width, no span.
             return self.acquirer.acquire(pts, trace_offset=trace_offset)
+        tele = self.telemetry
         starts = range(0, len(pts), DEFAULT_CHUNK)
-        with self.telemetry.span("sca.acquisition.acquire",
-                                 traces=len(pts), chunks=len(starts),
-                                 chunk_size=DEFAULT_CHUNK):
+        with tele.span("sca.acquisition.acquire",
+                       traces=len(pts), chunks=len(starts),
+                       chunk_size=DEFAULT_CHUNK):
+            # Memo misses depend on what ran first — counters, never
+            # span attrs.  Simulations are counted by the acquirer that
+            # ran them, not from the memo's size, which other dies also
+            # grow.
+            memo = self.acquirer.activity
+            fallbacks = memo.fallbacks
+            tele.counter("sca.acquisition.simulated").inc(
+                self.acquirer.prefetch(pts))
+            tele.counter("sca.acquisition.heap_fallbacks").inc(
+                memo.fallbacks - fallbacks)
             return np.vstack([
                 self._chunk(index, trace_offset + begin,
                             pts[begin:begin + DEFAULT_CHUNK])
@@ -294,17 +367,12 @@ class AcquisitionPool:
                plaintexts: List[int]) -> np.ndarray:
         tele = self.telemetry
         acquirer = self.acquirer
-        simulated, composed = acquirer.simulated, len(acquirer._ideal)
+        composed = len(acquirer._ideal)
         with tele.span("sca.acquisition.chunk", chunk=index, offset=offset,
                        n=len(plaintexts)):
             with tele.timer("sca.acquisition.chunk_seconds"):
                 rows = acquirer.acquire(plaintexts, trace_offset=offset)
-        # Memo misses depend on what ran first — counters, never span
-        # attrs.  Simulations are counted by the acquirer that ran them,
-        # not from the memo's size, which other dies also grow.
         tele.counter("sca.acquisition.traces").inc(len(plaintexts))
-        tele.counter("sca.acquisition.simulated").inc(
-            acquirer.simulated - simulated)
         tele.counter("sca.acquisition.composed").inc(
             len(acquirer._ideal) - composed)
         return rows
