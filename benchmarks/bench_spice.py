@@ -20,6 +20,11 @@ at the repo root:
   serial ``characterize_mcml_cell`` runs, timed, with every simulated
   ``Fig3Point`` value (27) and every lane's delay, swing and supply
   current (54) held to ≤1e-12 relative of the serial path;
+* Table 2, the serial engine's production caller: the 12 PG-MCML cells
+  ``paper-long`` characterises at 50 µA, timed through
+  ``run_transient`` (bias solved and testbenches built beforehand),
+  with every cell's ``vdd`` samples compared bit for bit against the
+  per-grid-point reference in ``tests/transient_oracle.py``;
 * the bank/sparse crossover: PG-MCML buffer chains of 1 to 64 cells
   (4 to 382 unknowns) under both assemblies, with the sparse/bank time
   ratio and the largest voltage difference per size, next to the
@@ -47,6 +52,7 @@ represent at all.
 
 import json
 import os
+import sys
 import time
 from unittest import mock
 
@@ -73,6 +79,12 @@ from repro.spice.dc import SPARSE_MIN_UNKNOWNS, System
 from repro.spice.stimulus import Pulse
 from repro.spice.transient import run_transient
 from repro.tech import TECH90
+from repro.units import uA
+
+_REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+if _REPO_ROOT not in sys.path:
+    sys.path.insert(0, _REPO_ROOT)  # the per-point reference lives in tests/
+from tests.transient_oracle import equal_samples  # noqa: E402
 
 N_STEPS = 256
 CHAIN_LEN = 8
@@ -92,10 +104,14 @@ FIG3_FIELDS = ("delay_fo1", "delay_fo4", "swing")
 #: What ``measure_mcml_cell`` reads from each of Fig. 3's 18 lanes.
 FIG3_LANE_FIELDS = ("delay", "swing", "iss")
 
+#: The Table 2 cells ``paper-long`` characterises, and their tail current.
+TABLE2_CELLS = ("BUF", "DIFF2SINGLE", "AND2", "AND3", "AND4", "MUX2",
+                "MUX4", "MAJ32", "XOR2", "XOR3", "XOR4", "FA")
+TABLE2_ISS = uA(50)
+
 #: Buffer-chain lengths of the bank/sparse crossover (4 to 382 unknowns).
 CROSSOVER_CELLS = (1, 2, 4, 8, 16, 32, 64)
 
-_REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 RESULT_PATH = os.path.join(_REPO_ROOT, "BENCH_spice.json")
 ACQ_REFERENCE_PATH = os.path.join(_REPO_ROOT, "BENCH_acquisition.json")
 
@@ -355,6 +371,40 @@ def _fig3_case() -> dict:
     }
 
 
+def _table2_case() -> dict:
+    """Table 2's cells through the serial engine, against the reference.
+
+    The bias point is solved and the 12 testbenches built before the
+    timer starts, so the time is the transients alone.  Every node is
+    recorded (the reference reads the state from the result); that does
+    not change the march.  Per cell, the count of ``vdd`` samples equal
+    bit for bit to the per-grid-point reference must be all of them.
+    """
+    generator = PgMcmlCellGenerator(
+        sizing=solve_bias(TABLE2_ISS, gated=True).sizing)
+    benches = [mcml_testbench(function(name), generator)
+               for name in TABLE2_CELLS]
+    begin = time.perf_counter()
+    results = [run_transient(b.circuit, tstop=b.window, dt=b.dt)
+               for b in benches]
+    seconds = time.perf_counter() - begin
+    return {
+        "cpu_count": os.cpu_count(),
+        "iss_ua": round(TABLE2_ISS * 1e6, 6),
+        "seconds": round(seconds, 4),
+        "transient_steps": sum(r.stats.steps_taken for r in results),
+        "cells": [{"cell": name, "vdd_samples": len(r.time),
+                   "vdd_equal_to_reference": equal_samples(b.circuit, r)}
+                  for name, b, r in zip(TABLE2_CELLS, benches, results)],
+    }
+
+
+def assert_table2_exact(case: dict) -> None:
+    """Every Table 2 ``vdd`` sample equals the per-point reference."""
+    for cell in case["cells"]:
+        assert cell["vdd_equal_to_reference"] == cell["vdd_samples"], cell
+
+
 def _serial_acquisition() -> dict:
     """Serial 256-trace CPA under the bank default, vs the reference."""
     library = build_cmos_library()
@@ -395,6 +445,7 @@ def run_comparison():
         "crossover": _crossover_case(),
         "batched": _batched_transient_case(),
         "fig3": _fig3_case(),
+        "table2": _table2_case(),
         "acquisition": _serial_acquisition(),
     })
     with open(RESULT_PATH, "w") as fh:
@@ -418,6 +469,7 @@ def test_bank_assembly_speedup_and_equivalence(benchmark):
     fig3_case = report["fig3"]
     assert fig3_case["points"]["max_rel_delta"] <= 1e-12, fig3_case
     assert fig3_case["lane_values"]["max_rel_delta"] <= 1e-12, fig3_case
+    assert_table2_exact(report["table2"])
     acq = report["acquisition"]
     assert acq["cpa_rank"] == 0, acq
     if "reference_cpa_rank" in acq:

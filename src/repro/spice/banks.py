@@ -68,6 +68,14 @@ FD_STEP = 1e-6
 #: memory stays linear in the number of deposits.
 _DENSE_LIMIT = 1 << 18
 
+#: Values one block of supply-current work holds: the terminal voltages
+#: :meth:`BankAssembly.fixed_totals_series` gathers, and the grid-point
+#: records the transient engine buffers.  128 KiB of float64, the default
+#: ``malloc`` mmap threshold, so a block and its temporaries come from the
+#: heap and a transient's supply currents cost the memory of a few hundred
+#: cell-sized grid points, or of one full-core point.
+_SERIES_BLOCK = 1 << 14
+
 
 class _ScatterPlan:
     """Precomputed deposit operators for one bank.
@@ -308,7 +316,11 @@ class LoopBlock:
                                                List[Optional[str]]]],
                  fixed_pos: Dict[str, int]):
         self.entries = list(entries)
-        self.fixed_pos = fixed_pos
+        #: Fixed-node position of each value :meth:`fixed_currents`
+        #: returns, in the same order.
+        self.fixed_cols = [fixed_pos[names[k]]
+                           for _, idxs, names in self.entries
+                           for k, i in enumerate(idxs) if i < 0]
 
     @staticmethod
     def _volts(idxs, names, x, fixed):
@@ -336,14 +348,16 @@ class LoopBlock:
                     if i >= 0:
                         jac[i, j] += (pert[m] - base[m]) / h
 
-    def fixed_totals(self, totals: np.ndarray, x: np.ndarray,
-                     fixed: Dict[str, float]) -> None:
+    def fixed_currents(self, x: np.ndarray,
+                       fixed: Dict[str, float]) -> List[float]:
+        """Every entry's current out of its fixed terminals, in entry
+        order (one ``currents`` call per entry, as the reference loop
+        makes); ``fixed_cols`` says where each value deposits."""
+        out: List[float] = []
         for device, idxs, names in self.entries:
-            volts = self._volts(idxs, names, x, fixed)
-            cur = device.currents(volts)
-            for k, i in enumerate(idxs):
-                if i < 0:
-                    totals[self.fixed_pos[names[k]]] += cur[k]
+            cur = device.currents(self._volts(idxs, names, x, fixed))
+            out.extend(cur[k] for k, i in enumerate(idxs) if i < 0)
+        return out
 
 
 class BankAssembly:
@@ -408,11 +422,42 @@ class BankAssembly:
     def fixed_totals(self, volts_full: np.ndarray, x: np.ndarray,
                      fixed: Dict[str, float]) -> np.ndarray:
         """Device current drawn out of each fixed node (bank order)."""
-        totals = np.zeros(len(self.fixed_pos))
-        for bank in self.banks:
-            bank.plan.add_fixed_flows(totals, bank.flows(volts_full))
-        if self.loop is not None:
-            self.loop.fixed_totals(totals, x, fixed)
+        loop_currents = None if self.loop is None else np.array(
+            [self.loop.fixed_currents(x, fixed)])
+        return self.fixed_totals_series(volts_full[None], loop_currents)[0]
+
+    def fixed_totals_series(self, volts: np.ndarray,
+                            loop_currents: Optional[np.ndarray] = None
+                            ) -> np.ndarray:
+        """:meth:`fixed_totals` of every row of ``volts`` ``(T, n + F)``.
+
+        Each row's totals keep the bits a single-row call gives: banks
+        are evaluated over blocks of rows (elementwise, so a row's flows
+        do not depend on its block), each row deposits with its own
+        ``add_fixed_flows`` calls in bank order, and the loop block's
+        currents follow.  The loop devices are not evaluated here:
+        ``loop_currents`` ``(T, len(loop.fixed_cols))`` holds what
+        :meth:`LoopBlock.fixed_currents` returned for each row, added
+        value by value in that order.  A block gathers at most
+        :data:`_SERIES_BLOCK` terminal voltages, so memory stays that of
+        a few rows whatever ``T``.
+        """
+        rows = volts.shape[0]
+        totals = np.zeros((rows, len(self.fixed_pos)))
+        refs = sum(bank.tidx.size for bank in self.banks)
+        step = max(1, _SERIES_BLOCK // max(1, refs))
+        for start in range(0, rows, step):
+            block = volts[start:start + step]
+            flows = [np.broadcast_to(bank.flows(block),
+                                     (len(block), bank.tidx.shape[0]))
+                     for bank in self.banks]
+            for j in range(len(block)):
+                row = totals[start + j]
+                for bank, bank_flows in zip(self.banks, flows):
+                    bank.plan.add_fixed_flows(row, bank_flows[j])
+        if loop_currents is not None:
+            for col, pos in enumerate(self.loop.fixed_cols):
+                totals[:, pos] += loop_currents[:, col]
         return totals
 
     # -- batch axis ----------------------------------------------------------

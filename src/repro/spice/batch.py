@@ -283,7 +283,9 @@ class _BatchCaps:
     """Per-lane capacitor companion state over one shared incidence.
 
     The template's :class:`~repro.spice.transient._CompanionCaps` supplies
-    the entry list and packed indices; this class stacks the per-lane
+    the entry list (the ``n_newton`` Newton entries first, then the
+    capacitors between two source-driven nodes, which only reach the
+    supply currents) and packed indices; this class stacks the per-lane
     capacitance values and last accepted companion currents ``(B, E)``
     and precomputes dense deposit operators so a whole batch's companion
     residual and Jacobian are two matmuls.
@@ -292,21 +294,17 @@ class _BatchCaps:
     def __init__(self, system: System, circuits: Sequence[Circuit]):
         tpl = _CompanionCaps(system, circuits[0])
         self.entries = tpl.entries
+        self.n_newton = e = tpl.n_newton
         self.ja, self.jb = tpl.ja, tpl.jb
-        self._s_extra = tpl._s_extra            # (n, E) residual incidence
+        self._s_extra = tpl._s_extra            # (n, e) residual incidence
         n = system.n
-        e = len(self.entries)
-        cvecs = []
-        for ckt in circuits:
-            vals = [c for a, b, c in ckt.linear_capacitances()
-                    if system.index.get(a, -1) >= 0
-                    or system.index.get(b, -1) >= 0]
-            cvecs.append(np.array(vals) if vals else np.zeros(0))
-        self.cvec = cvecs[0] if all(np.array_equal(v, cvecs[0])
-                                    for v in cvecs[1:]) else np.stack(cvecs)
-        # Jacobian incidence (n*n, E): geq @ s_jac.T stamps all lanes.
+        cvecs = [_CompanionCaps(system, ckt).cvec for ckt in circuits[1:]]
+        self.cvec = tpl.cvec if all(np.array_equal(v, tpl.cvec)
+                                    for v in cvecs) \
+            else np.stack([tpl.cvec] + cvecs)
+        # Jacobian incidence (n*n, e): geq @ s_jac.T stamps all lanes.
         self._s_jac = np.zeros((n * n, e))
-        for k, (ia, _, ib, _, _) in enumerate(self.entries):
+        for k, (ia, _, ib, _, _) in enumerate(self.entries[:e]):
             if ia >= 0:
                 self._s_jac[ia * n + ia, k] += 1.0
             if ib >= 0:
@@ -316,24 +314,28 @@ class _BatchCaps:
                 self._s_jac[ib * n + ia, k] -= 1.0
         # Fixed-node incidence (F, E) for source-current snapshots.
         nf = len(system.fixed_pos)
-        self._s_fixed = np.zeros((nf, e))
+        self._s_fixed = np.zeros((nf, len(self.entries)))
         for k, (ia, na, ib, nb, _) in enumerate(self.entries):
             if ia < 0 and na in system.fixed_pos:
                 self._s_fixed[system.fixed_pos[na], k] += 1.0
             if ib < 0 and nb in system.fixed_pos:
                 self._s_fixed[system.fixed_pos[nb], k] -= 1.0
-        self.i_prev = np.zeros((len(circuits), e))
+        self.i_prev = np.zeros((len(circuits), len(self.entries)))
         self.n = n
 
-    def v_diff(self, xs: np.ndarray, tails: np.ndarray) -> np.ndarray:
-        """Per-entry voltage across each capacitor, ``(A, E)``."""
+    def v_diff(self, xs: np.ndarray, tails: np.ndarray,
+               count: Optional[int] = None) -> np.ndarray:
+        """Voltage across each capacitor, first ``count`` entries
+        (default all), ``(A, count)``."""
         v = np.concatenate([xs, tails], axis=1)
-        return v[:, self.ja] - v[:, self.jb]
+        return v[:, self.ja[:count]] - v[:, self.jb[:count]]
 
-    def geq(self, dts: np.ndarray, lane_ids: np.ndarray) -> np.ndarray:
-        """Backward-Euler companion conductances ``c / dt``, ``(A, E)``."""
+    def geq(self, dts: np.ndarray, lane_ids: np.ndarray,
+            count: Optional[int] = None) -> np.ndarray:
+        """Backward-Euler companion conductances ``c / dt`` of the first
+        ``count`` entries (default all), ``(A, count)``."""
         cvec = self.cvec if self.cvec.ndim == 1 else self.cvec[lane_ids]
-        return cvec / dts[:, None]
+        return cvec[..., :count] / dts[:, None]
 
     def make_extra(self, xs_prev: np.ndarray, tails_prev: np.ndarray,
                    tails_now: np.ndarray, dts: np.ndarray,
@@ -343,11 +345,11 @@ class _BatchCaps:
         The returned closure takes the active-subset iterate plus its
         index into the round's lane arrays.
         """
-        a, n = xs_prev.shape[0], self.n
-        v_prev = self.v_diff(xs_prev, tails_prev)
-        geq = self.geq(dts, lane_ids)
+        a, n, e = xs_prev.shape[0], self.n, self.n_newton
+        v_prev = self.v_diff(xs_prev, tails_prev, e)
+        geq = self.geq(dts, lane_ids, e)
         jac = (geq @ self._s_jac.T).reshape(a, n, n)
-        ja, jb = self.ja, self.jb
+        ja, jb = self.ja[:e], self.jb[:e]
         s_extra_t = self._s_extra.T
 
         def extra(xs: np.ndarray, sel: np.ndarray):

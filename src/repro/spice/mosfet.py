@@ -124,6 +124,8 @@ def batched_currents_and_derivs(volts: np.ndarray, h: float, sign, vt0,
     axis and evaluated in a *single* :func:`batched_ids` call — for
     cell-sized banks the cost is ufunc dispatch, not floating point, so
     one call over ``(5, ..., M)`` beats five calls over ``(..., M)``.
+    ``derivs`` is a transposed view of the ``(4, ..., M)`` difference
+    stack, not a copy.
     """
     key = (h, volts.ndim)
     try:
@@ -138,8 +140,8 @@ def batched_currents_and_derivs(volts: np.ndarray, h: float, sign, vt0,
                       stacked[..., 3], sign, vt0, gamma_b, vp_den, ispec,
                       ut, lam)
     base = ids[0]
-    derivs = np.moveaxis((ids[1:] - base) / h, 0, -1)
-    return base, derivs
+    derivs = (ids[1:] - base) / h
+    return base, derivs.transpose(tuple(range(1, derivs.ndim)) + (0,))
 
 
 #: (5, 1, ..., 4) perturbation tensors keyed by (FD step, volts.ndim)

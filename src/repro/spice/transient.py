@@ -8,7 +8,10 @@ source edges land exactly on a step.
 The engine reuses the DC :class:`~repro.spice.dc.System` indices across
 steps and warm-starts every Newton solve from the previous solution, so a
 cell-level transient (tens of devices, hundreds of steps) completes in
-well under a second.
+well under a second.  The step loop records only each grid point's
+state; the source currents are computed from those records a block of
+grid points at a time, with the bits a per-point evaluation gives (see
+:func:`run_transient`).
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import numpy as np
 
 from ..errors import BudgetExhaustedError, CircuitError, ConvergenceError
 from ..obs import NULL_TELEMETRY
+from .banks import _DENSE_LIMIT, _SERIES_BLOCK
 from .circuit import Circuit, canonical_node
 from .dc import OperatingPoint, System, solve_dc
 from .recovery import SolveBudget
@@ -86,29 +90,36 @@ class _CompanionCaps:
     capacitor list is flattened to index arrays into the packed voltage
     vector ``System.full_volts`` builds, so each Newton ``extra`` call is
     a handful of array operations instead of a Python loop over entries.
-    The companion Jacobian is constant over a time step (it only depends
-    on ``geq = c/dt`` and the node incidence), so
-    :meth:`make_extra` builds it once and the closure reuses it across
-    Newton iterations.
+
+    ``entries`` lists every linear capacitance: first the
+    ``n_newton`` with at least one unknown end, which enter Newton, then
+    those between two source-driven nodes, which only reach the supply
+    currents (their companion current is ``C·ΔV/Δt`` of the sources).
+    The companion Jacobian depends only on ``geq = c/dt`` and the node
+    incidence, so :meth:`_stamp` builds it once per distinct step size
+    (per sparse pattern, in sparse mode) and every Newton iteration of
+    every step of that size reuses it.
 
     Commit discipline: :meth:`step_currents` computes the per-entry
     companion currents of an accepted step *without* touching state;
     :meth:`commit_currents` stores exactly one such vector as the new
-    ``_i_prev``, which :meth:`fixed_node_currents` reads for the source
-    currents.  The transient engine calls ``commit_currents`` exactly
-    once per accepted step.
+    ``_i_prev``, which the transient engine records at each grid point
+    and :meth:`fixed_node_currents` folds into source currents after the
+    march.  The engine calls ``commit_currents`` exactly once per
+    accepted step.
     """
 
     def __init__(self, system: System, circuit: Circuit):
         self.system = system
-        self.entries: List[Tuple[int, Optional[str], int, Optional[str], float]] = []
+        newton: List[Tuple[int, Optional[str], int, Optional[str], float]] = []
+        sources_only: list = []
         for a, b, c in circuit.linear_capacitances():
             ia = system.index.get(a, -1)
             ib = system.index.get(b, -1)
-            if ia < 0 and ib < 0:
-                continue  # both ends fixed: no effect on unknowns
-            self.entries.append((ia, a if ia < 0 else None,
-                                 ib, b if ib < 0 else None, c))
+            (newton if ia >= 0 or ib >= 0 else sources_only).append(
+                (ia, a if ia < 0 else None, ib, b if ib < 0 else None, c))
+        self.entries = newton + sources_only
+        self.n_newton = len(newton)
         self._i_prev = np.zeros(len(self.entries))  # last step's currents
         # Flat packed-vector indices: unknown -> its row, fixed -> n + pos.
         n = system.n
@@ -121,8 +132,8 @@ class _CompanionCaps:
         self.jb = np.array([packed(ib, nb) for _, _, ib, nb, _ in self.entries],
                            dtype=int)
         self.cvec = np.array([c for *_, c in self.entries])
-        ia_arr = np.array([e[0] for e in self.entries], dtype=int)
-        ib_arr = np.array([e[2] for e in self.entries], dtype=int)
+        ia_arr = np.array([e[0] for e in newton], dtype=int)
+        ib_arr = np.array([e[2] for e in newton], dtype=int)
         self._ua = ia_arr >= 0
         self._ub = ib_arr >= 0
         self._rows_a = ia_arr[self._ua]
@@ -137,42 +148,72 @@ class _CompanionCaps:
         # exactly the footprint the sparse assembly exists to avoid.
         self._s_extra: Optional[np.ndarray] = None
         if system.assembly != "sparse":
-            self._s_extra = np.zeros((n, len(self.entries)))
-            for k, (ia, _, ib, _, _) in enumerate(self.entries):
+            self._s_extra = np.zeros((n, len(newton)))
+            for k, (ia, _, ib, _, _) in enumerate(newton):
                 if ia >= 0:
                     self._s_extra[ia, k] += 1.0
                 if ib >= 0:
                     self._s_extra[ib, k] -= 1.0
-        # Sparse-mode companion stamp positions, cached per assembly
-        # object (a device swap rebuilds the pattern and invalidates
-        # every cached position — see _sparse_positions).
+        # Stamps by step size, for one sparse pattern object (a device
+        # swap rebuilds the pattern and invalidates every cached
+        # position and stamp — see _stamp).
+        self._stamps: Dict[float, Tuple[np.ndarray, np.ndarray]] = {}
+        self._stamped_elems = 0
         self._sp_for = None
         self._sp_pos: Optional[np.ndarray] = None
 
-    def _sparse_positions(self) -> np.ndarray:
-        """Canonical data positions of the companion Jacobian stamps.
+    def _stamp(self, dt: float) -> Tuple[np.ndarray, np.ndarray]:
+        """Companion conductances and Jacobian for step size ``dt``.
 
-        The four stamp groups — (a,a) +geq, (b,b) +geq, (a,b) -geq,
-        (b,a) -geq — concatenated in that order; recomputed whenever the
-        System's sparse assembly is rebuilt (``swap_device`` under fault
-        injection changes the pattern, so stale positions would deposit
-        into the wrong entries).
+        The Jacobian is the dense ``(n, n)`` stamp, or in sparse mode
+        the nnz data vector over the canonical pattern (the four stamp
+        groups — (a,a) +geq, (b,b) +geq, (a,b) -geq, (b,a) -geq —
+        deposited at their canonical positions).  Cached per exact
+        ``dt`` while the cached stamps total at most ``_DENSE_LIMIT``
+        elements (the scatter plans' dense-operator ceiling); a stamp
+        past that is built for its step alone, as every stamp was
+        before, so a full-core pattern costs no more memory than it did.
+        ``swap_device`` (fault injection) rebuilds the sparse pattern,
+        which drops the positions and every stamp.
         """
-        sp_asm = self.system.sparse_assembly()
-        if self._sp_for is not sp_asm:
-            self._sp_pos = np.concatenate([
-                sp_asm.positions(self._rows_a, self._rows_a),
-                sp_asm.positions(self._rows_b, self._rows_b),
-                sp_asm.positions(self._rows_ab, self._cols_ab),
-                sp_asm.positions(self._cols_ab, self._rows_ab),
-            ]) if self.entries else np.zeros(0, dtype=np.int64)
-            self._sp_for = sp_asm
-        return self._sp_pos
+        n = self.system.n
+        if self.system.assembly == "sparse":
+            sp_asm = self.system.sparse_assembly()
+            if self._sp_for is not sp_asm:
+                self._sp_pos = np.concatenate([
+                    sp_asm.positions(self._rows_a, self._rows_a),
+                    sp_asm.positions(self._rows_b, self._rows_b),
+                    sp_asm.positions(self._rows_ab, self._cols_ab),
+                    sp_asm.positions(self._cols_ab, self._rows_ab),
+                ]) if self.n_newton else np.zeros(0, dtype=np.int64)
+                self._sp_for = sp_asm
+                self._stamps, self._stamped_elems = {}, 0
+        hit = self._stamps.get(dt)
+        if hit is not None:
+            return hit
+        geq = self.cvec[:self.n_newton] / dt
+        if self.system.assembly == "sparse":
+            stamp = np.concatenate([geq[self._ua], geq[self._ub],
+                                    -geq[self._both], -geq[self._both]])
+            jac = np.bincount(self._sp_pos, weights=stamp,
+                              minlength=self._sp_for.nnz)
+        else:
+            jac = np.zeros((n, n))
+            np.add.at(jac, (self._rows_a, self._rows_a), geq[self._ua])
+            np.add.at(jac, (self._rows_b, self._rows_b), geq[self._ub])
+            np.add.at(jac, (self._rows_ab, self._cols_ab), -geq[self._both])
+            np.add.at(jac, (self._cols_ab, self._rows_ab), -geq[self._both])
+        if self._stamped_elems + jac.size <= _DENSE_LIMIT:
+            self._stamps[dt] = (geq, jac)
+            self._stamped_elems += jac.size
+        return geq, jac
 
-    def _v_diff(self, x: np.ndarray, fixed: Dict[str, float]) -> np.ndarray:
-        """Per-entry voltage across each capacitor (a minus b)."""
+    def _v_diff(self, x: np.ndarray, fixed: Dict[str, float],
+                count: Optional[int] = None) -> np.ndarray:
+        """Voltage across each capacitor (a minus b), first ``count``
+        entries (default all)."""
         v = self.system.full_volts(x, fixed)
-        return v[self.ja] - v[self.jb]
+        return v[self.ja[:count]] - v[self.jb[:count]]
 
     def make_extra(self, x_prev: np.ndarray, fixed_prev: Dict[str, float],
                    fixed_now: Dict[str, float], dt: float, n: int):
@@ -180,86 +221,59 @@ class _CompanionCaps:
         if self.system.assembly == "loop":
             return self._make_extra_loop(x_prev, fixed_prev, fixed_now, dt,
                                          n)
-        if self.system.assembly == "sparse":
-            return self._make_extra_sparse(x_prev, fixed_prev, fixed_now,
-                                           dt, n)
-        if not self.entries:
+        if not self.n_newton:
             f0 = np.zeros(n)
-            j0 = np.zeros((n, n))
+            j0 = np.zeros(self.system.sparse_assembly().nnz) \
+                if self.system.assembly == "sparse" else np.zeros((n, n))
             return lambda x: (f0, j0)
-        v_prev = self._v_diff(x_prev, fixed_prev)
-        geq = self.cvec / dt
-        # The companion Jacobian never changes within the step: stamp it
-        # once and let every Newton iteration reuse it (`newton` adds it
-        # to the device Jacobian without mutating it).
-        jac = np.zeros((n, n))
-        np.add.at(jac, (self._rows_a, self._rows_a), geq[self._ua])
-        np.add.at(jac, (self._rows_b, self._rows_b), geq[self._ub])
-        np.add.at(jac, (self._rows_ab, self._cols_ab), -geq[self._both])
-        np.add.at(jac, (self._cols_ab, self._rows_ab), -geq[self._both])
+        v_prev = self._v_diff(x_prev, fixed_prev, self.n_newton)
+        # `newton` adds the stamp to the device Jacobian without mutating
+        # it, so every iteration of every step of this size shares it.
+        geq, jac = self._stamp(dt)
         tail_now = self.system.fixed_tail(fixed_now)
+        system = self.system
+        ja, jb = self.ja[:self.n_newton], self.jb[:self.n_newton]
         s_extra = self._s_extra
-        system = self.system
-        ja, jb = self.ja, self.jb
+        if s_extra is not None:
+            def extra(x: np.ndarray):
+                v = system.full_volts(x, fixed_now, tail_now)
+                i_now = geq * ((v[ja] - v[jb]) - v_prev)
+                return s_extra @ i_now, jac
 
-        def extra(x: np.ndarray):
-            v = system.full_volts(x, fixed_now, tail_now)
-            i_now = geq * ((v[ja] - v[jb]) - v_prev)
-            return s_extra @ i_now, jac
-
-        return extra
-
-    def _make_extra_sparse(self, x_prev: np.ndarray,
-                           fixed_prev: Dict[str, float],
-                           fixed_now: Dict[str, float], dt: float,
-                           n: int):
-        """Sparse-mode ``extra``: the Jacobian is a constant nnz data
-        vector over the canonical pattern, the residual deposits with
-        bincounts — no (n, E) or (n, n) dense arrays anywhere."""
-        nnz = self.system.sparse_assembly().nnz
-        if not self.entries:
-            f0 = np.zeros(n)
-            d0 = np.zeros(nnz)
-            return lambda x: (f0, d0)
-        v_prev = self._v_diff(x_prev, fixed_prev)
-        geq = self.cvec / dt
-        stamp = np.concatenate([geq[self._ua], geq[self._ub],
-                                -geq[self._both], -geq[self._both]])
-        data = np.bincount(self._sparse_positions(), weights=stamp,
-                           minlength=nnz)
-        tail_now = self.system.fixed_tail(fixed_now)
-        system = self.system
-        ja, jb = self.ja, self.jb
+            return extra
+        # Sparse: the residual deposits with bincounts — no (n, E) or
+        # (n, n) dense arrays anywhere.
         rows_a, rows_b = self._rows_a, self._rows_b
         ua, ub = self._ua, self._ub
 
-        def extra(x: np.ndarray):
+        def extra_sparse(x: np.ndarray):
             v = system.full_volts(x, fixed_now, tail_now)
             i_now = geq * ((v[ja] - v[jb]) - v_prev)
             f = np.bincount(rows_a, weights=i_now[ua], minlength=n)
             f -= np.bincount(rows_b, weights=i_now[ub], minlength=n)
-            return f, data
+            return f, jac
 
-        return extra
+        return extra_sparse
 
     def _make_extra_loop(self, x_prev: np.ndarray,
                          fixed_prev: Dict[str, float],
                          fixed_now: Dict[str, float], dt: float, n: int):
         """Reference per-entry ``extra`` (``assembly="loop"``), kept
         verbatim from the pre-bank engine."""
+        newton = self.entries[:self.n_newton]
 
         def volt(idx, name, x, fixed):
             return x[idx] if idx >= 0 else fixed[name]
 
         v_prev = np.array([
             volt(ia, na, x_prev, fixed_prev) - volt(ib, nb, x_prev, fixed_prev)
-            for ia, na, ib, nb, _ in self.entries
+            for ia, na, ib, nb, _ in newton
         ])
 
         def extra(x: np.ndarray):
             f = np.zeros(n)
             jac = np.zeros((n, n))
-            for k, (ia, na, ib, nb, c) in enumerate(self.entries):
+            for k, (ia, na, ib, nb, c) in enumerate(newton):
                 geq = c / dt
                 v_now = (volt(ia, na, x, fixed_now)
                          - volt(ib, nb, x, fixed_now))
@@ -295,14 +309,21 @@ class _CompanionCaps:
         """Store the accepted step's currents; call exactly once per step."""
         self._i_prev = i_new
 
-    def fixed_node_currents(self, fixed_names: Sequence[str]) -> Dict[str, float]:
-        """Capacitor current drawn out of each fixed node at the last step."""
-        totals = {name: 0.0 for name in fixed_names}
+    def fixed_node_currents(self, committed: np.ndarray,
+                            nodes: Sequence[str]) -> Dict[str, np.ndarray]:
+        """Capacitor current drawn out of each of ``nodes`` per grid point.
+
+        ``committed`` ``(T, E)`` holds the committed currents at each
+        grid point; every node's total starts at 0.0 and takes the
+        entries in entry order, which is the sum a per-point fold over
+        the entries makes, element for element.
+        """
+        totals = {node: np.zeros(len(committed)) for node in nodes}
         for k, (ia, na, ib, nb, _) in enumerate(self.entries):
             if ia < 0 and na in totals:
-                totals[na] += self._i_prev[k]
+                totals[na] += committed[:, k]
             if ib < 0 and nb in totals:
-                totals[nb] -= self._i_prev[k]
+                totals[nb] -= committed[:, k]
         return totals
 
 
@@ -359,7 +380,9 @@ def run_transient(circuit: Circuit, tstop: float, dt: float,
         internal: results stay aligned to the base grid.
     on_step:
         Callback invoked with the target time before every Newton solve
-        attempt (including retries) — the fault-injection hook.
+        attempt (including retries) — the fault-injection hook.  Arm
+        faults before the run: the supply currents are computed from
+        the device list the run started with.
     telemetry:
         Observability handle; the run is wrapped in a
         ``spice.transient.run`` span and the per-run
@@ -406,27 +429,78 @@ def run_transient(circuit: Circuit, tstop: float, dt: float,
         grid = _time_grid(tstop, dt, circuit.stimulus_breakpoints())
         stats = TransientStats(grid_points=len(grid))
 
+        missing = [node for node in system.unknowns
+                   if node not in op.voltages]
+        if missing:
+            raise CircuitError(
+                f"ic lacks unknown nodes {missing} of circuit "
+                f"{circuit.name!r}; pass an operating point of this circuit")
         x = np.array([op.voltages[n] for n in system.unknowns]) if system.n else \
             np.zeros(0)
         fixed_prev = circuit.fixed_nodes(0.0)
-        fixed_names = list(fixed_prev)
 
-        volt_hist: Dict[str, List[float]] = {n: [] for n in record_nodes}
-        src_hist: Dict[str, List[float]] = {s.name: [] for s in circuit.vsources}
+        # Each grid point's record — packed voltages [x | source tail],
+        # the committed companion currents, and the currents of what must
+        # be evaluated at the point itself: the `loop` oracle's whole
+        # assembly, or the un-banked devices (fault proxies count their
+        # calls and read the injector's clock).  Records are turned into
+        # voltages and source currents a block of points at a time, the
+        # block holding at most _SERIES_BLOCK values (one point for a
+        # full core), so memory stays that of a few rows.
+        n = system.n
+        voltages = {node: np.empty(len(grid)) for node in record_nodes}
+        currents = {source.name: np.empty(len(grid))
+                    for source in circuit.vsources}
+        record_cols = {node: system.index[canon] if canon in system.index
+                       else n + system.fixed_pos[canon]
+                       for node, canon in canon_of.items()}
+        source_nodes = [source.node for source in circuit.vsources]
+        if system.assembly == "loop":
+            banks = None
+            fixed_order = system.fixed_names_order
+
+            def point_currents(x_now, fixed_now):
+                cur = system.fixed_node_currents(x_now, fixed_now)
+                return [cur[name] for name in fixed_order]
+        else:
+            banks = system.bank_assembly()
+            point_currents = None if banks.loop is None \
+                else banks.loop.fixed_currents
+        block = max(1, _SERIES_BLOCK
+                    // (n + len(system.fixed_pos) + len(caps.entries)))
+        xs: List[np.ndarray] = []
+        tails: List[np.ndarray] = []
+        commits: List[np.ndarray] = []
+        at_points: List[List[float]] = []
+        done = 0
+
+        def flush() -> None:
+            nonlocal done
+            rows = slice(done, done + len(xs))
+            volts = np.concatenate([np.stack(xs), np.stack(tails)], axis=1)
+            for node, col in record_cols.items():
+                voltages[node][rows] = volts[:, col]
+            points = None if point_currents is None else np.array(at_points)
+            dev = points if banks is None \
+                else banks.fixed_totals_series(volts, points)
+            cap = caps.fixed_node_currents(np.stack(commits), source_nodes)
+            for source in circuit.vsources:
+                currents[source.name][rows] = \
+                    dev[:, system.fixed_pos[source.node]] + cap[source.node]
+            done = rows.stop
+            for part in (xs, tails, commits, at_points):
+                part.clear()
 
         def snapshot(x_now: np.ndarray, fixed_now: Dict[str, float]) -> None:
-            for node in record_nodes:
-                canon = canon_of[node]
-                if canon in system.index:
-                    volt_hist[node].append(float(x_now[system.index[canon]]))
-                else:
-                    volt_hist[node].append(fixed_now[canon])
-            dev_currents = system.fixed_node_currents(x_now, fixed_now)
-            cap_currents = caps.fixed_node_currents(fixed_names)
-            for source in circuit.vsources:
-                total = dev_currents.get(source.node, 0.0) + cap_currents.get(
-                    source.node, 0.0)
-                src_hist[source.name].append(total)
+            # The engine never writes into x or the committed currents
+            # after the fact (each step makes new arrays): keep references.
+            xs.append(x_now)
+            tails.append(system.fixed_tail(fixed_now))
+            commits.append(caps._i_prev)
+            if point_currents is not None:
+                at_points.append(point_currents(x_now, fixed_now))
+            if len(xs) == block:
+                flush()
 
         def solve_substep(t_next: float, sub: float, x_cur: np.ndarray,
                           fixed_cur: Dict[str, float],
@@ -508,9 +582,8 @@ def run_transient(circuit: Circuit, tstop: float, dt: float,
             x, fixed_prev = advance_interval(float(grid[i - 1]), float(grid[i]),
                                              x, fixed_prev)
             snapshot(x, fixed_prev)
-
-        voltages = {n: np.asarray(v) for n, v in volt_hist.items()}
-        currents = {n: np.asarray(v) for n, v in src_hist.items()}
+        if xs:
+            flush()
         span.set("grid_points", stats.grid_points)
         span.set("steps_taken", stats.steps_taken)
         span.set("newton_failures", stats.newton_failures)

@@ -205,3 +205,166 @@ class TestCompanionCommit:
         assert res.stats.newton_failures >= 1
         assert res.stats.halvings >= 1
         assert len(commits) == res.stats.steps_taken
+
+
+class TestCompanionStamps:
+    """The companion Jacobian is stamped once per step size; a sparse
+    stamp belongs to one pattern object."""
+
+    @pytest.mark.parametrize("assembly", ["bank", "sparse"])
+    def test_one_stamp_per_step_size(self, assembly):
+        from repro.spice.transient import _CompanionCaps
+
+        from .assembly_seam import forced_system
+
+        ckt = rc_circuit()
+        caps = _CompanionCaps(forced_system(ckt, assembly), ckt)
+        geq, jac = caps._stamp(ps(20))
+        assert caps._stamp(ps(20))[1] is jac
+        assert caps._stamp(ps(10))[1] is not jac
+        np.testing.assert_array_equal(geq, caps.cvec / ps(20))
+
+    def test_device_swap_drops_sparse_stamps(self):
+        from repro.spice import Resistor
+        from repro.spice.transient import _CompanionCaps
+
+        from .assembly_seam import forced_system
+
+        ckt = rc_circuit()
+        caps = _CompanionCaps(forced_system(ckt, "sparse"), ckt)
+        _, jac = caps._stamp(ps(20))
+        ckt.swap_device("r1", Resistor("r1", "in", "out", 2e3))
+        _, rebuilt = caps._stamp(ps(20))
+        assert rebuilt is not jac
+        np.testing.assert_array_equal(rebuilt, jac)
+
+
+class TestSourceOnlyCapacitors:
+    """A capacitor between two source-driven nodes never enters Newton,
+    but its backward-Euler current C·ΔV/Δt reaches the supply current of
+    the sources it spans, in the serial and the batched engine."""
+
+    EDGE = ps(10)
+
+    def pulse(self):
+        return Pulse(0.0, 1.0, ps(100), self.EDGE, self.EDGE, ns(1))
+
+    def test_serial_edge_step_carries_the_capacitor(self):
+        ckt = Circuit("edge")
+        ckt.v("vin", "p", self.pulse())
+        ckt.resistor("r1", "p", "0", 1e3)
+        ckt.capacitor("c1", "p", "0", 1e-15)
+        res = run_transient(ckt, tstop=ps(200), dt=ps(10))
+        edge = int(np.flatnonzero(res.time == ps(110))[0])
+        # 1 V across 1 kOhm plus 1 fF * 1 V / 10 ps.
+        assert res.current("vin").v[edge] == pytest.approx(1.1e-3,
+                                                           rel=1e-9)
+        assert res.current("vin").v[edge + 1] == pytest.approx(1e-3,
+                                                               rel=1e-9)
+
+    def test_batched_edge_step_carries_the_capacitor(self):
+        from repro.obs import MemorySink, Telemetry
+        from repro.spice import run_transient_batch
+
+        def lane():
+            ckt = Circuit("edge_mid")
+            ckt.v("vin", "p", self.pulse())
+            ckt.resistor("r1", "p", "m", 1e3)
+            ckt.resistor("r2", "m", "0", 1e3)
+            ckt.capacitor("c1", "p", "0", 1e-15)
+            return ckt
+
+        sink = MemorySink()
+        batched = run_transient_batch([lane(), lane()], ps(200), ps(10),
+                                      telemetry=Telemetry(sinks=[sink]))
+        assert not [r for r in sink.records
+                    if r.get("name") == "spice.batch.fallback"]
+        serial = run_transient(lane(), tstop=ps(200), dt=ps(10))
+        edge = int(np.flatnonzero(serial.time == ps(110))[0])
+        assert serial.current("vin").v[edge] == pytest.approx(0.6e-3,
+                                                              rel=1e-9)
+        for res in batched:
+            np.testing.assert_allclose(res.current("vin").v,
+                                       serial.current("vin").v,
+                                       rtol=1e-12, atol=1e-18)
+
+
+class TestInitialConditionValidation:
+    def test_ic_of_another_circuit_names_the_missing_nodes(self):
+        other = Circuit("divider")
+        other.v("vin", "in", 1.0)
+        other.resistor("r1", "in", "mid", 1e3)
+        other.resistor("r2", "mid", "0", 1e3)
+        with pytest.raises(CircuitError, match="'out'"):
+            run_transient(rc_circuit(), tstop=ns(1), dt=ps(100),
+                          ic=solve_dc(other))
+
+
+class TestSupplyCurrentOracle:
+    """Supply currents computed from the grid-point records equal, byte
+    for byte, the per-grid-point reference in
+    ``tests/transient_oracle.py``."""
+
+    @staticmethod
+    def assert_bytes_equal(circuit, res, before_point=None):
+        from .transient_oracle import reference_source_currents
+
+        want = reference_source_currents(circuit, res, before_point)
+        assert set(want) == set(res.source_currents)
+        for name, values in want.items():
+            assert res.source_currents[name].tobytes() == values.tobytes(), \
+                name
+
+    def test_pg_mcml_table2_testbench(self):
+        from repro.cells import PgMcmlCellGenerator, mcml_testbench, \
+            solve_bias
+        from repro.cells.functions import function
+        from repro.spice.dc import System
+        from repro.units import uA
+
+        gen = PgMcmlCellGenerator(sizing=solve_bias(uA(50), gated=True).sizing)
+        bench = mcml_testbench(function("AND2"), gen)
+        assert System(bench.circuit).assembly == "bank"
+        res = run_transient(bench.circuit, tstop=bench.window, dt=bench.dt)
+        self.assert_bytes_equal(bench.circuit, res)
+
+    def test_sparse_buffer_chain(self):
+        from repro.spice.dc import SPARSE_MIN_UNKNOWNS, System
+
+        from .test_spice_sparse import pg_buffer_chain
+
+        ckt = pg_buffer_chain(n_cells=24, pulse=True)
+        assert System(ckt).n >= SPARSE_MIN_UNKNOWNS
+        assert System(ckt).assembly == "sparse"
+        res = run_transient(ckt, tstop=64e-12, dt=2e-12)
+        assert res.stats.steps_taken >= 32
+        self.assert_bytes_equal(ckt, res)
+
+    def test_loop_oracle_assembly(self):
+        from .assembly_seam import forced_assembly
+
+        ckt = rc_circuit()
+        with forced_assembly("loop"):
+            res = run_transient(ckt, tstop=ns(2), dt=ps(20))
+            self.assert_bytes_equal(ckt, res)
+
+    def test_windowed_perturb_fault_is_evaluated_at_each_point(self):
+        from repro.faultinject import Fault, FaultInjector
+
+        from .transient_oracle import reference_source_currents
+
+        ckt = rc_circuit()
+        injector = FaultInjector(ckt, [Fault("r1", "perturb",
+                                             t_start=ns(2), t_stop=ns(2.5),
+                                             magnitude=1e-5)])
+        with injector:
+            res = run_transient(ckt, tstop=ns(4), dt=ps(20),
+                                on_step=injector.set_time)
+            self.assert_bytes_equal(ckt, res, injector.set_time)
+            # With the clock left at the end of the run the proxy sees no
+            # fault: those samples differ inside the window only.
+            late = reference_source_currents(ckt, res)["vin"]
+        window = (res.time >= ns(2)) & (res.time < ns(2.5))
+        differs = res.current("vin").v != late
+        assert differs[window].all()
+        assert not differs[~window].any()
