@@ -1,8 +1,8 @@
 """Benchmark T2: regenerate Table 2 (PG-MCML library area/delay).
 
 Areas are reproduced exactly from the layout model; delays are
-re-characterised at transistor level for a representative subset
-(full-library characterisation is the slow variant below).
+re-characterised at transistor level for all 12 combinational cells in
+one lockstep batch (the ordering check below takes a subset).
 """
 
 import pytest

@@ -8,8 +8,8 @@ and saturates at high currents ("increasing the bias current above
 (b) power-delay and area-delay products — the area-delay optimum the
 paper picks sits near 50 µA, which is where the whole library is biased.
 
-Every point is one buffer topology at two loads, so the whole sweep is
-one batch of same-topology transients through the simulator backend.
+Every point is one buffer at two loads; the whole sweep is one batch of
+transients through the simulator backend.
 """
 
 from __future__ import annotations
@@ -92,8 +92,8 @@ def run(sweep: Sequence[float] = DEFAULT_SWEEP) -> Fig3Result:
     The testbenches go to the backend in sweep order, FO1 then FO4 at
     each point, as one :func:`run_transient_batch` call: one lockstep
     transient on the internal engine, one run per circuit on an external
-    simulator.  Each value equals :func:`characterize_mcml_cell`'s to
-    1e-12 relative (``tests/test_experiments.py``).
+    simulator.  Each value equals :func:`characterize_mcml_cell`'s bit
+    for bit (``tests/test_experiments.py``).
     """
     fn = function("BUF")
     benches = []
@@ -105,7 +105,8 @@ def run(sweep: Sequence[float] = DEFAULT_SWEEP) -> Fig3Result:
         return Fig3Result(points=[])
     results = run_transient_batch([bench.circuit for bench in benches],
                                   tstop=benches[0].window,
-                                  dt=benches[0].dt, record=benches[0].record)
+                                  dt=benches[0].dt,
+                                  record=[bench.record for bench in benches])
     measured = [measure_mcml_cell(bench, result)
                 for bench, result in zip(benches, results)]
     points: List[Fig3Point] = []

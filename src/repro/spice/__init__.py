@@ -18,8 +18,8 @@ package replaces those proprietary tools for cell-level work:
 * :mod:`repro.spice.transient` — fixed-step backward-Euler transient
   analysis with local step-halving retry on Newton failures;
 * :mod:`repro.spice.batch` — the same transient marched in lockstep over
-  same-topology circuits (Fig. 3's buffer sweep) with one stacked
-  solve per Newton iteration;
+  circuits of any dense topology (Fig. 3's buffer sweep, Table 2's
+  cells), byte-identical to serial runs;
 * :mod:`repro.spice.waveform` — waveform storage and measurements
   (crossings, delays, averages, charge integrals);
 * :mod:`repro.spice.stimulus` — DC / pulse / PWL / clock stimuli.
@@ -56,7 +56,7 @@ from .recovery import (
 )
 from .sweep import dc_sweep, SweepResult
 from .transient import TransientResult, TransientStats, run_transient
-from .batch import BatchSystem, run_transient_batch
+from .batch import run_transient_batch
 from .analysis import (
     differential_delay,
     propagation_delay,
@@ -124,7 +124,6 @@ __all__ = [
     "TransientResult",
     "TransientStats",
     "run_transient",
-    "BatchSystem",
     "run_transient_batch",
     "differential_delay",
     "propagation_delay",

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 from ...errors import BackendError
+from ..batch import lane_records
 from ..batch import run_transient_batch as _internal_run_transient_batch
 from ..circuit import Circuit
 from ..dc import OperatingPoint
@@ -61,7 +62,8 @@ class SimulatorBackend:
       ``source_currents`` follow the same sign convention, on whatever
       time grid the engine produced (callers resample when comparing);
     * ``run_transient_batch`` returns one such result per circuit, in
-      order.  The default runs :meth:`run_transient` once per circuit.
+      order, with ``record`` per circuit.  The default runs
+      :meth:`run_transient` once per circuit.
 
     Extra keyword arguments beyond this contract (``guess``, recovery
     ``policy``, solve ``budget`` …) are internal-engine specifics;
@@ -92,13 +94,17 @@ class SimulatorBackend:
         raise NotImplementedError
 
     def run_transient_batch(self, circuits: Sequence[Circuit], tstop: float,
-                            dt: float, record: Optional[Sequence[str]] = None,
+                            dt: float,
+                            record: Optional[Sequence[Optional[Sequence[str]]]]
+                            = None,
                             telemetry=None) -> List[TransientResult]:
-        """Same-topology transients sharing ``tstop``, ``dt`` and
-        ``record``: one :meth:`run_transient` per circuit, in order."""
-        return [self.run_transient(circuit, tstop, dt, record=record,
+        """Transients sharing ``tstop`` and ``dt``, ``record`` holding
+        one entry per circuit (``None`` records every node of every
+        circuit): one :meth:`run_transient` per circuit, in order."""
+        records = lane_records(circuits, record)
+        return [self.run_transient(circuit, tstop, dt, record=lane_record,
                                    telemetry=telemetry)
-                for circuit in circuits]
+                for circuit, lane_record in zip(circuits, records)]
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.name})"
@@ -133,7 +139,9 @@ class InternalBackend(SimulatorBackend):
                                        telemetry=telemetry, **kwargs)
 
     def run_transient_batch(self, circuits: Sequence[Circuit], tstop: float,
-                            dt: float, record: Optional[Sequence[str]] = None,
+                            dt: float,
+                            record: Optional[Sequence[Optional[Sequence[str]]]]
+                            = None,
                             telemetry=None) -> List[TransientResult]:
         return _internal_run_transient_batch(circuits, tstop, dt,
                                              record=record,

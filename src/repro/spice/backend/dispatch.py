@@ -128,9 +128,11 @@ def run_transient(circuit: Circuit, tstop: float, dt: float,
 
 
 def run_transient_batch(circuits: Sequence[Circuit], tstop: float, dt: float,
-                        record: Optional[Sequence[str]] = None,
+                        record: Optional[Sequence[Optional[Sequence[str]]]]
+                        = None,
                         telemetry=None) -> List[TransientResult]:
-    """Backend-routed same-topology transients: one lockstep call on the
-    internal engine, one run per circuit on an external simulator."""
+    """Backend-routed transients of any topologies sharing ``tstop`` and
+    ``dt``, ``record`` per lane: one lockstep call on the internal
+    engine, one run per circuit on an external simulator."""
     return default_backend(telemetry).run_transient_batch(
         circuits, tstop, dt, record=record, telemetry=telemetry)

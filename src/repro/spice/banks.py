@@ -162,53 +162,27 @@ class _ScatterPlan:
                                   weights=self.fx_sgn * flows[self.fx_dev],
                                   minlength=totals.size)
 
-    # -- batch-axis deposits (B independent circuits, one topology) ---------
-    #
-    # The dense operators are shared across lanes, so a whole batch
-    # deposits with a single dgemm: ``(B, m) @ (m, n)``.  The bincount
-    # fallbacks flatten the lane axis into the row index so the deposit
-    # stays a single call as well.
 
-    def add_flows_batch(self, f: np.ndarray, flows: np.ndarray) -> None:
-        """``f`` is ``(B, n)``; ``flows`` is ``(B, m)`` (or ``(m,)``)."""
-        if self.s_f is not None:
-            f += flows @ self.s_f.T
-        elif self.f_rows.size:
-            nb, n = f.shape
-            w = np.broadcast_to(self.f_sgn * flows[..., self.f_dev],
-                                (nb, self.f_dev.size))
-            rows = np.arange(nb)[:, None] * n + self.f_rows
-            f += np.bincount(rows.ravel(), weights=w.ravel(),
-                             minlength=f.size).reshape(f.shape)
+class _Bank:
+    """One device class's terminal index matrix, per-device parameter
+    vectors and scatter plan; subclasses give the model as
+    :meth:`evaluate`."""
 
-    def add_derivs_batch(self, jac: np.ndarray, derivs: np.ndarray) -> None:
-        """``jac`` is ``(B, n, n)``; ``derivs`` is ``(B, m, t)``."""
-        nb = jac.shape[0]
-        if self.s_j is not None:
-            jac += (derivs.reshape(nb, -1) @ self.s_j.T).reshape(jac.shape)
-        elif self.j_flat.size:
-            flat = derivs.reshape(nb, -1)
-            w = self.j_sgn * flat[:, self.j_col]
-            cells = jac.shape[1] * jac.shape[2]
-            rows = np.arange(nb)[:, None] * cells + self.j_flat
-            jac += np.bincount(rows.ravel(), weights=w.ravel(),
-                               minlength=jac.size).reshape(jac.shape)
+    flow_terms: Tuple[Tuple[int, float], ...] = ()
+    deriv_cols: Tuple[int, ...] = ()
 
-    def add_fixed_flows_batch(self, totals: np.ndarray,
-                              flows: np.ndarray) -> None:
-        """``totals`` is ``(B, F)``; ``flows`` is ``(B, m)`` (or ``(m,)``)."""
-        if self.s_fx is not None:
-            totals += flows @ self.s_fx.T
-        elif self.fx_rows.size:
-            nb, nf = totals.shape
-            w = np.broadcast_to(self.fx_sgn * flows[..., self.fx_dev],
-                                (nb, self.fx_dev.size))
-            rows = np.arange(nb)[:, None] * nf + self.fx_rows
-            totals += np.bincount(rows.ravel(), weights=w.ravel(),
-                                  minlength=totals.size).reshape(totals.shape)
+    def __init__(self, tidx: np.ndarray, params: tuple, n_unknowns: int,
+                 n_fixed: int):
+        self.tidx = tidx
+        self.params = params
+        self.plan = _ScatterPlan(tidx, n_unknowns, n_fixed, self.flow_terms,
+                                 self.deriv_cols)
+
+    def flows_and_derivs(self, volts_full: np.ndarray, h: float):
+        return self.evaluate(volts_full, self.tidx, h, self.params)
 
 
-class MosfetBank:
+class MosfetBank(_Bank):
     """All :class:`Mosfet` devices as flat EKV parameter vectors."""
 
     flow_terms = ((0, 1.0), (2, -1.0))     # drain +ids, source -ids
@@ -216,37 +190,28 @@ class MosfetBank:
 
     def __init__(self, devices: Sequence[Mosfet], tidx: np.ndarray,
                  n_unknowns: int, n_fixed: int):
-        self.tidx = tidx
         keys = ("sign", "vt0", "gamma_b", "vp_den", "ispec", "ut", "lam")
         per_dev = [d.model.bank_params() for d in devices]
-        self.params = tuple(np.array([p[k] for p in per_dev]) for k in keys)
-        self.plan = _ScatterPlan(tidx, n_unknowns, n_fixed, self.flow_terms,
-                                 self.deriv_cols)
+        super().__init__(tidx, tuple(np.array([p[k] for p in per_dev])
+                                     for k in keys), n_unknowns, n_fixed)
 
-    def flows(self, volts_full: np.ndarray, params=None) -> np.ndarray:
-        """Channel currents; ``volts_full`` may carry leading batch axes.
+    @staticmethod
+    def evaluate(volts_full: np.ndarray, tidx: np.ndarray, h: float,
+                 params: tuple):
+        """Flows and forward-difference derivatives of the devices whose
+        terminals ``tidx`` index ``volts_full``, with per-device
+        ``params`` — elementwise, so any concatenation of banks gives
+        each device the bits its own bank gives it."""
+        return batched_currents_and_derivs(volts_full[..., tidx], h, *params)
 
-        ``params`` overrides the snapshotted EKV vectors (the batch
-        engine passes ``(B, M)`` stacks when lanes differ, e.g. under
-        per-trace mismatch).
-        """
+    def flows(self, volts_full: np.ndarray) -> np.ndarray:
+        """Channel currents; ``volts_full`` may carry leading axes."""
         v = volts_full[..., self.tidx]
-        p = self.params if params is None else params
-        return batched_ids(v[..., 0], v[..., 1], v[..., 2], v[..., 3], *p)
-
-    def flows_and_derivs(self, volts_full: np.ndarray, h: float,
-                         params=None):
-        p = self.params if params is None else params
-        return batched_currents_and_derivs(volts_full[..., self.tidx], h, *p)
-
-    def lane_params(self, devices: Sequence[Mosfet]) -> tuple:
-        """Parameter vectors for one batch lane's devices (bank order)."""
-        keys = ("sign", "vt0", "gamma_b", "vp_den", "ispec", "ut", "lam")
-        per_dev = [d.model.bank_params() for d in devices]
-        return tuple(np.array([p[k] for p in per_dev]) for k in keys)
+        return batched_ids(v[..., 0], v[..., 1], v[..., 2], v[..., 3],
+                           *self.params)
 
 
-class ResistorBank:
+class ResistorBank(_Bank):
     """All :class:`Resistor` devices as one resistance vector."""
 
     flow_terms = ((0, 1.0), (1, -1.0))
@@ -254,20 +219,15 @@ class ResistorBank:
 
     def __init__(self, devices: Sequence[Resistor], tidx: np.ndarray,
                  n_unknowns: int, n_fixed: int):
-        self.tidx = tidx
-        self.res = np.array([d.resistance for d in devices])
-        self.plan = _ScatterPlan(tidx, n_unknowns, n_fixed, self.flow_terms,
-                                 self.deriv_cols)
+        super().__init__(tidx, (np.array([d.resistance for d in devices]),),
+                         n_unknowns, n_fixed)
 
-    def flows(self, volts_full: np.ndarray, params=None) -> np.ndarray:
-        v = volts_full[..., self.tidx]
-        res = self.res if params is None else params
-        return (v[..., 0] - v[..., 1]) / res
-
-    def flows_and_derivs(self, volts_full: np.ndarray, h: float,
-                         params=None):
-        v = volts_full[..., self.tidx]
-        res = self.res if params is None else params
+    @staticmethod
+    def evaluate(volts_full: np.ndarray, tidx: np.ndarray, h: float,
+                 params: tuple):
+        """See :meth:`MosfetBank.evaluate`."""
+        v = volts_full[..., tidx]
+        res, = params
         base = (v[..., 0] - v[..., 1]) / res
         # The same forward differences the reference loop computes (not
         # the analytic ±1/R), so both assemblies agree to rounding.
@@ -275,32 +235,30 @@ class ResistorBank:
         d1 = ((v[..., 0] - (v[..., 1] + h)) / res - base) / h
         return base, np.stack((d0, d1), axis=-1)
 
-    def lane_params(self, devices: Sequence[Resistor]) -> np.ndarray:
-        return np.array([d.resistance for d in devices])
+    def flows(self, volts_full: np.ndarray) -> np.ndarray:
+        v = volts_full[..., self.tidx]
+        return (v[..., 0] - v[..., 1]) / self.params[0]
 
 
-class ISourceBank:
+class ISourceBank(_Bank):
     """All :class:`ISource` devices; constant flows, no Jacobian."""
 
     flow_terms = ((0, 1.0), (1, -1.0))
-    deriv_cols = ()
 
     def __init__(self, devices: Sequence[ISource], tidx: np.ndarray,
                  n_unknowns: int, n_fixed: int):
-        self.tidx = tidx
-        self.val = np.array([d.value for d in devices])
-        self.plan = _ScatterPlan(tidx, n_unknowns, n_fixed, self.flow_terms,
-                                 self.deriv_cols)
+        super().__init__(tidx, (np.array([d.value for d in devices]),),
+                         n_unknowns, n_fixed)
 
-    def flows(self, volts_full: np.ndarray, params=None) -> np.ndarray:
-        return self.val if params is None else params
+    @staticmethod
+    def evaluate(volts_full: np.ndarray, tidx: np.ndarray, h: float,
+                 params: tuple):
+        """See :meth:`MosfetBank.evaluate`: the source values, no
+        derivatives."""
+        return params[0], None
 
-    def flows_and_derivs(self, volts_full: np.ndarray, h: float,
-                         params=None):
-        return (self.val if params is None else params), None
-
-    def lane_params(self, devices: Sequence[ISource]) -> np.ndarray:
-        return np.array([d.value for d in devices])
+    def flows(self, volts_full: np.ndarray) -> np.ndarray:
+        return self.params[0]
 
 
 class LoopBlock:
@@ -392,7 +350,6 @@ class BankAssembly:
                          for node in device.terminals]
                 loop_entries.append((device, idxs, names))
         self.banks = []
-        self.bank_classes = []
         for cls, bank_cls in ((Mosfet, MosfetBank), (Resistor, ResistorBank),
                               (ISource, ISourceBank)):
             if grouped[cls]:
@@ -400,7 +357,6 @@ class BankAssembly:
                 tidx = np.array([row for _, row in grouped[cls]], dtype=int)
                 self.banks.append(bank_cls(devs, tidx, n_unknowns,
                                            len(fixed_pos)))
-                self.bank_classes.append(cls)
         self.loop = LoopBlock(loop_entries, fixed_pos) if loop_entries \
             else None
 
@@ -433,10 +389,12 @@ class BankAssembly:
 
         Each row's totals keep the bits a single-row call gives: banks
         are evaluated over blocks of rows (elementwise, so a row's flows
-        do not depend on its block), each row deposits with its own
-        ``add_fixed_flows`` calls in bank order, and the loop block's
-        currents follow.  The loop devices are not evaluated here:
-        ``loop_currents`` ``(T, len(loop.fixed_cols))`` holds what
+        do not depend on its block), and each bank's deposit into the
+        block's rows, in bank order, is one ``np.matmul`` stacked over
+        the rows whose every slice is the row's own ``add_fixed_flows``
+        ``gemv`` (the bincount fallback deposits row by row).  The loop
+        block's currents follow.  The loop devices are not evaluated
+        here: ``loop_currents`` ``(T, len(loop.fixed_cols))`` holds what
         :meth:`LoopBlock.fixed_currents` returned for each row, added
         value by value in that order.  A block gathers at most
         :data:`_SERIES_BLOCK` terminal voltages, so memory stays that of
@@ -448,59 +406,16 @@ class BankAssembly:
         step = max(1, _SERIES_BLOCK // max(1, refs))
         for start in range(0, rows, step):
             block = volts[start:start + step]
-            flows = [np.broadcast_to(bank.flows(block),
-                                     (len(block), bank.tidx.shape[0]))
-                     for bank in self.banks]
-            for j in range(len(block)):
-                row = totals[start + j]
-                for bank, bank_flows in zip(self.banks, flows):
-                    bank.plan.add_fixed_flows(row, bank_flows[j])
+            part = totals[start:start + len(block)]
+            for bank in self.banks:
+                flows = np.broadcast_to(bank.flows(block),
+                                        (len(block), bank.tidx.shape[0]))
+                if bank.plan.s_fx is not None:
+                    part += np.matmul(bank.plan.s_fx, flows[..., None])[..., 0]
+                else:
+                    for row, row_flows in zip(part, flows):
+                        bank.plan.add_fixed_flows(row, row_flows)
         if loop_currents is not None:
             for col, pos in enumerate(self.loop.fixed_cols):
                 totals[:, pos] += loop_currents[:, col]
-        return totals
-
-    # -- batch axis ----------------------------------------------------------
-
-    def lane_params(self, circuit) -> list:
-        """Per-bank parameter vectors harvested from one lane's circuit.
-
-        The lane must share the template's topology (same device classes
-        in the same order — validated by ``BatchSystem``), so grouping
-        by class reproduces the template's bank order exactly.
-        """
-        grouped = {cls: [] for cls in self.bank_classes}
-        for device in circuit.devices:
-            cls = type(device)
-            if cls in grouped:
-                grouped[cls].append(device)
-        return [bank.lane_params(grouped[cls])
-                for cls, bank in zip(self.bank_classes, self.banks)]
-
-    def accumulate_batch(self, f: np.ndarray, jac: np.ndarray,
-                         volts_full: np.ndarray, h: float,
-                         params: Optional[list] = None) -> None:
-        """Batched :meth:`accumulate` over ``(B, n + F)`` packed voltages:
-        residuals into ``f`` ``(B, n)`` and Jacobians into ``jac``
-        ``(B, n, n)``.
-
-        ``params`` is a per-bank list of lane-stacked parameter arrays
-        (or ``None`` to reuse the template's snapshot).  Loop entries
-        are not supported on the batch axis — the batch engine falls
-        back to the serial path when any are present.
-        """
-        for k, bank in enumerate(self.banks):
-            p = None if params is None else params[k]
-            flows, derivs = bank.flows_and_derivs(volts_full, h, p)
-            bank.plan.add_flows_batch(f, flows)
-            if derivs is not None:
-                bank.plan.add_derivs_batch(jac, derivs)
-
-    def fixed_totals_batch(self, volts_full: np.ndarray,
-                           params: Optional[list] = None) -> np.ndarray:
-        """Batched :meth:`fixed_totals`: ``(B, F)`` per-source currents."""
-        totals = np.zeros((volts_full.shape[0], len(self.fixed_pos)))
-        for k, bank in enumerate(self.banks):
-            p = None if params is None else params[k]
-            bank.plan.add_fixed_flows_batch(totals, bank.flows(volts_full, p))
         return totals

@@ -48,6 +48,12 @@ SPARSE_MIN_UNKNOWNS = 128
 #: Largest allowed Newton voltage update, volts.
 _DAMP_LIMIT = 0.3
 
+#: :meth:`System.newton`'s convergence test and iteration limit, which
+#: every transient step uses (the lockstep engine reads them here).
+NEWTON_ABSTOL = 1e-11
+NEWTON_STEPTOL = 1e-8
+NEWTON_MAXITER = 120
+
 _GMIN_LADDER = GMIN_LADDER
 
 
@@ -273,15 +279,19 @@ class System:
     # -- Newton --------------------------------------------------------------
 
     def newton(self, fixed: Dict[str, float], x0: np.ndarray, gmin: float,
-               extra=None, abstol: float = 1e-11, steptol: float = 1e-8,
-               maxiter: int = 120,
-               stats: Optional[NewtonStats] = None) -> np.ndarray:
+               extra=None, abstol: float = NEWTON_ABSTOL,
+               steptol: float = NEWTON_STEPTOL,
+               maxiter: int = NEWTON_MAXITER,
+               stats: Optional[NewtonStats] = None,
+               tail: Optional[np.ndarray] = None) -> np.ndarray:
         """Damped Newton iteration.
 
         ``extra`` is an optional callable ``extra(x) -> (f_extra, J_extra)``
         used by the transient engine to inject capacitor companion models.
         ``stats``, when given, is filled with iteration count, final
         residual, and singular-Jacobian (lstsq fallback) events.
+        ``tail`` carries :meth:`fixed_tail`'s result when the caller has
+        already packed ``fixed`` (the transient step loop does).
         """
         if stats is None:
             stats = NewtonStats()
@@ -293,7 +303,8 @@ class System:
         x = x0.copy()
         vmax = max([0.0] + list(fixed.values())) + 1.0
         vmin = min([0.0] + list(fixed.values())) - 1.0
-        tail = self.fixed_tail(fixed) if self.assembly != "loop" else None
+        if tail is None and self.assembly != "loop":
+            tail = self.fixed_tail(fixed)
         last_res = np.inf
         for iteration in range(maxiter):
             f, jac = self.residual_and_jacobian(x, fixed, gmin, tail=tail)

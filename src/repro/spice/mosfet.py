@@ -116,8 +116,10 @@ def batched_currents_and_derivs(volts: np.ndarray, h: float, sign, vt0,
     """Channel currents and forward-difference partials for a bank.
 
     ``volts`` is ``(..., M, 4)`` in terminal order ``(d, g, s, b)`` —
-    ``(M, 4)`` for a single circuit, ``(B, M, 4)`` for a batch of B
-    circuits sharing one topology.  Returns ``(ids, derivs)`` with
+    ``(M, 4)`` for one circuit's bank, or for the lockstep transient's
+    concatenation of many circuits' banks (every operation is
+    elementwise, so each device gets the bits its own bank gives it).
+    Returns ``(ids, derivs)`` with
     ``derivs[..., k] = d(ids)/d(v_k)`` computed by the same forward
     difference (step ``h``) the reference per-device loop uses.  The
     base point and the four perturbed points are stacked on a leading

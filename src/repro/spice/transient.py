@@ -8,10 +8,13 @@ source edges land exactly on a step.
 The engine reuses the DC :class:`~repro.spice.dc.System` indices across
 steps and warm-starts every Newton solve from the previous solution, so a
 cell-level transient (tens of devices, hundreds of steps) completes in
-well under a second.  The step loop records only each grid point's
-state; the source currents are computed from those records a block of
-grid points at a time, with the bits a per-point evaluation gives (see
-:func:`run_transient`).
+well under a second.  An accepted step carries what the next one reads
+of it (the packed source tail and every capacitor's voltage), and the
+step loop records only each grid point's state; the source currents are
+computed from those records a block of grid points at a time
+(:class:`_GridRecord`), with the bits a per-point evaluation gives.
+:mod:`repro.spice.batch` marches many circuits through this engine's
+arithmetic in lockstep.
 """
 
 from __future__ import annotations
@@ -208,35 +211,32 @@ class _CompanionCaps:
             self._stamped_elems += jac.size
         return geq, jac
 
-    def _v_diff(self, x: np.ndarray, fixed: Dict[str, float],
-                count: Optional[int] = None) -> np.ndarray:
-        """Voltage across each capacitor (a minus b), first ``count``
-        entries (default all)."""
-        v = self.system.full_volts(x, fixed)
-        return v[self.ja[:count]] - v[self.jb[:count]]
+    def volts_across(self, x: np.ndarray, tail: np.ndarray) -> np.ndarray:
+        """Voltage across every capacitor (a minus b) at unknowns ``x``
+        and packed source tail ``tail`` (:meth:`System.fixed_tail`)."""
+        v = np.concatenate((x, tail))
+        return v[self.ja] - v[self.jb]
 
-    def make_extra(self, x_prev: np.ndarray, fixed_prev: Dict[str, float],
-                   fixed_now: Dict[str, float], dt: float, n: int):
-        """Build the Newton ``extra`` callback for one time step."""
-        if self.system.assembly == "loop":
-            return self._make_extra_loop(x_prev, fixed_prev, fixed_now, dt,
-                                         n)
+    def make_extra(self, v_prev: np.ndarray, tail_now: np.ndarray,
+                   dt: float):
+        """Build the Newton ``extra`` callback for one step of size
+        ``dt`` from the accepted state whose capacitor voltages are
+        ``v_prev`` (:meth:`volts_across`) to the sources ``tail_now``."""
+        n = self.system.n
         if not self.n_newton:
             f0 = np.zeros(n)
             j0 = np.zeros(self.system.sparse_assembly().nnz) \
                 if self.system.assembly == "sparse" else np.zeros((n, n))
             return lambda x: (f0, j0)
-        v_prev = self._v_diff(x_prev, fixed_prev, self.n_newton)
+        v_prev = v_prev[:self.n_newton]
         # `newton` adds the stamp to the device Jacobian without mutating
         # it, so every iteration of every step of this size shares it.
         geq, jac = self._stamp(dt)
-        tail_now = self.system.fixed_tail(fixed_now)
-        system = self.system
         ja, jb = self.ja[:self.n_newton], self.jb[:self.n_newton]
         s_extra = self._s_extra
         if s_extra is not None:
             def extra(x: np.ndarray):
-                v = system.full_volts(x, fixed_now, tail_now)
+                v = np.concatenate((x, tail_now))
                 i_now = geq * ((v[ja] - v[jb]) - v_prev)
                 return s_extra @ i_now, jac
 
@@ -247,7 +247,7 @@ class _CompanionCaps:
         ua, ub = self._ua, self._ub
 
         def extra_sparse(x: np.ndarray):
-            v = system.full_volts(x, fixed_now, tail_now)
+            v = np.concatenate((x, tail_now))
             i_now = geq * ((v[ja] - v[jb]) - v_prev)
             f = np.bincount(rows_a, weights=i_now[ua], minlength=n)
             f -= np.bincount(rows_b, weights=i_now[ub], minlength=n)
@@ -255,11 +255,12 @@ class _CompanionCaps:
 
         return extra_sparse
 
-    def _make_extra_loop(self, x_prev: np.ndarray,
-                         fixed_prev: Dict[str, float],
-                         fixed_now: Dict[str, float], dt: float, n: int):
+    def make_extra_loop(self, x_prev: np.ndarray,
+                        fixed_prev: Dict[str, float],
+                        fixed_now: Dict[str, float], dt: float):
         """Reference per-entry ``extra`` (``assembly="loop"``), kept
         verbatim from the pre-bank engine."""
+        n = self.system.n
         newton = self.entries[:self.n_newton]
 
         def volt(idx, name, x, fixed):
@@ -292,18 +293,15 @@ class _CompanionCaps:
 
         return extra
 
-    def step_currents(self, x: np.ndarray, x_prev: np.ndarray,
-                      fixed_now: Dict[str, float],
-                      fixed_prev: Dict[str, float],
+    def step_currents(self, v_now: np.ndarray, v_prev: np.ndarray,
                       dt: float) -> np.ndarray:
-        """Per-entry companion currents of an accepted step.
+        """Per-entry companion currents of an accepted step of size
+        ``dt`` between capacitor voltages ``v_prev`` and ``v_now``.
 
         Pure: never writes ``_i_prev`` — pass the result to
         :meth:`commit_currents`.
         """
-        geq = self.cvec / dt
-        return geq * (self._v_diff(x, fixed_now)
-                      - self._v_diff(x_prev, fixed_prev))
+        return (self.cvec / dt) * (v_now - v_prev)
 
     def commit_currents(self, i_new: np.ndarray) -> None:
         """Store the accepted step's currents; call exactly once per step."""
@@ -325,6 +323,101 @@ class _CompanionCaps:
             if ib < 0 and nb in totals:
                 totals[nb] -= committed[:, k]
         return totals
+
+
+def _record_columns(circuit: Circuit, system: System,
+                    record: Optional[Sequence[str]]) -> Dict[str, int]:
+    """Each recorded node's column in the packed ``[x | tail]`` vector.
+
+    Names are canonicalised (ground aliases fold to ``"0"``); ``None``
+    records every node.  A name that is not a node raises
+    :class:`CircuitError` (it used to record 0.0 silently).
+    """
+    if record is not None:
+        known = set(circuit.all_nodes())
+        record_nodes = list(dict.fromkeys(record))
+        canon_of = {node: canonical_node(node) for node in record_nodes}
+        bad = sorted(node for node, canon in canon_of.items()
+                     if canon not in known)
+        if bad:
+            raise CircuitError(
+                f"record names {bad} are not nodes of circuit "
+                f"{circuit.name!r}; known nodes: {sorted(known)}")
+    else:
+        canon_of = {node: node for node in circuit.all_nodes()}
+    return {node: system.index[canon] if canon in system.index
+            else system.n + system.fixed_pos[canon]
+            for node, canon in canon_of.items()}
+
+
+class _GridRecord:
+    """A transient's grid-point records, turned into node voltages and
+    source currents a block of points at a time.
+
+    A point's record is references to its unknowns, its packed source
+    tail and the committed companion currents, plus the currents of what
+    must be evaluated at the point itself (``at_point``): the ``loop``
+    oracle's whole assembly, or the un-banked devices (fault proxies
+    count their calls and read the injector's clock).  A block holds at
+    most :data:`_SERIES_BLOCK` values (one point for a full core), so
+    memory stays that of a few rows.  The banks are the ones the run
+    started with: arm faults before it.
+    """
+
+    def __init__(self, system: System, caps: _CompanionCaps,
+                 circuit: Circuit, columns: Dict[str, int], points: int):
+        self.voltages = {node: np.empty(points) for node in columns}
+        self.currents = {source.name: np.empty(points)
+                         for source in circuit.vsources}
+        self._columns = columns
+        self._sources = [(source.name, source.node,
+                          system.fixed_pos[source.node])
+                         for source in circuit.vsources]
+        self._banks = None if system.assembly == "loop" \
+            else system.bank_assembly()
+        self._caps = caps
+        self._block = max(1, _SERIES_BLOCK // (
+            system.n + len(system.fixed_pos) + len(caps.entries)))
+        self._xs: List[np.ndarray] = []
+        self._tails: List[np.ndarray] = []
+        self._commits: List[np.ndarray] = []
+        self._at: list = []
+        self._done = 0
+
+    def add(self, x: np.ndarray, tail: np.ndarray, commit: np.ndarray,
+            at_point: Optional[Sequence[float]] = None) -> None:
+        """Record one grid point.  The engines never write into these
+        arrays afterwards (each step makes new ones): keep references."""
+        self._xs.append(x)
+        self._tails.append(tail)
+        self._commits.append(commit)
+        if at_point is not None:
+            self._at.append(at_point)
+        if len(self._xs) == self._block:
+            self._flush()
+
+    def _flush(self) -> None:
+        rows = slice(self._done, self._done + len(self._xs))
+        volts = np.concatenate([np.stack(self._xs), np.stack(self._tails)],
+                               axis=1)
+        for node, col in self._columns.items():
+            self.voltages[node][rows] = volts[:, col]
+        points = np.array(self._at) if self._at else None
+        dev = points if self._banks is None \
+            else self._banks.fixed_totals_series(volts, points)
+        cap = self._caps.fixed_node_currents(
+            np.stack(self._commits), [node for _, node, _ in self._sources])
+        for name, node, pos in self._sources:
+            self.currents[name][rows] = dev[:, pos] + cap[node]
+        self._done = rows.stop
+        for part in (self._xs, self._tails, self._commits, self._at):
+            part.clear()
+
+    def finish(self) -> Tuple[Dict[str, np.ndarray], Dict[str, np.ndarray]]:
+        """Flush what is left; the voltages and source currents."""
+        if self._xs:
+            self._flush()
+        return self.voltages, self.currents
 
 
 def _time_grid(tstop: float, dt: float, breakpoints: Sequence[float]) -> np.ndarray:
@@ -411,21 +504,7 @@ def run_transient(circuit: Circuit, tstop: float, dt: float,
                                                 budget=budget)
         caps = _CompanionCaps(system, circuit)
 
-        if record is not None:
-            # Unknown names used to silently record 0.0 (the old
-            # fixed_now.get default) — validate up front instead.
-            known = set(circuit.all_nodes())
-            record_nodes = list(dict.fromkeys(record))
-            canon_of = {node: canonical_node(node) for node in record_nodes}
-            bad = sorted(node for node, canon in canon_of.items()
-                         if canon not in known)
-            if bad:
-                raise CircuitError(
-                    f"record names {bad} are not nodes of circuit "
-                    f"{circuit.name!r}; known nodes: {sorted(known)}")
-        else:
-            record_nodes = circuit.all_nodes()
-            canon_of = {node: node for node in record_nodes}
+        columns = _record_columns(circuit, system, record)
         grid = _time_grid(tstop, dt, circuit.stimulus_breakpoints())
         stats = TransientStats(grid_points=len(grid))
 
@@ -437,79 +516,41 @@ def run_transient(circuit: Circuit, tstop: float, dt: float,
                 f"{circuit.name!r}; pass an operating point of this circuit")
         x = np.array([op.voltages[n] for n in system.unknowns]) if system.n else \
             np.zeros(0)
-        fixed_prev = circuit.fixed_nodes(0.0)
+        fixed = circuit.fixed_nodes(0.0)
+        # The accepted state carries what every later step reads of it:
+        # the packed source tail and every capacitor's voltage.
+        state = (x, fixed, system.fixed_tail(fixed))
+        v_caps = caps.volts_across(x, state[2])
 
-        # Each grid point's record — packed voltages [x | source tail],
-        # the committed companion currents, and the currents of what must
-        # be evaluated at the point itself: the `loop` oracle's whole
-        # assembly, or the un-banked devices (fault proxies count their
-        # calls and read the injector's clock).  Records are turned into
-        # voltages and source currents a block of points at a time, the
-        # block holding at most _SERIES_BLOCK values (one point for a
-        # full core), so memory stays that of a few rows.
-        n = system.n
-        voltages = {node: np.empty(len(grid)) for node in record_nodes}
-        currents = {source.name: np.empty(len(grid))
-                    for source in circuit.vsources}
-        record_cols = {node: system.index[canon] if canon in system.index
-                       else n + system.fixed_pos[canon]
-                       for node, canon in canon_of.items()}
-        source_nodes = [source.node for source in circuit.vsources]
+        recording = _GridRecord(system, caps, circuit, columns, len(grid))
         if system.assembly == "loop":
-            banks = None
             fixed_order = system.fixed_names_order
 
             def point_currents(x_now, fixed_now):
                 cur = system.fixed_node_currents(x_now, fixed_now)
                 return [cur[name] for name in fixed_order]
         else:
-            banks = system.bank_assembly()
-            point_currents = None if banks.loop is None \
-                else banks.loop.fixed_currents
-        block = max(1, _SERIES_BLOCK
-                    // (n + len(system.fixed_pos) + len(caps.entries)))
-        xs: List[np.ndarray] = []
-        tails: List[np.ndarray] = []
-        commits: List[np.ndarray] = []
-        at_points: List[List[float]] = []
-        done = 0
+            loop = system.bank_assembly().loop
+            point_currents = None if loop is None else loop.fixed_currents
 
-        def flush() -> None:
-            nonlocal done
-            rows = slice(done, done + len(xs))
-            volts = np.concatenate([np.stack(xs), np.stack(tails)], axis=1)
-            for node, col in record_cols.items():
-                voltages[node][rows] = volts[:, col]
-            points = None if point_currents is None else np.array(at_points)
-            dev = points if banks is None \
-                else banks.fixed_totals_series(volts, points)
-            cap = caps.fixed_node_currents(np.stack(commits), source_nodes)
-            for source in circuit.vsources:
-                currents[source.name][rows] = \
-                    dev[:, system.fixed_pos[source.node]] + cap[source.node]
-            done = rows.stop
-            for part in (xs, tails, commits, at_points):
-                part.clear()
-
-        def snapshot(x_now: np.ndarray, fixed_now: Dict[str, float]) -> None:
-            # The engine never writes into x or the committed currents
-            # after the fact (each step makes new arrays): keep references.
-            xs.append(x_now)
-            tails.append(system.fixed_tail(fixed_now))
-            commits.append(caps._i_prev)
-            if point_currents is not None:
-                at_points.append(point_currents(x_now, fixed_now))
-            if len(xs) == block:
-                flush()
+        def record_point(x_now, fixed_now, tail_now) -> None:
+            recording.add(x_now, tail_now, caps._i_prev,
+                          None if point_currents is None
+                          else point_currents(x_now, fixed_now))
 
         def solve_substep(t_next: float, sub: float, x_cur: np.ndarray,
-                          fixed_cur: Dict[str, float],
-                          fixed_next: Dict[str, float]):
+                          fixed_cur: Dict[str, float], v_cur: np.ndarray,
+                          fixed_next: Dict[str, float],
+                          tail_next: np.ndarray):
             if on_step is not None:
                 on_step(t_next)
-            extra = caps.make_extra(x_cur, fixed_cur, fixed_next, sub,
-                                    system.n)
-            return system.newton(fixed_next, x_cur, gmin=0.0, extra=extra)
+            if system.assembly == "loop":
+                extra = caps.make_extra_loop(x_cur, fixed_cur, fixed_next,
+                                             sub)
+            else:
+                extra = caps.make_extra(v_cur, tail_next, sub)
+            return system.newton(fixed_next, x_cur, gmin=0.0, extra=extra,
+                                 tail=tail_next)
 
         def exhaust(limit: str, t_next: float) -> None:
             """Record and raise a transient budget exhaustion."""
@@ -530,9 +571,9 @@ def run_transient(circuit: Circuit, tstop: float, dt: float,
                          "newton_failures": stats.newton_failures,
                          "halvings": stats.halvings})
 
-        def advance_interval(t0: float, t1: float, x_cur: np.ndarray,
-                             fixed_cur: Dict[str, float]):
+        def advance_interval(t0: float, t1: float, state, v_cur):
             """March from t0 to t1, subdividing locally on Newton failures."""
+            x_cur, fixed_cur, tail_cur = state
             min_sub = (t1 - t0) / (2 ** max_step_halvings)
             pending = [t1]
             interval_retried = False
@@ -541,9 +582,10 @@ def run_transient(circuit: Circuit, tstop: float, dt: float,
                 t_next = pending[-1]
                 sub = t_next - t_cur
                 fixed_next = circuit.fixed_nodes(t_next)
+                tail_next = system.fixed_tail(fixed_next)
                 try:
                     x_new = solve_substep(t_next, sub, x_cur, fixed_cur,
-                                          fixed_next)
+                                          v_cur, fixed_next, tail_next)
                 except BudgetExhaustedError:
                     raise
                 except ConvergenceError as err:
@@ -567,23 +609,23 @@ def run_transient(circuit: Circuit, tstop: float, dt: float,
                         f"(smallest step {sub:.3g} s)",
                         iterations=err.iterations,
                         residual=err.residual) from err
-                caps.commit_currents(caps.step_currents(
-                    x_new, x_cur, fixed_next, fixed_cur, sub))
+                v_new = caps.volts_across(x_new, tail_next)
+                caps.commit_currents(caps.step_currents(v_new, v_cur, sub))
                 pending.pop()
-                t_cur, x_cur, fixed_cur = t_next, x_new, fixed_next
+                t_cur, x_cur, fixed_cur, tail_cur, v_cur = \
+                    t_next, x_new, fixed_next, tail_next, v_new
                 stats.steps_taken += 1
                 if budget.max_transient_steps is not None \
                         and stats.steps_taken > budget.max_transient_steps:
                     exhaust("max_transient_steps", t_next)
-            return x_cur, fixed_cur
+            return (x_cur, fixed_cur, tail_cur), v_cur
 
-        snapshot(x, fixed_prev)
+        record_point(*state)
         for i in range(1, len(grid)):
-            x, fixed_prev = advance_interval(float(grid[i - 1]), float(grid[i]),
-                                             x, fixed_prev)
-            snapshot(x, fixed_prev)
-        if xs:
-            flush()
+            state, v_caps = advance_interval(float(grid[i - 1]),
+                                             float(grid[i]), state, v_caps)
+            record_point(*state)
+        voltages, currents = recording.finish()
         span.set("grid_points", stats.grid_points)
         span.set("steps_taken", stats.steps_taken)
         span.set("newton_failures", stats.newton_failures)

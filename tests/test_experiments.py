@@ -8,14 +8,17 @@ import pytest
 
 from repro.cells import (
     McmlCellGenerator,
-    characterize_mcml_cell,
+    PgMcmlCellGenerator,
     function,
+    mcml_testbench,
+    measure_mcml_cell,
     solve_bias,
 )
-from repro.experiments import fig3, fig5, fig6, table1, table3
+from repro.experiments import fig3, fig5, fig6, table1, table2, table3
 from repro.experiments.table3 import PAPER_TABLE3
 from repro.spice import batch
 from repro.spice.backend import InternalBackend, SimulatorBackend, dispatch
+from repro.spice.transient import run_transient
 from repro.units import uA
 
 
@@ -88,39 +91,59 @@ class TestTable3:
         assert 0.005 < result.measured_duty < 0.05
 
 
+def assert_arrays_equal(serial, batched):
+    """Every recorded voltage and source current, byte for byte."""
+    for attr in ("voltages", "source_currents"):
+        want, got = getattr(serial, attr), getattr(batched, attr)
+        assert list(want) == list(got)
+        for name in want:
+            assert want[name].tobytes() == got[name].tobytes(), name
+
+
+def spy_march(monkeypatch):
+    """Record each lockstep march's lanes and results."""
+    marches = []
+    march = batch._march
+
+    def spy(lanes, *args):
+        results = march(lanes, *args)
+        marches.append(results)
+        return results
+
+    monkeypatch.setattr(batch, "_march", spy)
+    return marches
+
+
 class TestFig3:
     """Fig. 3's one batched backend call against the serial path."""
 
-    #: Includes 250 µA, whose FO4 lane is the one batched lane that
-    #: differs from serial (by 4e-16 relative in its swing).
+    #: Includes 250 µA, whose FO4 swing the same-topology batch engine
+    #: moved by 4e-16 relative.
     SWEEP = (uA(10), uA(50), uA(250))
 
     def test_batched_sweep_equals_serial_characterisation(self, monkeypatch):
-        marches = []
-
-        def spy(bs, *args):
-            marches.append(len(bs.circuits))
-            return march(bs, *args)
-
-        march = batch._march
-        monkeypatch.setattr(batch, "_march", spy)
+        marches = spy_march(monkeypatch)
         result = fig3.run(self.SWEEP)
         # One lockstep march over every lane: no per-circuit loop and no
-        # whole-batch serial fallback.
-        assert marches == [2 * len(self.SWEEP)]
+        # serial fallback.
+        assert [len(lanes) for lanes in marches] == [2 * len(self.SWEEP)]
         assert [p.iss for p in result.points] == list(self.SWEEP)
         fn = function("BUF")
+        lanes = iter(marches[0])
         for point in result.points:
             generator = McmlCellGenerator(sizing=solve_bias(point.iss).sizing)
-            fo1 = characterize_mcml_cell(fn, generator, fanout=1)
-            fo4 = characterize_mcml_cell(fn, generator, fanout=4)
-            serial = fig3.Fig3Point(
+            measured = []
+            for fanout in (1, 4):
+                bench = mcml_testbench(fn, generator, fanout=fanout)
+                serial = run_transient(bench.circuit, tstop=bench.window,
+                                       dt=bench.dt, record=bench.record)
+                assert_arrays_equal(serial, next(lanes))
+                measured.append(measure_mcml_cell(bench, serial))
+            fo1, fo4 = measured
+            serial_point = fig3.Fig3Point(
                 iss=point.iss, delay_fo1=fo1.delay, delay_fo4=fo4.delay,
                 swing=fo1.swing, area_um2=fig3.buffer_area_um2(point.iss))
-            for field in ("iss", "delay_fo1", "delay_fo4", "swing",
-                          "area_um2"):
-                assert getattr(point, field) == pytest.approx(
-                    getattr(serial, field), rel=1e-12, abs=0.0), field
+            assert point == serial_point
 
     def test_sweep_goes_through_the_backend_seam(self):
         class Recording(SimulatorBackend):
@@ -155,6 +178,30 @@ class TestFig3:
             dispatch.reset_default_backend()
         assert len(backend.transients) == 2 * len(sweep)
         assert len(result.points) == len(sweep)
+
+
+class TestTable2:
+    """Table 2's cells go to the backend as one batched call."""
+
+    #: Three shapes: the march stacks none of them together.
+    CELLS = ("BUF", "AND2", "FA")
+
+    def test_batched_cells_equal_serial_characterisation(self, monkeypatch):
+        marches = spy_march(monkeypatch)
+        result = table2.run(self.CELLS)
+        assert [len(lanes) for lanes in marches] == [len(self.CELLS)]
+        generator = PgMcmlCellGenerator(
+            sizing=solve_bias(uA(50), gated=True).sizing)
+        for name, lane in zip(self.CELLS, marches[0]):
+            bench = mcml_testbench(function(name), generator)
+            serial = run_transient(bench.circuit, tstop=bench.window,
+                                   dt=bench.dt, record=bench.record)
+            assert_arrays_equal(serial, lane)
+            meas = measure_mcml_cell(bench, serial)
+            row = result.row_for(name)
+            assert (row.spice_delay_ps, row.spice_swing_v, row.spice_iss_ua) \
+                == (meas.delay * 1e12, meas.swing, meas.iss * 1e6)
+        assert result.row_for("XOR2").spice_delay_ps is None
 
 
 class TestFig5:

@@ -18,10 +18,8 @@ from hypothesis import given, settings, strategies as st
 from repro.cells.functions import function
 from repro.cells.mcml import McmlCellGenerator
 from repro.cells.pgmcml import PgMcmlCellGenerator
-from repro.errors import CircuitError
 from repro.obs import MemorySink, Telemetry
 from repro.spice import Circuit, run_transient, run_transient_batch, solve_dc
-from repro.spice.batch import BatchSystem
 from repro.spice.dc import SPARSE_MIN_UNKNOWNS, System
 from repro.spice.devices import Mosfet
 from repro.spice.stimulus import Pulse
@@ -253,26 +251,23 @@ class TestAssemblySelection:
         (SPARSE_MIN_UNKNOWNS, "sparse"),
     ])
     def test_batch_lanes_follow_the_template(self, unknowns, assembly):
-        """Bank-size lanes march in lockstep; a template that selects
-        the sparse assembly sends every lane to the serial engine with
-        a ``spice.batch.fallback`` event.  Either way the lanes equal
+        """Bank-size lanes march in lockstep; lanes whose ``System``
+        selects the sparse assembly run on the serial engine, named by
+        one ``spice.batch.fallback`` event.  Either way the lanes equal
         the serial run."""
         lanes = [resistor_ladder(unknowns, pulse=True) for _ in range(2)]
-        if assembly == "sparse":
-            with pytest.raises(CircuitError, match="sparse assembly"):
-                BatchSystem(lanes)
-        else:
-            assert BatchSystem(lanes).system.assembly == "bank"
         sink = MemorySink()
         batched = run_transient_batch(lanes, 4e-10, 2e-11,
                                       telemetry=Telemetry(sinks=[sink]))
         fallbacks = [r for r in sink.records
                      if r.get("name") == "spice.batch.fallback"]
         assert len(fallbacks) == (1 if assembly == "sparse" else 0)
+        if fallbacks:
+            assert fallbacks[0]["attrs"]["reason"] == "sparse assembly"
+            assert fallbacks[0]["attrs"]["lanes"] == [0, 1]
         serial = run_transient(resistor_ladder(unknowns, pulse=True),
                                4e-10, 2e-11)
         for got in batched:
             np.testing.assert_array_equal(got.time, serial.time)
             for node, wave in serial.voltages.items():
-                np.testing.assert_allclose(got.voltages[node], wave,
-                                           atol=1e-12)
+                np.testing.assert_array_equal(got.voltages[node], wave)

@@ -1,14 +1,13 @@
 """The lockstep batched transient engine vs the serial oracle.
 
-The contract: :func:`repro.spice.run_transient_batch` simulates B
-same-topology circuits in one stack of block-diagonal Newton solves and
-must agree with B independent :func:`repro.spice.run_transient` runs —
-waveforms to ≤1e-12 (in practice ~1e-16; the only difference is batched
-BLAS rounding), the time grid bit-for-bit, and every control-flow
-statistic exactly at B=1.  When the batch axis cannot apply the engine
-must *fall back* to the serial path, never fail, and a lane that
-diverges mid-flight falls out of the batch alone.  Each lane counts as
-one transient run in telemetry, whichever path finished it.
+The contract: :func:`repro.spice.run_transient_batch` marches B circuits
+of any dense topologies that share a time grid in lockstep and returns,
+for each, exactly what :func:`repro.spice.run_transient` returns: every
+recorded voltage and source current byte for byte, the time grid, and
+every control-flow statistic.  A lane the march cannot take runs on the
+serial path with a ``spice.batch.fallback`` event, never fails, and a
+lane that diverges mid-flight falls out of the march alone.  Each lane
+counts as one transient run in telemetry, whichever path finished it.
 
 Also pins the drift-free time grid: it is built from integer step
 indices (``k * dt``), so a tstop/dt ratio like 1e-9/1e-11 yields exactly
@@ -19,6 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.cells import mcml_testbench, solve_bias
 from repro.cells.cmos import CmosCellGenerator
 from repro.cells.functions import function
 from repro.cells.mcml import McmlCellGenerator
@@ -37,8 +37,10 @@ from repro.spice import (
     run_transient,
     run_transient_batch,
 )
+from repro.spice import batch as batch_mod
 from repro.spice.transient import _time_grid
-from repro.tech import TECH90
+from repro.tech import NMOS_LVT, PMOS_LVT, TECH90
+from repro.units import ps, uA
 
 
 # -- lane builders ------------------------------------------------------------
@@ -66,8 +68,8 @@ def cell_lane(style: str, sleep_on: bool, seed: int,
     """One generated BUF cell wired for a transient, with per-lane
     bias wiggle, load, and pulse polarity drawn from ``seed``.
 
-    Every lane shares the template's topology and stimulus breakpoints
-    (the lockstep requirements); only values differ.
+    Every lane shares one topology and one set of stimulus breakpoints
+    (so one time grid); only values differ.
     """
     rng = np.random.default_rng(seed)
     polarity = bool(rng.integers(2))
@@ -111,26 +113,28 @@ def cell_lane(style: str, sleep_on: bool, seed: int,
     return ckt
 
 
-def assert_batch_matches_serial(circuits, tstop, dt, tol=1e-12, **kw):
-    """Run both engines and compare waveforms, grids, and (at B=1) the
-    full control-flow statistics."""
+def assert_batch_matches_serial(circuits, tstop, dt, **kw):
+    """Run both engines and compare every recorded array byte for byte,
+    the grids, and each lane's control-flow statistics."""
     serial = [run_transient(ckt, tstop, dt, **kw) for ckt in circuits]
     batch = run_transient_batch(circuits, tstop, dt, **kw)
-    assert len(batch) == len(serial)
-    for s, b in zip(serial, batch):
-        assert np.array_equal(s.time, b.time)
-        assert set(s.voltages) == set(b.voltages)
-        for node in s.voltages:
-            delta = float(np.max(np.abs(s.voltages[node]
-                                        - b.voltages[node])))
-            assert delta <= tol, (node, delta)
-        for name in s.source_currents:
-            delta = float(np.max(np.abs(s.source_currents[name]
-                                        - b.source_currents[name])))
-            assert delta <= tol, (name, delta)
-    if len(circuits) == 1:
-        assert serial[0].stats == batch[0].stats
+    assert_lanes_equal(serial, batch)
     return serial, batch
+
+
+def assert_lanes_equal(serial, batch):
+    assert len(batch) == len(serial)
+    for lane, (s, b) in enumerate(zip(serial, batch)):
+        assert s.time.tobytes() == b.time.tobytes(), lane
+        assert list(s.voltages) == list(b.voltages), lane
+        for node in s.voltages:
+            assert s.voltages[node].tobytes() == b.voltages[node].tobytes(), \
+                (lane, node)
+        assert list(s.source_currents) == list(b.source_currents), lane
+        for name in s.source_currents:
+            assert (s.source_currents[name].tobytes()
+                    == b.source_currents[name].tobytes()), (lane, name)
+        assert s.stats == b.stats, lane
 
 
 # -- drift-free time grid -----------------------------------------------------
@@ -239,6 +243,157 @@ class TestBatchedEquivalenceCells:
             assert s.stats.halvings == b.stats.halvings
 
 
+# -- lanes of any topology in one march ---------------------------------------
+
+#: The combinational cells Table 2 characterises.
+TABLE2_CELLS = ("BUF", "DIFF2SINGLE", "AND2", "AND3", "AND4", "MUX2",
+                "MUX4", "MAJ32", "XOR2", "XOR3", "XOR4", "FA")
+
+
+def toggle(lo: float, hi: float, window: float) -> Pulse:
+    """``mcml_testbench``'s input toggle: a lane driven by it shares the
+    time grid of the cell testbenches of that window."""
+    return Pulse(lo, hi, window / 2, ps(10), ps(10), window, 0.0)
+
+
+def toggled_rc_lane(window: float) -> Circuit:
+    ckt = Circuit("rc_toggle")
+    ckt.v("vin", "in", toggle(0.0, 1.0, window))
+    ckt.resistor("r1", "in", "out", 1e3)
+    ckt.capacitor("c1", "out", "0", 1e-14)
+    return ckt
+
+
+def toggled_cmos_lane(window: float) -> Circuit:
+    cell = CmosCellGenerator(TECH90).build("BUF", load_cap=2e-15)
+    ckt = cell.circuit
+    ckt.v("vdd", cell.vdd_net, TECH90.vdd)
+    ckt.v("vin", cell.input_nets["A"], toggle(0.0, TECH90.vdd, window))
+    return ckt
+
+
+def halving_lane(pulse: Pulse) -> Circuit:
+    """A PMOS pass device whose gate lags the input edge: at the full
+    step Newton does not converge, and the step is halved twice."""
+    ckt = Circuit("halving")
+    ckt.v("vdd", "vdd", 1.2)
+    ckt.v("vin", "in", pulse)
+    ckt.mosfet("m0", "0", "0", "b", "0", NMOS_LVT, 2.1e-6, 0.1e-6)
+    ckt.mosfet("m1", "in", "a", "c", "vdd", PMOS_LVT, 18e-6, 0.1e-6)
+    ckt.mosfet("m2", "b", "vdd", "in", "0", NMOS_LVT, 16e-6, 0.1e-6)
+    ckt.capacitor("ca", "a", "0", 1e-13)
+    ckt.capacitor("cb", "b", "0", 1e-13)
+    ckt.resistor("rb", "b", "vdd", 1e3)
+    ckt.capacitor("cc", "c", "0", 1e-15)
+    ckt.resistor("rc", "c", "a", 1e6)
+    return ckt
+
+
+class TestMixedTopologies:
+    """Lanes of different topologies march together, each byte-identical
+    to its serial run."""
+
+    def test_table2_cells_rc_and_cmos_lanes_in_one_march(self):
+        generator = PgMcmlCellGenerator(
+            sizing=solve_bias(uA(50), gated=True).sizing)
+        benches = [mcml_testbench(function(name), generator)
+                   for name in TABLE2_CELLS]
+        window, dt = benches[0].window, benches[0].dt
+        circuits = [bench.circuit for bench in benches] \
+            + [toggled_rc_lane(window), toggled_cmos_lane(window)]
+        records = [bench.record for bench in benches] + [None, None]
+        tele, sink = _batch_telemetry()
+        batch = run_transient_batch(circuits, window, dt, record=records,
+                                    telemetry=tele)
+        assert not _events(sink, "spice.batch.fallback")
+        assert tele.counter("spice.batch.lanes").value == len(circuits)
+        serial = [run_transient(ckt, window, dt, record=names)
+                  for ckt, names in zip(circuits, records)]
+        assert_lanes_equal(serial, batch)
+
+    def test_halving_and_failing_lanes(self, monkeypatch):
+        """One lane halves its step inside the march; another falls out
+        mid-flight and its serial retry is its result."""
+        pulse = Pulse(0.0, 1.2, 1e-10, 1e-12, 1e-12, 1e-9)
+        tstop, dt = 4e-10, 1e-10
+
+        def lanes():
+            doomed = rc_lane()
+            doomed.name = "doomed"
+            doomed.vsources[0].stimulus = pulse
+            rc = rc_lane(r=2e3)
+            rc.vsources[0].stimulus = pulse
+            return [halving_lane(pulse), doomed, rc]
+
+        serial = [run_transient(ckt, tstop, dt) for ckt in lanes()]
+        assert serial[0].stats.halvings >= 1
+
+        accept = batch_mod._Lane.accept
+
+        def failing_accept(self, state, i_new, budget, tele):
+            accept(self, state, i_new, budget, tele)
+            if self.circuit.name == "doomed" and self.stats.steps_taken == 2:
+                self.fail("injected", tele)
+
+        monkeypatch.setattr(batch_mod._Lane, "accept", failing_accept)
+        tele, sink = _batch_telemetry()
+        batch = run_transient_batch(lanes(), tstop, dt, telemetry=tele)
+        assert not _events(sink, "spice.batch.fallback")
+        isolated = _events(sink, "spice.batch.lane_isolated")
+        assert [event["attrs"]["lane"] for event in isolated] == [1]
+        assert_lanes_equal(serial, batch)
+        assert tele.counter("spice.transient.runs").value == 3
+        assert tele.counter("spice.transient.halvings").value \
+            == serial[0].stats.halvings
+
+
+#: Lane builders sharing the time grid of 0.2 ns cell testbenches.
+POOL_WINDOW, POOL_DT = ps(200), ps(4)
+
+
+def _pool_lane(k: int):
+    """Lane ``k`` of the property pool and its record."""
+    cells = ("BUF", "AND2", "XOR2", "MUX2", "FA")
+    if k < len(cells):
+        bench = mcml_testbench(function(cells[k]), PgMcmlCellGenerator(TECH90),
+                               window=POOL_WINDOW, dt=POOL_DT)
+        return bench.circuit, bench.record
+    if k == len(cells):
+        bench = mcml_testbench(function("BUF"), McmlCellGenerator(TECH90),
+                               fanout=4, window=POOL_WINDOW, dt=POOL_DT)
+        return bench.circuit, bench.record
+    if k == len(cells) + 1:
+        return toggled_rc_lane(POOL_WINDOW), ["out", "in"]
+    return toggled_cmos_lane(POOL_WINDOW), None
+
+
+POOL_SIZE = 8
+_POOL_SERIAL: dict = {}
+
+
+def _pool_serial(k: int):
+    if k not in _POOL_SERIAL:
+        ckt, names = _pool_lane(k)
+        _POOL_SERIAL[k] = run_transient(ckt, POOL_WINDOW, POOL_DT,
+                                        record=names)
+    return _POOL_SERIAL[k]
+
+
+class TestLaneSubsets:
+    @given(st.lists(st.integers(0, POOL_SIZE - 1), min_size=1,
+                    max_size=POOL_SIZE, unique=True))
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    def test_any_subset_in_any_order_equals_serial(self, picks):
+        lanes = [_pool_lane(k) for k in picks]
+        tele, sink = _batch_telemetry()
+        batch = run_transient_batch([ckt for ckt, _ in lanes], POOL_WINDOW,
+                                    POOL_DT,
+                                    record=[names for _, names in lanes],
+                                    telemetry=tele)
+        assert not _events(sink, "spice.batch.fallback")
+        assert_lanes_equal([_pool_serial(k) for k in picks], batch)
+
+
 # -- serial fallbacks and lane isolation -------------------------------------
 
 def _batch_telemetry():
@@ -251,20 +406,6 @@ def _events(sink, name):
 
 
 class TestSerialFallback:
-    def test_mismatched_topology_falls_back(self):
-        a = rc_lane()
-        b = rc_lane()
-        b.resistor("r2", "out", "0", 1e6)
-        tele, sink = _batch_telemetry()
-        serial = [run_transient(c, 2e-9, 1e-10) for c in (a, b)]
-        a2, b2 = rc_lane(), rc_lane()
-        b2.resistor("r2", "out", "0", 1e6)
-        results = run_transient_batch([a2, b2], 2e-9, 1e-10, telemetry=tele)
-        events = _events(sink, "spice.batch.fallback")
-        assert events and "unbatchable" in events[0]["attrs"]["reason"]
-        for s, r in zip(serial, results):
-            assert np.array_equal(s.voltages["out"], r.voltages["out"])
-
     def test_unbanked_device_class_falls_back(self):
         class NoisyResistor(Resistor):
             pass
@@ -290,6 +431,21 @@ class TestSerialFallback:
         events = _events(sink, "spice.batch.fallback")
         assert events and events[0]["attrs"]["reason"] == "no-unknowns"
 
+    def test_another_time_grid_falls_back(self):
+        def lanes():
+            out = rc_lanes([1, 2])
+            out[1].vsources[0].stimulus = Pulse(0.0, 1.0, 0.55e-9, 1e-12,
+                                                1e-12, 50e-9)
+            return out
+
+        tele, sink = _batch_telemetry()
+        results = run_transient_batch(lanes(), 2e-9, 1e-10, telemetry=tele)
+        events = _events(sink, "spice.batch.fallback")
+        assert [(e["attrs"]["reason"], e["attrs"]["lanes"])
+                for e in events] == [("another time grid", [1])]
+        assert_lanes_equal([run_transient(c, 2e-9, 1e-10) for c in lanes()],
+                           results)
+
     def test_validation_matches_serial(self):
         with pytest.raises(CircuitError):
             run_transient_batch(rc_lanes([1]), tstop=0.0, dt=1e-10)
@@ -299,6 +455,12 @@ class TestSerialFallback:
         with pytest.raises(CircuitError):
             run_transient_batch(rc_lanes([1]), 1e-9, 1e-10,
                                 record=["nope"])
+        with pytest.raises(CircuitError, match="'nope'"):
+            run_transient_batch(rc_lanes([1, 2]), 1e-9, 1e-10,
+                                record=[["out"], ["nope"]])
+        with pytest.raises(CircuitError, match="one sequence"):
+            run_transient_batch(rc_lanes([1, 2]), 1e-9, 1e-10,
+                                record=[["out"]])
         assert run_transient_batch([], 1e-9, 1e-10) == []
 
 

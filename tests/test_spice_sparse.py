@@ -10,7 +10,7 @@ and factors with SuperLU instead of LAPACK.  The contract proven here:
 * **solution equivalence** — DC operating points and transient
   waveforms agree across ``bank`` / ``loop`` / ``sparse`` to ≤1e-9 for
   all three library styles, sleep on and off; batched lanes whose
-  template selects the sparse assembly run serially and match too;
+  ``System`` selects the sparse assembly run serially and match too;
 * **identical control flow** — the Newton iteration counts and recovery
   ladder attempts of a PG-MCML buffer chain are byte-identical across
   assemblies (pinned as a regression reference);
