@@ -27,6 +27,13 @@ at the repo root:
   array compared byte for byte against the serial run and every serial
   ``vdd`` sample bit for bit against the per-grid-point reference in
   ``tests/transient_oracle.py``;
+* the DC callers, each timed against its serial loop in
+  ``tests/dc_oracle.py`` (alternating, best of ``REPEATS``): Fig. 3's
+  nine bias searches as one ``solve_biases`` call, Table 2's gated
+  50 µA search, ``mc_input_offset(24)`` and ``mc_buffer_residual(48)``,
+  with their DC solves, lockstep rounds and lanes counted, and every
+  bias point ``repr``-identical and every Monte Carlo value float-equal
+  to the oracle's;
 * the bank/sparse crossover: PG-MCML buffer chains of 1 to 64 cells
   (4 to 382 unknowns) under both assemblies, with the sparse/bank time
   ratio and the largest voltage difference per size, next to the
@@ -62,14 +69,19 @@ import numpy as np
 import pytest
 from conftest import run_once
 
+import repro.cells.bias as bias_mod
+import repro.cells.montecarlo as montecarlo
 from repro.cells import (
     McmlCellGenerator,
     build_cmos_library,
     build_pg_mcml_library,
     characterize_mcml_cell,
+    mc_buffer_residual,
+    mc_input_offset,
     mcml_testbench,
     measure_mcml_cell,
     solve_bias,
+    solve_biases,
 )
 from repro.cells.functions import function
 from repro.cells.pgmcml import PgMcmlCellGenerator
@@ -86,6 +98,12 @@ from repro.units import uA
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 if _REPO_ROOT not in sys.path:
     sys.path.insert(0, _REPO_ROOT)  # the per-point reference lives in tests/
+import tests.dc_oracle as dc_oracle  # noqa: E402
+from tests.dc_oracle import (  # noqa: E402
+    serial_mc_buffer_residual,
+    serial_mc_input_offset,
+    serial_solve_bias,
+)
 from tests.transient_oracle import equal_samples  # noqa: E402
 
 N_STEPS = 256
@@ -110,6 +128,10 @@ FIG3_LANE_FIELDS = ("delay", "swing", "iss")
 TABLE2_CELLS = ("BUF", "DIFF2SINGLE", "AND2", "AND3", "AND4", "MUX2",
                 "MUX4", "MAJ32", "XOR2", "XOR3", "XOR4", "FA")
 TABLE2_ISS = uA(50)
+
+#: Monte Carlo dies of the ``dc`` section (``paper-long``'s sizes).
+MC_OFFSET_DIES = 24
+MC_RESIDUAL_DIES = 48
 
 #: Buffer-chain lengths of the bank/sparse crossover (4 to 382 unknowns).
 CROSSOVER_CELLS = (1, 2, 4, 8, 16, 32, 64)
@@ -442,6 +464,98 @@ def assert_table2_exact(case: dict) -> None:
         assert cell["arrays_equal_to_serial"] == cell["arrays"], cell
 
 
+def _counted(run, module, name: str):
+    """Run ``run`` once with ``module.name`` wrapped; returns its
+    result, the wrapped function's call count and how many circuits
+    the calls were given (their first argument, one circuit or a list)."""
+    calls = [0, 0]
+    real = getattr(module, name)
+
+    def counting(first, *args, **kwargs):
+        calls[0] += 1
+        calls[1] += len(first) if isinstance(first, list) else 1
+        return real(first, *args, **kwargs)
+
+    with mock.patch.object(module, name, counting):
+        result = run()
+    return result, calls[0], calls[1]
+
+
+def _fresh_biases(run):
+    """``run`` with the bias cache emptied first, as a cold search."""
+    def cold():
+        bias_mod._CACHE.clear()
+        return run()
+    return cold
+
+
+def _dc_case() -> dict:
+    """The DC callers in lockstep against their serial loops.
+
+    Each case runs once counted (the serial loop's ``solve_dc`` calls;
+    the lockstep's ``solve_dc_batch`` rounds and lanes, cache hits
+    included), then the two alternate within each best-of-``REPEATS``
+    repeat.  ``bit_identical`` counts bias points whose ``repr`` equals
+    the oracle's and Monte Carlo values equal to the oracle's floats.
+    """
+    gated = TABLE2_ISS
+    cases = {
+        "fig3_bias_searches": (
+            _fresh_biases(lambda: solve_biases(fig3.DEFAULT_SWEEP)),
+            lambda: [serial_solve_bias(iss) for iss in fig3.DEFAULT_SWEEP],
+            bias_mod, dc_oracle),
+        "table2_gated_bias_search": (
+            _fresh_biases(lambda: [solve_bias(gated, gated=True)]),
+            lambda: [serial_solve_bias(gated, gated=True)],
+            bias_mod, dc_oracle),
+        "mc_input_offset": (
+            lambda: mc_input_offset(MC_OFFSET_DIES),
+            lambda: serial_mc_input_offset(MC_OFFSET_DIES),
+            montecarlo, dc_oracle),
+        "mc_buffer_residual": (
+            lambda: mc_buffer_residual(MC_RESIDUAL_DIES),
+            lambda: serial_mc_buffer_residual(MC_RESIDUAL_DIES),
+            montecarlo, dc_oracle),
+    }
+    out = []
+    for name, (lockstep, oracle, module, oracle_module) in cases.items():
+        got, rounds, lanes = _counted(lockstep, module, "solve_dc_batch")
+        want, solves, _ = _counted(oracle, oracle_module, "solve_dc")
+        if isinstance(got, list) and got and hasattr(got[0], "sizing"):
+            pairs = [(repr(g), repr(w)) for g, w in zip(got, want)]
+        elif hasattr(got, "residual_currents"):
+            pairs = list(zip(got.residual_currents + got.mean_currents,
+                             want.residual_currents + want.mean_currents))
+        else:
+            pairs = list(zip(got, want))
+        best = {}
+        for _ in range(REPEATS):
+            for engine, run in (("lockstep", lockstep), ("oracle", oracle)):
+                begin = time.perf_counter()
+                run()
+                elapsed = time.perf_counter() - begin
+                best[engine] = min(best.get(engine, elapsed), elapsed)
+        out.append({
+            "case": name,
+            "oracle_solves": solves,
+            "lockstep_rounds": rounds,
+            "lockstep_lanes": lanes,
+            "oracle_seconds": round(best["oracle"], 4),
+            "lockstep_seconds": round(best["lockstep"], 4),
+            "speedup": round(best["oracle"] / best["lockstep"], 3),
+            "values": len(pairs),
+            "bit_identical": sum(g == w for g, w in pairs),
+        })
+    return {"cpu_count": os.cpu_count(), "repeats": REPEATS, "cases": out}
+
+
+def assert_dc_exact(case: dict) -> None:
+    """Every lockstep value equals the serial loop's."""
+    for entry in case["cases"]:
+        assert entry["values"] > 0, entry
+        assert entry["bit_identical"] == entry["values"], entry
+
+
 def _serial_acquisition() -> dict:
     """Serial 256-trace CPA under the bank default, vs the reference."""
     library = build_cmos_library()
@@ -483,6 +597,7 @@ def run_comparison():
         "batched": _batched_transient_case(),
         "fig3": _fig3_case(),
         "table2": _table2_case(),
+        "dc": _dc_case(),
         "acquisition": _serial_acquisition(),
     })
     with open(RESULT_PATH, "w") as fh:
@@ -508,6 +623,7 @@ def test_bank_assembly_speedup_and_equivalence(benchmark):
         assert fig3_case[part]["bit_identical"] == fig3_case[part]["values"], \
             fig3_case
     assert_table2_exact(report["table2"])
+    assert_dc_exact(report["dc"])
     acq = report["acquisition"]
     assert acq["cpa_rank"] == 0, acq
     if "reference_cpa_rank" in acq:

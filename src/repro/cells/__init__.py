@@ -28,7 +28,7 @@ from .layout import (
 from .mcml import McmlCellGenerator, McmlSizing
 from .pgmcml import PgMcmlCellGenerator, PowerGateTopology
 from .cmos import CmosCellGenerator
-from .bias import BiasPoint, solve_bias
+from .bias import BiasPoint, solve_bias, solve_biases
 from .characterize import (
     CellMeasurement,
     CellTestbench,
@@ -73,6 +73,7 @@ __all__ = [
     "CmosCellGenerator",
     "BiasPoint",
     "solve_bias",
+    "solve_biases",
     "CellMeasurement",
     "characterize_mcml_cell",
     "characterize_mcml_dff",

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from ..errors import CharacterizationError
-from ..spice import DC, solve_dc
+from ..spice import PWL, solve_dc_batch
+from ..spice.dc import System
 from ..tech import MismatchModel, Technology, TECH90
 from .functions import function
 from .mcml import McmlCellGenerator, McmlSizing
@@ -63,6 +64,20 @@ class McmlMonteCarloResult:
                 f"Iss sigma {self.iss_sigma * 1e6:.3g} uA)")
 
 
+def _die(k: int, sizing: McmlSizing, tech: Technology, avt: float,
+         akp: float, seed: int):
+    """Monte Carlo die ``k``: one mismatch-sampled buffer cell, supplied
+    and biased; returns the cell and its circuit."""
+    mismatch = MismatchModel(avt=avt, akp=akp, seed=seed + 1000 * k)
+    cell = McmlCellGenerator(tech, sizing, mismatch=mismatch).build(
+        function("BUF"))
+    ckt = cell.circuit
+    ckt.v("vdd", cell.vdd_net, tech.vdd)
+    ckt.v("vvn", cell.vn_net, sizing.vn)
+    ckt.v("vvp", cell.vp_net, sizing.vp)
+    return cell, ckt
+
+
 def mc_buffer_residual(n_samples: int = 16,
                        sizing: Optional[McmlSizing] = None,
                        tech: Technology = TECH90,
@@ -72,30 +87,28 @@ def mc_buffer_residual(n_samples: int = 16,
 
     For each sample: draw one mismatched buffer, solve DC with the input
     high and with the input low (same devices!), and record the supply
-    current difference.
+    current difference.  All 2 x ``n_samples`` solves are one
+    :func:`~repro.spice.solve_dc_batch`.
     """
     if n_samples < 2:
         raise CharacterizationError("need at least two Monte-Carlo samples")
     sizing = sizing or McmlSizing()
-    fn = function("BUF")
-    residuals: List[float] = []
-    means: List[float] = []
+    hi, lo = sizing.input_high(tech), sizing.input_low(tech)
+    circuits, systems = [], []
     for k in range(n_samples):
-        mismatch = MismatchModel(avt=avt, akp=akp, seed=seed + 1000 * k)
-        generator = McmlCellGenerator(tech, sizing, mismatch=mismatch)
-        cell = generator.build(fn)
-        ckt = cell.circuit
-        ckt.v("vdd", cell.vdd_net, tech.vdd)
-        ckt.v("vvn", cell.vn_net, sizing.vn)
-        ckt.v("vvp", cell.vp_net, sizing.vp)
-        hi, lo = sizing.input_high(tech), sizing.input_low(tech)
+        cell, ckt = _die(k, sizing, tech, avt, akp, seed)
         # Drive with time-selectable levels: t=0 -> input 1, t=1 -> input 0.
-        from ..spice import PWL
         in_p, in_n = cell.input_nets["A"]
         ckt.v("vin_p", in_p, PWL([(0.0, hi), (1.0, lo)]))
         ckt.v("vin_n", in_n, PWL([(0.0, lo), (1.0, hi)]))
-        i_one = solve_dc(ckt, t=0.0).current("vdd")
-        i_zero = solve_dc(ckt, t=1.0).current("vdd")
+        system = System(ckt)
+        circuits += [ckt, ckt]
+        systems += [system, system]
+    ops = solve_dc_batch(circuits, [0.0, 1.0] * n_samples, systems=systems)
+    residuals: List[float] = []
+    means: List[float] = []
+    for one, zero in zip(ops[0::2], ops[1::2]):
+        i_one, i_zero = one.current("vdd"), zero.current("vdd")
         residuals.append(i_one - i_zero)
         means.append(0.5 * (i_one + i_zero))
     return McmlMonteCarloResult(n_samples=n_samples,
@@ -110,44 +123,46 @@ def mc_input_offset(n_samples: int = 12,
     """Input-referred offset of mismatch-sampled buffers, volts.
 
     Bisects the differential input voltage at which the differential
-    output crosses zero; matched cells cross at exactly 0 V.
+    output crosses zero; matched cells cross at exactly 0 V.  All dies
+    bisect in lockstep: one :func:`~repro.spice.solve_dc_batch` per
+    step, each die at its own probe time, on its own ``System``.
     """
+    if n_samples < 1:
+        raise CharacterizationError("need at least one Monte-Carlo sample")
     sizing = sizing or McmlSizing()
-    fn = function("BUF")
-    offsets: List[float] = []
+    common = tech.vdd - sizing.swing / 2.0
+    # Parameterise the differential drive by time: vd = t - 0.05 V.
+    span = 0.05
+    circuits, outputs = [], []
     for k in range(n_samples):
-        mismatch = MismatchModel(avt=avt, akp=akp, seed=seed + 1000 * k)
-        generator = McmlCellGenerator(tech, sizing, mismatch=mismatch)
-        cell = generator.build(fn)
-        ckt = cell.circuit
-        ckt.v("vdd", cell.vdd_net, tech.vdd)
-        ckt.v("vvn", cell.vn_net, sizing.vn)
-        ckt.v("vvp", cell.vp_net, sizing.vp)
-        common = tech.vdd - sizing.swing / 2.0
-        from ..spice import PWL
-        # Parameterise the differential drive by time: vd = t - 0.05 V.
-        span = 0.05
+        cell, ckt = _die(k, sizing, tech, avt, akp, seed)
         in_p, in_n = cell.input_nets["A"]
         ckt.v("vin_p", in_p, PWL([(0.0, common - span),
                                   (2 * span, common + span)]))
         ckt.v("vin_n", in_n, PWL([(0.0, common + span),
                                   (2 * span, common - span)]))
-        out_p, out_n = cell.output_nets["Y"]
+        circuits.append(ckt)
+        outputs.append(cell.output_nets["Y"])
+    systems = [System(ckt) for ckt in circuits]
 
-        def diff_at(t: float) -> float:
-            op = solve_dc(ckt, t=t)
-            return op[out_p] - op[out_n]
+    def diffs_at(times: List[float]) -> List[float]:
+        ops = solve_dc_batch(circuits, times, systems=systems)
+        return [op[out_p] - op[out_n]
+                for op, (out_p, out_n) in zip(ops, outputs)]
 
-        lo_t, hi_t = 0.0, 2 * span
-        d_lo = diff_at(lo_t)
-        for _ in range(24):
-            mid = 0.5 * (lo_t + hi_t)
-            d_mid = diff_at(mid)
-            if d_lo * d_mid <= 0.0:
-                hi_t = mid
+    lo_t, hi_t = [0.0] * n_samples, [2 * span] * n_samples
+    d_lo = diffs_at(lo_t)
+    for _ in range(24):
+        mid = [0.5 * (lo + hi) for lo, hi in zip(lo_t, hi_t)]
+        d_mid = diffs_at(mid)
+        for k in range(n_samples):
+            if d_lo[k] * d_mid[k] <= 0.0:
+                hi_t[k] = mid[k]
             else:
-                lo_t, d_lo = mid, d_mid
-        crossing_t = 0.5 * (lo_t + hi_t)
+                lo_t[k], d_lo[k] = mid[k], d_mid[k]
+    offsets: List[float] = []
+    for lo, hi in zip(lo_t, hi_t):
+        crossing_t = 0.5 * (lo + hi)
         vd_at_crossing = 2.0 * (crossing_t - span)  # input diff voltage
         offsets.append(-vd_at_crossing)
     return offsets

@@ -22,7 +22,7 @@ from ..cells import (
     function,
     mcml_testbench,
     measure_mcml_cell,
-    solve_bias,
+    solve_biases,
 )
 from ..spice.backend.dispatch import run_transient_batch
 from ..tech import TECH90
@@ -89,16 +89,18 @@ class Fig3Result:
 def run(sweep: Sequence[float] = DEFAULT_SWEEP) -> Fig3Result:
     """Measure the buffer at every tail current, at FO1 and FO4.
 
-    The testbenches go to the backend in sweep order, FO1 then FO4 at
-    each point, as one :func:`run_transient_batch` call: one lockstep
+    The bias points come from one :func:`solve_biases` call, every
+    search in lockstep.  The testbenches go to the backend in sweep
+    order, FO1 then FO4 at each point, as one
+    :func:`run_transient_batch` call: one lockstep
     transient on the internal engine, one run per circuit on an external
     simulator.  Each value equals :func:`characterize_mcml_cell`'s bit
     for bit (``tests/test_experiments.py``).
     """
     fn = function("BUF")
     benches = []
-    for iss in sweep:
-        generator = McmlCellGenerator(sizing=solve_bias(iss).sizing)
+    for point in solve_biases(sweep):
+        generator = McmlCellGenerator(sizing=point.sizing)
         benches += [mcml_testbench(fn, generator, fanout=fanout)
                     for fanout in (1, 4)]
     if not benches:

@@ -56,7 +56,7 @@ from .recovery import (
 )
 from .sweep import dc_sweep, SweepResult
 from .transient import TransientResult, TransientStats, run_transient
-from .batch import run_transient_batch
+from .batch import run_transient_batch, solve_dc_batch
 from .analysis import (
     differential_delay,
     propagation_delay,
@@ -91,6 +91,7 @@ __all__ = [
     "Circuit",
     "GROUND",
     "solve_dc",
+    "solve_dc_batch",
     "OperatingPoint",
     "SparseAssembly",
     "OperatingPointCache",

@@ -443,8 +443,8 @@ def solve_dc(circuit: Circuit, t: float = 0.0,
     :class:`~repro.errors.BudgetExhaustedError` instead of spinning on a
     stiff circuit.
 
-    ``op_cache`` (off when omitted; :func:`repro.cells.bias.solve_bias`
-    passes one per call) short-circuits repeated solves of
+    ``op_cache`` (off when omitted; the bias search keeps one per
+    target) short-circuits repeated solves of
     content-identical circuits at the same bias — see
     :mod:`repro.spice.opcache` for the fingerprint and invalidation
     contract.  Solves under a custom recovery ``policy`` bypass the
@@ -455,21 +455,12 @@ def solve_dc(circuit: Circuit, t: float = 0.0,
     tele = telemetry if telemetry is not None else sys_.telemetry
     cache_key = None
     if op_cache is not None:
-        if policy is not None:
-            op_cache.bypasses += 1
-            tele.counter("spice.opcache.bypasses").inc()
-        else:
+        if policy is None:
             cache_key = op_cache.fingerprint(circuit, t, guess,
                                              sys_.assembly)
-            if cache_key is None:
-                op_cache.bypasses += 1
-                tele.counter("spice.opcache.bypasses").inc()
-            else:
-                hit = op_cache.lookup(cache_key)
-                if hit is not None:
-                    tele.counter("spice.opcache.hits").inc()
-                    return hit
-                tele.counter("spice.opcache.misses").inc()
+        hit = _cache_lookup(op_cache, cache_key, tele)
+        if hit is not None:
+            return hit
     fixed = circuit.fixed_nodes(t)
     x0 = _initial_guess(sys_, fixed)
     if guess:
@@ -496,17 +487,38 @@ def solve_dc(circuit: Circuit, t: float = 0.0,
         span.set("newton_iterations", diagnostics.total_iterations)
         span.set("singular_jacobian_events",
                  diagnostics.singular_jacobian_events)
-    voltages = dict(fixed)
-    for node, idx in sys_.index.items():
-        voltages[node] = float(x[idx])
-    node_currents = sys_.fixed_node_currents(x, fixed)
-    source_currents = {
-        source.name: node_currents.get(source.node, 0.0)
-        for source in circuit.vsources
-    }
-    op = OperatingPoint(voltages, source_currents,
-                        diagnostics=diagnostics)
+    op = _operating_point(circuit, sys_, fixed, x, diagnostics)
     if cache_key is not None:
         op_cache.store(cache_key, op)
         tele.counter("spice.opcache.stores").inc()
     return op
+
+
+def _cache_lookup(op_cache, key: Optional[str], tele):
+    """The cached point under ``key`` (``None``: this solve bypasses
+    the cache), counting the decision on ``tele``; ``None`` on a miss."""
+    if key is None:
+        op_cache.bypasses += 1
+        tele.counter("spice.opcache.bypasses").inc()
+        return None
+    hit = op_cache.lookup(key)
+    tele.counter("spice.opcache.hits" if hit is not None
+                 else "spice.opcache.misses").inc()
+    return hit
+
+
+def _operating_point(circuit: Circuit, system: System,
+                     fixed: Dict[str, float], x: np.ndarray,
+                     diagnostics: SolverDiagnostics) -> OperatingPoint:
+    """The :class:`OperatingPoint` of the solved unknowns ``x``: node
+    voltages, and each source's current from the devices it feeds."""
+    voltages = dict(fixed)
+    for node, idx in system.index.items():
+        voltages[node] = float(x[idx])
+    node_currents = system.fixed_node_currents(x, fixed)
+    source_currents = {
+        source.name: node_currents.get(source.node, 0.0)
+        for source in circuit.vsources
+    }
+    return OperatingPoint(voltages, source_currents,
+                          diagnostics=diagnostics)

@@ -1,10 +1,10 @@
 """Content-addressed operating-point cache.
 
-The bias search (:func:`repro.cells.bias.solve_bias`) scans and bisects
-one replica buffer over Vn, load width and Vp, and re-measures points it
-has already solved.  This module caches solved operating points keyed
-by a *content fingerprint* of everything that determines the solution
-and the solver's trajectory to it:
+The bias search (:func:`repro.cells.bias.solve_biases`) scans and
+bisects one replica buffer per target over Vn, load width and Vp, and
+re-measures points it has already solved.  This module caches solved
+operating points keyed by a *content fingerprint* of everything that
+determines the solution and the solver's trajectory to it:
 
 * every device, in list order, as ``(class tag, name, terminals,
   parameters, parasitic capacitances)`` — list order matters because
@@ -27,8 +27,9 @@ A cache hit returns a fresh :class:`~repro.spice.dc.OperatingPoint`
 with copied voltage/current dicts, byte-identical to what a cold solve
 would produce (the solver is deterministic given the fingerprinted
 inputs); the stored solve's diagnostics ride along.  A cache lives as
-long as its owner: ``solve_bias`` makes one per call (about a hundred
-entries), and :func:`~repro.spice.dc.solve_dc` uses none unless one is
+long as its owner: the bias search makes one per target (about a
+hundred entries), and :func:`~repro.spice.dc.solve_dc` and
+:func:`~repro.spice.batch.solve_dc_batch` use none unless one is
 passed.  Measured on the full characterisation plan, every hit came
 from the bias search; transients, Monte Carlo and leakage solves never
 repeat a key.

@@ -328,23 +328,38 @@ def solve_with_recovery(system, fixed: Dict[str, float], x0: np.ndarray,
     :class:`~repro.errors.BudgetExhaustedError` carrying the
     diagnostics accumulated so far.
     """
-    policy = policy if policy is not None else RecoveryPolicy()
     if telemetry is None:
         telemetry = getattr(system, "telemetry", NULL_TELEMETRY)
     budget = budget if budget is not None else SolveBudget.from_env()
     diag = SolverDiagnostics()
+
+    # 1. Plain Newton from the caller's guess.
+    x = _attempt(system, diag, "newton", fixed, x0, 0.0,
+                 telemetry=telemetry,
+                 maxiter=_budget_maxiter(budget, diag, telemetry))
+    if x is not None:
+        diag.converged_by = "newton"
+        return x, diag
+    return climb_ladder(system, fixed, x0, diag, policy, telemetry, budget)
+
+
+def climb_ladder(system, fixed: Dict[str, float], x0: np.ndarray,
+                 diag: SolverDiagnostics,
+                 policy: Optional[RecoveryPolicy], telemetry,
+                 budget: SolveBudget
+                 ) -> Tuple[np.ndarray, SolverDiagnostics]:
+    """The ladder after a plain-Newton first rung from ``x0`` that did
+    not converge, recorded in ``diag``: gmin stepping, source stepping,
+    pseudo-transient.  :func:`solve_with_recovery` goes on here, and so
+    does a lane of the lockstep DC (:mod:`repro.spice.batch`) whose
+    first rung ran in the lockstep."""
+    policy = policy if policy is not None else RecoveryPolicy()
 
     def attempt(strategy: str, fixed_a: Dict[str, float], x_a: np.ndarray,
                 gmin_a: float) -> Optional[np.ndarray]:
         maxiter = _budget_maxiter(budget, diag, telemetry)
         return _attempt(system, diag, strategy, fixed_a, x_a, gmin_a,
                         telemetry=telemetry, maxiter=maxiter)
-
-    # 1. Plain Newton from the caller's guess.
-    x = attempt("newton", fixed, x0, 0.0)
-    if x is not None:
-        diag.converged_by = "newton"
-        return x, diag
 
     # 2. Gmin stepping, warm-starting each rung from the previous one.
     x = x0.copy()

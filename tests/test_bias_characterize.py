@@ -10,11 +10,15 @@ from repro.cells import (
     function,
     measure_leakage,
     solve_bias,
+    solve_biases,
 )
 from repro.cells.characterize import sensitising_assignment
 from repro.errors import CharacterizationError
+from repro.experiments import fig3
 from repro.spice import OperatingPointCache
+from repro.tech import TECH90, Technology
 from repro.units import uA
+from .dc_oracle import serial_solve_bias
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +92,74 @@ class TestBiasOperatingPointCache:
         assert made[0].hits > 0 and made[1].hits == 0
         # Same search path: every DC solve asked its cache once.
         assert made[0].hits + made[0].misses == made[1].misses
+
+
+@pytest.fixture
+def target_caches(monkeypatch):
+    """An empty bias cache, and every operating-point cache the searches
+    make, in the order they make them."""
+    made = []
+
+    class Recording(OperatingPointCache):
+        def __init__(self):
+            super().__init__()
+            made.append(self)
+
+    monkeypatch.setattr(bias, "_CACHE", {})
+    monkeypatch.setattr(bias, "OperatingPointCache", Recording)
+    return made
+
+
+class TestBiasLockstep:
+    """solve_biases against the serial search (``tests/dc_oracle.py``):
+    each target's point ``repr``-identical, with its cache's hits and
+    misses."""
+
+    @pytest.mark.parametrize("targets,gated", [
+        (fig3.DEFAULT_SWEEP, False),  # Fig. 3's nine searches at once
+        ((uA(50),), True),            # Table 2's gated search
+        ((uA(20),), False),           # the Vp branch
+    ])
+    def test_matches_the_serial_search(self, target_caches, targets,
+                                       gated):
+        points = solve_biases(targets, gated=gated)
+        assert len(target_caches) == len(targets)
+        for iss, point, cache in zip(targets, points, target_caches):
+            oracle_cache = OperatingPointCache()
+            want = serial_solve_bias(iss, gated=gated,
+                                     op_cache=oracle_cache)
+            assert repr(point) == repr(want)
+            assert cache.counters() == oracle_cache.counters()
+        if targets == (uA(20),):
+            assert points[0].sizing.vp > 0.0
+
+    def test_duplicate_targets_share_one_point(self, target_caches):
+        a, b, c = solve_biases([uA(50), uA(35), uA(50)])
+        assert a is c and a is not b
+        assert len(target_caches) == 2
+        assert solve_bias(uA(50)) is a
+        assert solve_biases([uA(35), uA(50)]) == [b, a]
+
+    def test_cache_key_names_outer_iterations(self, target_caches):
+        full = solve_bias(uA(50))
+        one = solve_bias(uA(50), outer_iterations=1)
+        assert one is not full
+        assert repr(one) == repr(serial_solve_bias(uA(50),
+                                                   outer_iterations=1))
+        assert one.sizing.vn != full.sizing.vn
+
+    def test_cache_key_names_the_technology_content(self, target_caches):
+        low = Technology(vdd=1.0)
+        assert low.name == TECH90.name
+        nominal = solve_bias(uA(50))
+        point = solve_bias(uA(50), tech=low)
+        assert point is not nominal
+        assert repr(point) == repr(serial_solve_bias(uA(50), tech=low))
+
+    def test_invalid_targets_fail_before_any_search(self, target_caches):
+        with pytest.raises(CharacterizationError):
+            solve_biases([uA(50), 0.0])
+        assert not target_caches and not bias._CACHE
 
 
 class TestSensitising:

@@ -13,6 +13,7 @@ from repro.cells.library import RESIDUAL_SIGMA_PER_TAIL
 from repro.errors import CharacterizationError
 from repro.tech import MismatchModel
 from repro.units import uA
+from .dc_oracle import serial_mc_buffer_residual, serial_mc_input_offset
 
 
 @pytest.fixture(scope="module")
@@ -97,3 +98,22 @@ class TestInputOffset:
         offsets = mc_input_offset(n_samples=2, sizing=sizing, avt=0.0,
                                   akp=0.0)
         assert all(abs(o) < 2e-3 for o in offsets)
+
+
+class TestLockstepMatchesSerial:
+    """Every die solved in lockstep gives the serial loop's floats
+    (``tests/dc_oracle.py``)."""
+
+    def test_buffer_residual(self, sizing):
+        got = mc_buffer_residual(n_samples=6, sizing=sizing, seed=5)
+        want = serial_mc_buffer_residual(n_samples=6, sizing=sizing, seed=5)
+        assert got.residual_currents == want.residual_currents
+        assert got.mean_currents == want.mean_currents
+
+    def test_input_offset(self, sizing):
+        assert mc_input_offset(n_samples=5, sizing=sizing, seed=3) \
+            == serial_mc_input_offset(n_samples=5, sizing=sizing, seed=3)
+
+    def test_input_offset_sample_count_validated(self, sizing):
+        with pytest.raises(CharacterizationError):
+            mc_input_offset(n_samples=0, sizing=sizing)

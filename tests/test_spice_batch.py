@@ -1,4 +1,4 @@
-"""The lockstep batched transient engine vs the serial oracle.
+"""The lockstep batched transient and DC engines vs the serial oracles.
 
 The contract: :func:`repro.spice.run_transient_batch` marches B circuits
 of any dense topologies that share a time grid in lockstep and returns,
@@ -14,30 +14,41 @@ indices (``k * dt``), so a tstop/dt ratio like 1e-9/1e-11 yields exactly
 101 samples with the last one exactly ``tstop``.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.cells import mcml_testbench, solve_bias
+from repro.cells import mcml_testbench, solve_bias, solve_biases
+from repro.cells.bias import _replica
 from repro.cells.cmos import CmosCellGenerator
 from repro.cells.functions import function
-from repro.cells.mcml import McmlCellGenerator
+from repro.cells.mcml import McmlCellGenerator, McmlSizing
+from repro.cells.montecarlo import _die
 from repro.cells.pgmcml import PgMcmlCellGenerator
 from repro.errors import (
     BudgetExhaustedError,
     CircuitError,
     ConvergenceError,
 )
+from repro.experiments import fig3
+from repro.faultinject import Fault, FaultInjector
 from repro.obs import MemorySink, Telemetry
 from repro.spice import (
+    PWL,
     Circuit,
+    OperatingPointCache,
     Pulse,
     Resistor,
     SolveBudget,
     run_transient,
     run_transient_batch,
+    solve_dc,
+    solve_dc_batch,
 )
 from repro.spice import batch as batch_mod
+from repro.spice.dc import SPARSE_MIN_UNKNOWNS, System
 from repro.spice.transient import _time_grid
 from repro.tech import NMOS_LVT, PMOS_LVT, TECH90
 from repro.units import ps, uA
@@ -305,7 +316,14 @@ class TestMixedTopologies:
         tele, sink = _batch_telemetry()
         batch = run_transient_batch(circuits, window, dt, record=records,
                                     telemetry=tele)
-        assert not _events(sink, "spice.batch.fallback")
+        assert not _fallbacks(sink)
+        # The t=0 points that need the gmin ladder, and only those, leave
+        # the lockstep DC (AND3 and AND4 at this bias).
+        ladder = [i for i, ckt in enumerate(circuits)
+                  if solve_dc(ckt).diagnostics.converged_by != "newton"]
+        assert ladder
+        assert [i for event in _fallbacks(sink, "dc")
+                for i in event["attrs"]["lanes"]] == ladder
         assert tele.counter("spice.batch.lanes").value == len(circuits)
         serial = [run_transient(ckt, window, dt, record=names)
                   for ckt, names in zip(circuits, records)]
@@ -338,7 +356,7 @@ class TestMixedTopologies:
         monkeypatch.setattr(batch_mod._Lane, "accept", failing_accept)
         tele, sink = _batch_telemetry()
         batch = run_transient_batch(lanes(), tstop, dt, telemetry=tele)
-        assert not _events(sink, "spice.batch.fallback")
+        assert not _fallbacks(sink)
         isolated = _events(sink, "spice.batch.lane_isolated")
         assert [event["attrs"]["lane"] for event in isolated] == [1]
         assert_lanes_equal(serial, batch)
@@ -390,7 +408,7 @@ class TestLaneSubsets:
                                     POOL_DT,
                                     record=[names for _, names in lanes],
                                     telemetry=tele)
-        assert not _events(sink, "spice.batch.fallback")
+        assert not _fallbacks(sink)
         assert_lanes_equal([_pool_serial(k) for k in picks], batch)
 
 
@@ -403,6 +421,14 @@ def _batch_telemetry():
 
 def _events(sink, name):
     return [r for r in sink.records if r.get("name") == name]
+
+
+def _fallbacks(sink, scope=None):
+    """``spice.batch.fallback`` events of one scope: ``None`` for lanes
+    that leave the transient march, ``"dc"`` for operating points the
+    lockstep DC hands to the serial ladder."""
+    return [r for r in _events(sink, "spice.batch.fallback")
+            if r["attrs"].get("scope") == scope]
 
 
 class TestSerialFallback:
@@ -566,3 +592,240 @@ class TestBatchKnob:
                 for name in ("runs", "steps_accepted", "halvings"))
         assert counted["batch"] == counted["serial"]
         assert counted["serial"][0] == 3
+
+
+# -- lockstep DC vs solve_dc --------------------------------------------------
+
+def assert_points_equal(serial, batch):
+    """Every lane's voltages and source currents byte for byte, and its
+    diagnostics record for record."""
+    assert len(batch) == len(serial)
+    for lane, (s, b) in enumerate(zip(serial, batch)):
+        for field in ("voltages", "source_currents"):
+            want, got = getattr(s, field), getattr(b, field)
+            assert list(want) == list(got), (lane, field)
+            assert (np.array(list(want.values())).tobytes()
+                    == np.array(list(got.values())).tobytes()), (lane, field)
+        assert repr(s.diagnostics.to_dict()) \
+            == repr(b.diagnostics.to_dict()), lane
+
+
+def fig3_replicas() -> list:
+    """Fig. 3's bias replicas: each solved point, its Vn search's lower
+    end and its widest scanned load."""
+    lanes = []
+    for point in solve_biases(fig3.DEFAULT_SWEEP):
+        sizing = point.sizing
+        vn_lo = TECH90.flavor(sizing.tail_flavor).vt0 + 0.02
+        w_hi = max(sizing.w_load * 20.0,
+                   TECH90.flavor(sizing.load_flavor).wmin * 40.0)
+        for probe in (sizing, replace(sizing, vn=vn_lo),
+                      replace(sizing, w_load=w_hi)):
+            lanes.append(_replica(probe, TECH90, False)[0])
+    return lanes
+
+
+def ladder_lane() -> Circuit:
+    """The gated 50 uA replica at the bottom of its Vn search, where
+    plain Newton does not converge: solve_dc needs the gmin ladder."""
+    sizing = McmlSizing.for_current(uA(50), 0.40, TECH90)
+    vn_lo = TECH90.flavor(sizing.tail_flavor).vt0 + 0.02
+    return _replica(replace(sizing, vn=vn_lo), TECH90, True)[0]
+
+
+def offset_dies(count: int):
+    """Monte Carlo dies wired as ``mc_input_offset`` drives them, each
+    with a probe time of its own."""
+    sizing = McmlSizing()
+    common, span = TECH90.vdd - sizing.swing / 2.0, 0.05
+    dies = []
+    for k in range(count):
+        cell, ckt = _die(k, sizing, TECH90, 3.5e-9, 1e-9, seed=7)
+        in_p, in_n = cell.input_nets["A"]
+        ckt.v("vin_p", in_p, PWL([(0.0, common - span),
+                                  (2 * span, common + span)]))
+        ckt.v("vin_n", in_n, PWL([(0.0, common + span),
+                                  (2 * span, common - span)]))
+        dies.append(ckt)
+    times = np.random.default_rng(3).uniform(0.0, 2 * span, count).tolist()
+    return dies, times
+
+
+def sparse_lane() -> Circuit:
+    """A resistor ladder of SPARSE_MIN_UNKNOWNS unknowns."""
+    ckt = Circuit("sparse_ladder")
+    ckt.v("vs", "n0", 1.0)
+    for k in range(SPARSE_MIN_UNKNOWNS):
+        ckt.resistor(f"r{k}", f"n{k}", f"n{k + 1}", 1e3)
+    ckt.resistor("rg", f"n{SPARSE_MIN_UNKNOWNS}", "0", 1e3)
+    return ckt
+
+
+def proxy_lane() -> Circuit:
+    """A divider whose lower resistor is a perturbed fault proxy."""
+    ckt = Circuit("proxied_divider")
+    ckt.v("vin", "in", 1.0)
+    ckt.resistor("r1", "in", "mid", 1e3)
+    ckt.resistor("r2", "mid", "0", 1e3)
+    FaultInjector(ckt, [Fault("r2", "perturb", magnitude=1e-5)]).arm()
+    return ckt
+
+
+def fixed_only_lane() -> Circuit:
+    ckt = Circuit("fixed_only")
+    ckt.v("vin", "in", 1.0)
+    ckt.resistor("r1", "in", "0", 1e3)
+    return ckt
+
+
+def _dc_pool() -> list:
+    """(circuit, t) lanes of every kind the property draws from."""
+    replicas = fig3_replicas()
+    dies, times = offset_dies(2)
+    return [(replicas[0], 0.0), (replicas[4], 0.0), (replicas[8], 0.0),
+            (ladder_lane(), 0.0), (dies[0], times[0]), (dies[1], times[1]),
+            (proxy_lane(), 0.0), (fixed_only_lane(), 0.0)]
+
+
+_DC_POOL: list = []
+
+
+def _dc_serial(k: int):
+    if not _DC_POOL:
+        _DC_POOL.extend((ckt, t, solve_dc(ckt, t=t)) for ckt, t in _dc_pool())
+    return _DC_POOL[k]
+
+
+_NEWTON_COUNTERS = ("spice.newton.solves", "spice.newton.iterations",
+                    "spice.newton.failures", "spice.dc.ladder_attempts",
+                    "spice.newton.singular_jacobian_events")
+
+
+class TestDcLockstep:
+    """:func:`repro.spice.solve_dc_batch` against :func:`solve_dc`, lane
+    by lane."""
+
+    def test_fig3_replicas(self):
+        lanes = fig3_replicas()
+        tele, sink = _batch_telemetry()
+        batch = solve_dc_batch(lanes, telemetry=tele)
+        assert_points_equal([solve_dc(ckt) for ckt in lanes], batch)
+        assert not _fallbacks(sink, "dc")
+        assert tele.counter("spice.batch.dc_rounds").value == 1
+        assert tele.counter("spice.batch.dc_lanes").value == len(lanes)
+
+    def test_monte_carlo_dies_at_their_own_times(self):
+        dies, times = offset_dies(6)
+        serial = [solve_dc(ckt, t=t) for ckt, t in zip(dies, times)]
+        systems = [System(ckt) for ckt in dies]
+        assert_points_equal(serial, solve_dc_batch(dies, times,
+                                                   systems=systems))
+        # The same systems again, at other times.
+        later = [t / 2.0 for t in times]
+        assert_points_equal(
+            [solve_dc(ckt, t=t) for ckt, t in zip(dies, later)],
+            solve_dc_batch(dies, later, systems=systems))
+
+    def test_lane_that_needs_the_gmin_ladder(self):
+        lanes = [ladder_lane()] + fig3_replicas()[:3]
+        serial = [solve_dc(ckt) for ckt in lanes]
+        assert serial[0].diagnostics.converged_by.startswith("gmin")
+        tele, sink = _batch_telemetry()
+        assert_points_equal(serial, solve_dc_batch(lanes, telemetry=tele))
+        assert [(e["attrs"]["reason"], e["attrs"]["lanes"])
+                for e in _fallbacks(sink, "dc")] \
+            == [("first rung did not converge", [0])]
+
+    def test_lanes_the_march_cannot_take(self):
+        replicas = fig3_replicas()
+        lanes = [replicas[0], sparse_lane(), proxy_lane(), fixed_only_lane(),
+                 replicas[1]]
+        tele, sink = _batch_telemetry()
+        batch = solve_dc_batch(lanes, telemetry=tele)
+        assert_points_equal([solve_dc(ckt) for ckt in lanes], batch)
+        assert {e["attrs"]["reason"]: e["attrs"]["lanes"]
+                for e in _fallbacks(sink, "dc")} == {
+            "sparse assembly": [1],
+            "un-banked devices ['FaultyDevice']": [2],
+            "no-unknowns": [3]}
+        assert tele.counter("spice.batch.dc_lanes").value == 2
+
+    def test_duplicate_circuits(self):
+        replicas = fig3_replicas()
+        lanes = [replicas[2], replicas[2], replicas[5], replicas[2]]
+        assert_points_equal([solve_dc(ckt) for ckt in lanes],
+                            solve_dc_batch(lanes))
+        serial_cache, batch_cache = OperatingPointCache(), \
+            OperatingPointCache()
+        serial = [solve_dc(ckt, op_cache=serial_cache) for ckt in lanes]
+        assert_points_equal(serial,
+                            solve_dc_batch(lanes, op_cache=batch_cache))
+        assert batch_cache.counters() == serial_cache.counters()
+        assert serial_cache.hits == 2
+
+    def test_one_lane_is_solve_dc(self):
+        tele, sink = _batch_telemetry()
+        lane = fig3_replicas()[3]
+        assert_points_equal([solve_dc(lane)],
+                            solve_dc_batch([lane], telemetry=tele))
+        assert tele.counter("spice.batch.dc_rounds").value == 0
+        assert not _fallbacks(sink, "dc")
+
+    @pytest.mark.parametrize("budget", [
+        SolveBudget(max_ladder_attempts=0),
+        SolveBudget(max_newton_iterations=3),
+        SolveBudget(max_ladder_attempts=2),
+    ])
+    def test_budget_parity(self, budget):
+        lanes = [fig3_replicas()[0], ladder_lane()]
+        for ckt in lanes:
+            try:
+                want = solve_dc(ckt, budget=budget)
+            except ConvergenceError as err:
+                want = err
+            try:
+                got = solve_dc_batch([ckt, fig3_replicas()[1]],
+                                     budget=budget)[0]
+            except ConvergenceError as err:
+                got = err
+            assert type(got) is type(want)
+            if isinstance(want, ConvergenceError):
+                assert repr(got.diagnostics.to_dict()) \
+                    == repr(want.diagnostics.to_dict())
+            else:
+                assert_points_equal([want], [got])
+        with pytest.raises(BudgetExhaustedError):
+            solve_dc_batch(lanes, budget=SolveBudget(max_ladder_attempts=0))
+
+    def test_counts_newton_work_as_solve_dc_does(self):
+        lanes = [ladder_lane()] + fig3_replicas()[:4]
+        counted = {}
+        for engine in ("serial", "batch"):
+            tele, _ = _batch_telemetry()
+            if engine == "serial":
+                for ckt in lanes:
+                    solve_dc(ckt, telemetry=tele)
+            else:
+                solve_dc_batch(lanes, telemetry=tele)
+            counted[engine] = [tele.counter(name).value
+                               for name in _NEWTON_COUNTERS]
+        assert counted["batch"] == counted["serial"]
+        assert counted["serial"][2] == 1  # the ladder lane's first rung
+
+    def test_validation(self):
+        assert solve_dc_batch([]) == []
+        lanes = fig3_replicas()[:2]
+        with pytest.raises(CircuitError, match="one per circuit"):
+            solve_dc_batch(lanes, [0.0])
+        with pytest.raises(CircuitError, match="one per circuit"):
+            solve_dc_batch(lanes, systems=[System(lanes[0])])
+        with pytest.raises(CircuitError, match="one per circuit"):
+            solve_dc_batch(lanes, op_cache=[OperatingPointCache()])
+
+    @given(st.lists(st.integers(0, 7), min_size=1, max_size=8, unique=True))
+    @settings(max_examples=12, deadline=None, derandomize=True)
+    def test_any_subset_in_any_order_equals_serial(self, picks):
+        lanes = [_dc_serial(k) for k in picks]
+        batch = solve_dc_batch([ckt for ckt, _, _ in lanes],
+                               [t for _, t, _ in lanes])
+        assert_points_equal([op for _, _, op in lanes], batch)
